@@ -35,6 +35,7 @@ from .exact import (
     condorcet_probability,
     marginal_lower_bound,
     min_condorcet_probability,
+    multiset_count,
 )
 from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture, load_culture
 from .montecarlo import estimate_condorcet_probability, sweep
@@ -119,7 +120,6 @@ def _cmd_exact(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         k,
         max_winner_checks=args.max_winner_checks,
         max_support=args.max_support,
-        workers=args.workers,
     )
     rational, decimal = _fraction_fields(result.value)
     return {
@@ -129,6 +129,7 @@ def _cmd_exact(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         "per_alternative": [str(p) for p in result.per_alternative],
         "n": culture.n,
         "k": k,
+        "multisets": multiset_count(culture.support_size, k),
     }, None
 
 
@@ -263,6 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
                 "violations": report.violations,
                 "worst_margin": worst.get("margin"),
                 "worst_inequality": worst.get("inequality"),
+                "worst_input": worst.get("input"),
             }
         )
     return {
@@ -279,7 +281,6 @@ def build_parser() -> _Parser:
     sub = subparsers.add_parser("exact", help="exact probability by enumeration")
     _add_culture_args(sub)
     _add_voter_args(sub)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--max-winner-checks", type=int, default=MAX_WINNER_CHECKS)
     sub.add_argument("--max-support", type=int, default=MAX_EXPLICIT_SUPPORT)
     _add_common_output_args(sub)
@@ -353,11 +354,12 @@ def _csv_rows(record: RunRecord) -> List[List[str]]:
             rows.append([str(cell[field]) for field in header])
         return rows
     if "reports" in results:
-        header = ["name", "trials", "violations", "worst_margin"]
+        header = ["name", "trials", "violations", "worst_margin", "worst_input"]
         rows = [header]
         for report in results["reports"]:
-            rows.append([str(report[field]) for field in header])
-        rows.append(["violations_total", str(results["violations_total"]), "", ""])
+            cells = {**report, "worst_input": json.dumps(report["worst_input"])}
+            rows.append([str(cells[field]) for field in header])
+        rows.append(["violations_total", str(results["violations_total"])] + [""] * 3)
         return rows
     rows = []
     for key, value in results.items():
@@ -386,7 +388,8 @@ def _render_human(record: RunRecord) -> str:
         for report in results["reports"]:
             lines.append(
                 f"{report['name']}: trials={report['trials']} "
-                f"violations={report['violations']} worst_margin={report['worst_margin']}"
+                f"violations={report['violations']} worst_margin={report['worst_margin']} "
+                f"worst_input={json.dumps(report['worst_input'])}"
             )
         lines.append(f"violations_total: {results['violations_total']}")
     else:

@@ -1,15 +1,21 @@
 """Exact Condorcet winner probabilities: weighted enumeration over a culture's
 support, the closed-form minimum over all cultures, and the marginal lower
 bound.  Everything here is exact rational arithmetic.
+
+Enumeration runs on integers only.  Each support ranking's pairwise
+preferences are packed into one Python int, one small field per ordered
+pair of alternatives, so a voter multiset's pairwise tally is one int sum
+and its Condorcet winner one mask test per alternative.  Weights are
+integer numerators over the lcm D of the weight denominators; the winner
+mass per alternative accumulates as an integer over D^(2k-1) and becomes a
+``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
 from typing import List, Optional, Sequence, Tuple
 
 from .model import (
@@ -21,8 +27,6 @@ from .model import (
 from .special import majority_tail_exact
 
 MAX_WINNER_CHECKS = 10 ** 8
-
-_ENUM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -51,78 +55,108 @@ class ExactProbability:
         return float(self.value)
 
 
-def _multiset_winner(
-    positions: Sequence[Sequence[int]],
-    items: Tuple[int, ...],
-    counts: Sequence[int],
-    n: int,
-    k: int,
-) -> Optional[int]:
-    """Condorcet winner of a voter multiset given per-support position tables.
+def multiset_count(support: int, k: int) -> int:
+    """Number of multisets of 2k-1 voters over a support of ``support``
+    rankings: the winner checks one enumeration makes."""
+    voters = 2 * k - 1
+    return math.comb(support + voters - 1, voters)
 
-    ``items`` are the distinct support indices present, ``counts`` their
-    multiplicities (summing to 2k-1).  Candidate elimination plus one
-    verification pass, with each pairwise tally weighted by multiplicity.
+
+def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
+    """Packed pairwise preferences of the support rankings, the winner row
+    masks and the tally bias.
+
+    Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits at
+    bit ``w * (a * n + b)``; a ranking's packed int holds 1 there when it
+    puts a above b.  ``bias`` starts every off-diagonal field at
+    2^(w-1) - k, so after 2k-1 voters a field holds 2^(w-1) - k + votes,
+    which lies in [0, 2^(w-1) + k - 1] and, as k < 2^(w-1), below 2^w: no
+    carry crosses into the next field, and the field's top bit is set
+    exactly when at least k voters put a above b.  ``rows[a]`` masks the top
+    bits of the fields (a, b) for b != a, so a is the Condorcet winner iff
+    ``tally & rows[a] == rows[a]``.
     """
+    n = culture.n
+    width = k.bit_length() + 1
+    top = 1 << (width - 1)
+    bit = [[1 << (width * (a * n + b)) for b in range(n)] for a in range(n)]
+    packed = []
+    for ranking, _ in culture.entries:
+        order = ranking.order
+        packed.append(
+            sum(bit[a][b] for i, a in enumerate(order) for b in order[i + 1:])
+        )
+    rows = [sum(top * bit[a][b] for b in range(n) if b != a) for a in range(n)]
+    bias = (top - k) * sum(bit[a][b] for a in range(n) for b in range(n) if b != a)
+    return packed, rows, bias
 
-    def prefers(a: int, b: int) -> bool:
-        votes = 0
-        for idx, mult in zip(items, counts):
-            pos = positions[idx]
-            if pos[a] < pos[b]:
-                votes += mult
-                if votes >= k:
-                    return True
-        return False
 
-    champion = 0
-    for challenger in range(1, n):
-        if prefers(challenger, champion):
-            champion = challenger
-    for other in range(n):
-        if other != champion and not prefers(champion, other):
-            return None
-    return champion
+def _multiset_winner(tally: int, rows: Sequence[int]) -> Optional[int]:
+    """Condorcet winner of a voter multiset from its packed pairwise tally
+    (see :func:`_pack`), or None when there is none."""
+    for a, row in enumerate(rows):
+        if tally & row == row:
+            return a
+    return None
 
 
 def _enumerate_range(
-    culture: Culture,
-    k: int,
-    start: int,
-    stop: int,
-) -> List[Fraction]:
-    """Winner mass per alternative over multisets [start, stop) in the fixed
-    combinations-with-replacement order."""
-    entries = culture.entries
-    n = culture.n
-    voters = 2 * k - 1
-    positions = [r.positions for r, _ in entries]
-    weights = [w for _, w in entries]
-    fact = [math.factorial(i) for i in range(voters + 1)]
-    per_alt = [Fraction(0)] * n
+    packed: Sequence[int],
+    rows: Sequence[int],
+    bias: int,
+    nums: Sequence[int],
+    voters: int,
+) -> List[int]:
+    """Winner mass per alternative over every multiset of ``voters`` support
+    indices, as integer numerators over D^voters.
 
-    stream = islice(
-        combinations_with_replacement(range(len(entries)), voters), start, stop
-    )
-    for combo in stream:
-        items: List[int] = []
-        counts: List[int] = []
-        for idx in combo:
-            if items and items[-1] == idx:
-                counts[-1] += 1
-            else:
-                items.append(idx)
-                counts.append(1)
-        winner = _multiset_winner(positions, tuple(items), counts, n, k)
-        if winner is None:
-            continue
-        coeff = fact[voters]
-        prob = Fraction(1)
-        for idx, mult in zip(items, counts):
-            coeff //= fact[mult]
-            prob *= weights[idx] ** mult
-        per_alt[winner] += coeff * prob
-    return per_alt
+    A multiset is a non-decreasing index sequence i_1 <= ... <= i_voters; it
+    adds ``voters! / prod(c_i!) * prod(nums[i]^c_i)`` (c_i its
+    multiplicities) to its winner.  The sequences run in lexicographic
+    order; slot p of the state lists holds the tally, the weight product,
+    the multinomial coefficient and the length of the final run of the
+    first p indices, so advancing to the next prefix recomputes only the
+    slots after the index that changed, and the last voter is a tight loop
+    over the remaining support.  Appending an index that makes a run of
+    length r to a prefix of length p multiplies the multinomial by
+    (p + 1) / r, which stays an integer.
+    """
+    support = len(packed)
+    per_alt = [0] * len(rows)
+    depth = voters - 1
+    idx = [0] * depth
+    tally = [bias] * voters
+    weight = [1] * voters
+    multinomial = [1] * voters
+    run = [0] * voters
+    stale = 0
+    while True:
+        for p in range(stale, depth):
+            v = idx[p]
+            r = run[p] + 1 if p and idx[p - 1] == v else 1
+            tally[p + 1] = tally[p] + packed[v]
+            weight[p + 1] = weight[p] * nums[v]
+            multinomial[p + 1] = multinomial[p] * (p + 1) // r
+            run[p + 1] = r
+        prefix, w = tally[depth], weight[depth]
+        full = multinomial[depth] * voters
+        last = idx[-1] if depth else 0
+        winner = _multiset_winner(prefix + packed[last], rows)
+        if winner is not None:
+            per_alt[winner] += full // (run[depth] + 1) * w * nums[last]
+        coeff = full * w
+        for q in range(last + 1, support):
+            winner = _multiset_winner(prefix + packed[q], rows)
+            if winner is not None:
+                per_alt[winner] += coeff * nums[q]
+        stale = depth - 1
+        while stale >= 0 and idx[stale] == support - 1:
+            stale -= 1
+        if stale < 0:
+            return per_alt
+        v = idx[stale] + 1
+        for p in range(stale, depth):
+            idx[p] = v
 
 
 def condorcet_probability(
@@ -130,15 +164,16 @@ def condorcet_probability(
     k: int,
     max_winner_checks: int = MAX_WINNER_CHECKS,
     max_support: int = MAX_EXPLICIT_SUPPORT,
-    workers: int = 1,
 ) -> ExactProbability:
     """Exact probability that a Condorcet winner exists under the culture.
 
     Enumerates unordered voter multisets over the explicit support with
     multinomial weights, which cuts the work by up to (2k-1)! against
-    ordered tuples while keeping the arithmetic exact.  The enumeration is
-    partitioned into index ranges whose partial sums merge associatively,
-    so the result is independent of ``workers``.
+    ordered tuples while keeping the arithmetic exact.  Each multiset's
+    pairwise tally is a sum of packed ints, one per voter, and its winner a
+    mask test per alternative (:func:`_pack`).  Weights enter as integer
+    numerators over D, the lcm of their denominators, so the winner mass
+    accumulates as integers over D^(2k-1) and is divided once at the end.
 
     Raises :class:`SupportTooLargeError` when the explicit support would
     exceed ``max_support`` and :class:`CapExceededError` when the multiset
@@ -150,31 +185,18 @@ def condorcet_probability(
     support = len(explicit.entries)
     if support > max_support:
         raise SupportTooLargeError(support, max_support)
-    voters = 2 * k - 1
-    multisets = math.comb(support + voters - 1, voters)
+    multisets = multiset_count(support, k)
     if multisets > max_winner_checks:
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
 
-    ranges = [
-        (lo, min(lo + _ENUM_CHUNK, multisets))
-        for lo in range(0, multisets, _ENUM_CHUNK)
-    ]
-    n = explicit.n
-    per_alt = [Fraction(0)] * n
-    if workers <= 1 or len(ranges) == 1:
-        partials = [_enumerate_range(explicit, k, lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_enumerate_range, explicit, k, lo, hi)
-                for lo, hi in ranges
-            ]
-            partials = [f.result() for f in futures]
-    for part in partials:
-        for j in range(n):
-            per_alt[j] += part[j]
-    total = sum(per_alt, Fraction(0))
-    return ExactProbability(total, "enumeration", tuple(per_alt))
+    voters = 2 * k - 1
+    scale = math.lcm(*(w.denominator for _, w in explicit.entries))
+    nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
+    packed, rows, bias = _pack(explicit, k)
+    mass = _enumerate_range(packed, rows, bias, nums, voters)
+    total_den = scale ** voters
+    per_alt = tuple(Fraction(m, total_den) for m in mass)
+    return ExactProbability(Fraction(sum(mass), total_den), "enumeration", per_alt)
 
 
 def min_condorcet_probability(n: int, k: int) -> Fraction:

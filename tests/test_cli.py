@@ -52,6 +52,7 @@ def test_exact_json(capsys):
     assert record["command"] == "exact"
     assert record["results"]["value"] == "17/18"
     assert record["results"]["per_alternative"] == ["17/54"] * 3
+    assert record["results"]["multisets"] == 56
     assert record["parameters"]["n"] == 3
 
 
@@ -169,6 +170,19 @@ def test_verify_suite_exit_zero(capsys):
     )
     assert code == 0
     assert parse_human(out)["violations_total"] == "0"
+
+
+def test_verify_reports_worst_input(capsys):
+    argv = ["verify", "--suite", "taylor", "--seed", "3"]
+    _, as_json = run_capture(capsys, argv + ["--format", "json"])
+    _, as_csv = run_capture(capsys, argv + ["--format", "csv"])
+    _, human = run_capture(capsys, argv + ["--format", "human"])
+    row = json.loads(as_json)["results"]["reports"][0]
+    assert row["worst_input"] is not None
+    header, csv_row = list(csv.reader(io.StringIO(as_csv)))[:2]
+    assert json.loads(dict(zip(header, csv_row))["worst_input"]) == row["worst_input"]
+    line = parse_human(human)[row["name"]]
+    assert json.loads(line.split("worst_input=", 1)[1]) == row["worst_input"]
 
 
 def test_verify_violations_exit_two(capsys, monkeypatch):

@@ -1,15 +1,24 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from condorcet import exact
 from condorcet.cultures import cyclic_culture, impartial_culture
+from condorcet.engine import find_condorcet_winner
 from condorcet.exact import (
     condorcet_probability,
     marginal_lower_bound,
     min_condorcet_probability,
+    multiset_count,
 )
-from condorcet.model import CapExceededError, SupportTooLargeError, culture_from_entries
+from condorcet.model import (
+    CapExceededError,
+    Profile,
+    SupportTooLargeError,
+    culture_from_entries,
+)
 from condorcet.special import majority_tail_exact
 
 
@@ -47,11 +56,70 @@ def test_per_alternative_decomposition():
     assert skewed.per_alternative[0] > skewed.per_alternative[1]
 
 
-def test_result_independent_of_workers():
-    culture = impartial_culture(4)
-    alone = condorcet_probability(culture, 2, workers=1)
-    pooled = condorcet_probability(culture, 2, workers=4)
-    assert alone == pooled
+def test_pinned_impartial_rationals():
+    pinned = {
+        (3, 2): Fraction(17, 18),
+        (4, 2): Fraction(8, 9),
+        (4, 3): Fraction(31, 36),
+        (5, 2): Fraction(21, 25),
+        (3, 9): Fraction(15974593747, 17414258688),
+    }
+    for (n, k), value in pinned.items():
+        result = condorcet_probability(impartial_culture(n), k)
+        assert result.value == value, (n, k)
+        assert sum(result.per_alternative) == value, (n, k)
+
+
+def _ordered_tuple_oracle(culture, k):
+    """Winner mass per alternative summed over ordered voter tuples, each
+    tuple's winner found by the naive all-pairs check."""
+    per_alt = [Fraction(0)] * culture.n
+    for tup in itertools.product(culture.entries, repeat=2 * k - 1):
+        weight = math.prod((w for _, w in tup), start=Fraction(1))
+        profile = Profile(tuple(r for r, _ in tup), k)
+        winner = find_condorcet_winner(profile, naive=True).winner
+        if winner is not None:
+            per_alt[winner] += weight
+    return per_alt
+
+
+@pytest.mark.parametrize(
+    "culture",
+    [
+        culture_from_entries(
+            3, [((0, 1, 2), "1/3"), ((1, 2, 0), "1/4"), ((2, 1, 0), "1/4"), ((2, 0, 1), "1/6")]
+        ),
+        culture_from_entries(
+            4,
+            [((0, 1, 2, 3), "1/2"), ((3, 2, 1, 0), "0"), ((1, 3, 0, 2), "1/3"), ((2, 0, 3, 1), "1/6")],
+        ),
+        culture_from_entries(1, [((0,), "1")]),
+    ],
+    ids=["mixed_denominators", "zero_weight", "one_alternative"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumeration_matches_ordered_tuple_oracle(culture, k):
+    # k = 1, 2..3 and 4 give packed fields of 2, 3 and 4 bits
+    result = condorcet_probability(culture, k)
+    expected = _ordered_tuple_oracle(culture, k)
+    assert list(result.per_alternative) == expected
+    assert result.value == sum(expected)
+
+
+def test_one_winner_check_per_multiset(monkeypatch):
+    calls = []
+    check = exact._multiset_winner
+
+    def counted(tally, rows):
+        calls.append(tally)
+        return check(tally, rows)
+
+    monkeypatch.setattr(exact, "_multiset_winner", counted)
+    cases = ((impartial_culture(3), 2), (cyclic_culture(5), 3), (impartial_culture(2), 1))
+    for culture, k in cases:
+        condorcet_probability(culture, k)
+        assert len(calls) == multiset_count(culture.support_size, k)
+        calls.clear()
 
 
 def test_winner_check_cap():

@@ -25,12 +25,9 @@ from .model import (
 from .engine import CondorcetOutcome, find_condorcet_winner, majority_prefers
 from .cultures import (
     STREAM_VERSION,
-    SeededSampler,
     cyclic_culture,
     impartial_culture,
     mix64,
-    sample_profile,
-    sample_ranking,
 )
 from .special import (
     elementary_symmetric,
@@ -83,7 +80,6 @@ __all__ = [
     "Ranking",
     "Rational",
     "STREAM_VERSION",
-    "SeededSampler",
     "SupportTooLargeError",
     "check_scaled_tail_bound",
     "check_tail_convexity",
@@ -120,8 +116,6 @@ __all__ = [
     "ranking_from_order",
     "rotation_ranking",
     "run_suites",
-    "sample_profile",
-    "sample_ranking",
     "save_culture",
     "sweep",
     "truncated_box_integral",

@@ -163,16 +163,16 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     estimate = estimate_condorcet_probability(
         culture, k, args.samples, seed=seed, workers=args.workers
     )
-    return {
-        "p_hat": estimate.p_hat,
-        "samples": estimate.samples,
-        "std_error": estimate.std_error,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "seed": estimate.seed,
-        "n": culture.n,
-        "k": k,
-    }, seed
+    return {**asdict(estimate), "n": culture.n, "k": k}, seed
+
+
+# Columns of a sweep cell, in output order: every Estimate field but samples.
+_CELL_COLUMNS = ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
+
+# Columns of a verify report row; worst_input is JSON-encoded in CSV and human.
+_REPORT_COLUMNS = [
+    "name", "trials", "violations", "worst_margin", "worst_inequality", "worst_input"
+]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
@@ -182,18 +182,10 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         raise ValueError(f"could not parse --n-values {args.n_values!r}")
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     cells = sweep(args.family, k, n_values, args.samples, seed=seed, workers=args.workers)
-    rows = [
-        {
-            "n": n,
-            "k": k,
-            "p_hat": est.p_hat,
-            "std_error": est.std_error,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "seed": est.seed,
-        }
-        for n, est in cells
-    ]
+    rows = []
+    for n, est in cells:
+        fields = {"n": n, "k": k, **asdict(est)}
+        rows.append({column: fields[column] for column in _CELL_COLUMNS})
     return {"cells": rows}, seed
 
 
@@ -348,18 +340,17 @@ def _render_json(record: RunRecord) -> str:
 def _csv_rows(record: RunRecord) -> List[List[str]]:
     results = record.results
     if "cells" in results:
-        header = ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
-        rows = [header]
+        rows = [_CELL_COLUMNS]
         for cell in results["cells"]:
-            rows.append([str(cell[field]) for field in header])
+            rows.append([str(cell[field]) for field in _CELL_COLUMNS])
         return rows
     if "reports" in results:
-        header = ["name", "trials", "violations", "worst_margin", "worst_input"]
-        rows = [header]
+        rows = [_REPORT_COLUMNS]
         for report in results["reports"]:
             cells = {**report, "worst_input": json.dumps(report["worst_input"])}
-            rows.append([str(cells[field]) for field in header])
-        rows.append(["violations_total", str(results["violations_total"])] + [""] * 3)
+            rows.append([str(cells[field]) for field in _REPORT_COLUMNS])
+        padding = [""] * (len(_REPORT_COLUMNS) - 2)
+        rows.append(["violations_total", str(results["violations_total"])] + padding)
         return rows
     rows = []
     for key, value in results.items():
@@ -380,15 +371,15 @@ def _render_human(record: RunRecord) -> str:
     lines = [f"command: {record.command}"]
     results = record.results
     if "cells" in results:
-        header = ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
-        lines.append("  ".join(header))
+        lines.append("  ".join(_CELL_COLUMNS))
         for cell in results["cells"]:
-            lines.append("  ".join(str(cell[field]) for field in header))
+            lines.append("  ".join(str(cell[field]) for field in _CELL_COLUMNS))
     elif "reports" in results:
         for report in results["reports"]:
             lines.append(
                 f"{report['name']}: trials={report['trials']} "
                 f"violations={report['violations']} worst_margin={report['worst_margin']} "
+                f"worst_inequality={json.dumps(report['worst_inequality'])} "
                 f"worst_input={json.dumps(report['worst_input'])}"
             )
         lines.append(f"violations_total: {results['violations_total']}")

@@ -1,20 +1,19 @@
-"""Named culture constructors and reproducible profile sampling.
+"""Named culture constructors and the seed derivation for random streams.
 
-Reproducibility contract: streams are produced by numpy's default PCG64
-generator, seeded through :func:`mix64` from (master_seed, stream_id,
-STREAM_VERSION).  Identical triples give bit-identical streams on the same
-package version; the contract is per (seed, version), not across versions.
-Parallel callers derive independent substreams by varying ``stream_id``
-through the same mixing function instead of sharing one generator.
+Reproducibility contract: every random stream in the package comes from
+numpy's default PCG64 generator, seeded through :func:`mix64` from the
+master seed, words naming the stream (for a Monte Carlo chunk: n, k and the
+chunk index; for a verify check: its tag) and STREAM_VERSION.  Identical
+words give bit-identical streams on the same package version; the contract
+is per (seed, version), not across versions.  Parallel callers derive
+independent substreams by varying the words through the same mixing
+function instead of sharing one generator.  Profiles are sampled by
+:mod:`condorcet.montecarlo`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .model import Culture, Profile, Ranking, rotation_ranking
+from .model import Culture, rotation_ranking
 
 # Bumped whenever the sampling pipeline changes in a way that alters streams.
 STREAM_VERSION = 1
@@ -40,28 +39,6 @@ def mix64(*words: int) -> int:
     return h
 
 
-@dataclass
-class SeededSampler:
-    """A reproducible sample stream: (master_seed, stream_id) fix it entirely.
-
-    Not thread-safe; parallel code gives each worker its own sampler with a
-    distinct stream_id.
-    """
-
-    master_seed: int
-    stream_id: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(
-            mix64(self.master_seed, self.stream_id, STREAM_VERSION)
-        )
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
-
-
 def impartial_culture(n: int) -> Culture:
     """The uniform culture on all n! rankings, kept symbolic."""
     return Culture(n, "impartial")
@@ -78,43 +55,3 @@ def cyclic_culture(n: int) -> Culture:
     share = Fraction(1, n)
     entries = tuple((rotation_ranking(n, s), share) for s in range(n))
     return Culture(n, "cyclic", entries)
-
-
-def _cumulative_weights(culture: Culture) -> np.ndarray:
-    weights = np.array([float(w) for _, w in culture.entries], dtype=np.float64)
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    return cum
-
-
-def sample_ranking(culture: Culture, rng: np.random.Generator) -> Ranking:
-    """Draw one ranking from the culture."""
-    if culture.kind == "impartial":
-        return Ranking(tuple(int(a) for a in rng.permutation(culture.n)))
-    cum = _cumulative_weights(culture)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return culture.entries[min(idx, len(culture.entries) - 1)][0]
-
-
-def sample_profile(culture: Culture, k: int, sampler: SeededSampler) -> Profile:
-    """Draw 2k-1 independent rankings as one election profile.
-
-    Impartial draws use numpy's unbiased permutation shuffle; explicit and
-    cyclic cultures use inverse-CDF lookup over cumulative weights (double
-    precision, which is far below Monte Carlo noise).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = sampler.rng
-    count = 2 * k - 1
-    if culture.kind == "impartial":
-        voters = tuple(
-            Ranking(tuple(int(a) for a in rng.permutation(culture.n)))
-            for _ in range(count)
-        )
-    else:
-        cum = _cumulative_weights(culture)
-        draws = np.searchsorted(cum, rng.random(count), side="right")
-        top = len(culture.entries) - 1
-        voters = tuple(culture.entries[min(int(i), top)][0] for i in draws)
-    return Profile(voters, k)

@@ -2,13 +2,16 @@
 
 The sample space is split into fixed-size chunks; chunk i is generated by a
 fresh PCG64 generator seeded with mix64(seed, n, k, i, STREAM_VERSION).
+:func:`_sample_positions` is the package's one profile sampler: it draws a
+whole chunk as a position tensor, never as Ranking objects.
 Workers only decide which thread evaluates a chunk, and the merge is an
 integer sum of winner counts, so p_hat depends on (seed, version) alone and
 is identical for any worker count.
 
 The winner kernel is the candidate-elimination scan, vectorized over a whole
 chunk of profiles at once on position arrays: O(n) numpy passes for the
-elimination, one tensor pass for verification.
+elimination, one tensor pass for verification.  Its oracle is the all-pairs
+check of :func:`condorcet.engine.find_condorcet_winner` with ``naive=True``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import find_condorcet_winner
-from .model import Culture, Profile, Ranking
+from .model import Culture
 from .cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
 
 CHUNK_SAMPLES = 1 << 14
@@ -92,19 +94,6 @@ def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
     return int((pairwise_wins.sum(axis=1) == n - 1).sum())
 
 
-def _count_winners_naive(pos: np.ndarray, k: int) -> int:
-    """Debug path: route every profile through the all-pairs engine check."""
-    count = 0
-    for block in pos:
-        voters = tuple(
-            Ranking(tuple(int(a) for a in np.argsort(row, kind="stable")))
-            for row in block
-        )
-        if find_condorcet_winner(Profile(voters, k), naive=True).exists:
-            count += 1
-    return count
-
-
 def _chunk_layout(samples: int, chunk: int) -> List[Tuple[int, int]]:
     return [(i, min(chunk, samples - lo)) for i, lo in enumerate(range(0, samples, chunk))]
 
@@ -116,13 +105,11 @@ def estimate_condorcet_probability(
     seed: Optional[int] = None,
     workers: int = 1,
     chunk: int = CHUNK_SAMPLES,
-    naive: bool = False,
 ) -> Estimate:
     """Estimate P(Condorcet winner exists) from i.i.d. sampled profiles.
 
     Unbiased indicator mean; deterministic for a fixed (seed, version)
-    regardless of ``workers``.  ``naive=True`` swaps in the per-profile
-    all-pairs winner check (slow, for cross-validation).
+    regardless of ``workers``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -130,13 +117,12 @@ def estimate_condorcet_probability(
         raise ValueError("k must be at least 1")
     if seed is None:
         seed = secrets.randbits(63)
-    counter = _count_winners_naive if naive else _count_winners_vectorized
 
     def run_chunk(task: Tuple[int, int]) -> int:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
         pos = _sample_positions(culture, k, size, rng)
-        return counter(pos, k)
+        return _count_winners_vectorized(pos, k)
 
     tasks = _chunk_layout(samples, chunk)
     if workers <= 1 or len(tasks) == 1:

@@ -4,7 +4,9 @@ and the majority tail of an odd binomial with its closed-form derivative.
 ``majority_tail(k, x)`` is the probability that a coin with heads
 probability x shows at least k heads in 2k-1 tosses.  It drives both the
 minimum-probability closed form and the marginal lower bound, so it comes
-in a float version and an exact rational twin.
+in a float version and an exact rational twin.  The float version and its
+derivative take a float or an ndarray of coordinates and work elementwise,
+so the scalar checkers and the vectorized minimizer share one formula.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import List, Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -59,16 +63,24 @@ def poisson_binomial_tail(xs: Sequence[float], k: int) -> float:
     return float(sum(dp[k:]))
 
 
-def majority_tail(k: int, x: float) -> float:
+def _check_unit_interval(x) -> None:
+    if isinstance(x, np.ndarray):
+        if not ((0.0 <= x) & (x <= 1.0)).all():
+            raise ValueError("coordinates outside [0, 1]")
+    elif not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+
+
+def majority_tail(k: int, x):
     """P(at least k heads in 2k-1 tosses of a coin with heads probability x).
 
     Direct evaluation of sum_{l=0}^{k-1} C(2k-1, l) x^(2k-1-l) (1-x)^l;
-    all terms are non-negative, so the sum is stable.
+    all terms are non-negative, so the sum is stable.  ``x`` is a float
+    (the result is a float) or an ndarray (evaluated elementwise).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
+    _check_unit_interval(x)
     m = 2 * k - 1
     one_minus = 1.0 - x
     total = 0.0
@@ -92,20 +104,23 @@ def majority_tail_exact(k: int, x: Number) -> Fraction:
     return total
 
 
-def majority_tail_derivative(k: int, x: float) -> float:
+def _derivative_coefficient(k: int) -> float:
+    """(2k-1)! / ((k-1)!)^2 for k >= 2, in log space above k = 20 to avoid
+    factorial overflow."""
+    if k <= 20:
+        return float(math.factorial(2 * k - 1) // (math.factorial(k - 1) ** 2))
+    return math.exp(math.lgamma(2 * k) - 2.0 * math.lgamma(k))
+
+
+def majority_tail_derivative(k: int, x):
     """d/dx of :func:`majority_tail`: (2k-1)! / ((k-1)!)^2 * (x(1-x))^(k-1).
 
-    The coefficient is computed in log space for large k to avoid factorial
-    overflow; for k=1 the derivative is identically 1.
+    ``x`` is a float or an ndarray, as for :func:`majority_tail`; for k=1
+    the derivative is identically 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
+    _check_unit_interval(x)
     if k == 1:
-        return 1.0
-    if k <= 20:
-        coeff = float(math.factorial(2 * k - 1) // (math.factorial(k - 1) ** 2))
-    else:
-        coeff = math.exp(math.lgamma(2 * k) - 2.0 * math.lgamma(k))
-    return coeff * (x * (1.0 - x)) ** (k - 1)
+        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    return _derivative_coefficient(k) * (x * (1.0 - x)) ** (k - 1)

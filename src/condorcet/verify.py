@@ -22,6 +22,7 @@ import numpy as np
 from .asymptotic import orthant_tail_bound, truncated_box_integral
 from .cultures import STREAM_VERSION, mix64
 from .special import (
+    _derivative_coefficient,
     elementary_symmetric,
     majority_tail,
     majority_tail_derivative,
@@ -297,24 +298,6 @@ def _project_simplex(points: np.ndarray) -> np.ndarray:
     return np.maximum(points - theta[:, None], 0.0)
 
 
-def _tail_values(k: int, xs: np.ndarray) -> np.ndarray:
-    m = 2 * k - 1
-    total = np.zeros_like(xs)
-    for l in range(k):
-        total += math.comb(m, l) * xs ** (m - l) * (1.0 - xs) ** l
-    return total
-
-
-def _tail_gradient(k: int, xs: np.ndarray) -> np.ndarray:
-    if k == 1:
-        return np.ones_like(xs)
-    if k <= 20:
-        coeff = float(math.factorial(2 * k - 1) // (math.factorial(k - 1) ** 2))
-    else:
-        coeff = math.exp(math.lgamma(2 * k) - 2.0 * math.lgamma(k))
-    return coeff * (xs * (1.0 - xs)) ** (k - 1)
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     """Best value and point found; ``converged`` is False when the iteration
@@ -354,13 +337,12 @@ def minimize_marginal_bound(
     if k == 1:
         step = 0.5
     else:
-        coeff = float(math.factorial(2 * k - 1) // (math.factorial(k - 1) ** 2))
-        lipschitz = coeff * (k - 1) * 0.25 ** (k - 2)
+        lipschitz = _derivative_coefficient(k) * (k - 1) * 0.25 ** (k - 2)
         step = 1.0 / (lipschitz + 1.0)
 
     converged = False
     for _ in range(max_iter):
-        gradient = _tail_gradient(k, points)
+        gradient = majority_tail_derivative(k, points)
         moved = _project_simplex(points - step * gradient)
         shift = np.abs(moved - points).max()
         points = moved
@@ -368,7 +350,7 @@ def minimize_marginal_bound(
             converged = True
             break
 
-    values = _tail_values(k, points).sum(axis=1)
+    values = majority_tail(k, points).sum(axis=1)
     best = int(np.argmin(values))
     return MinimizeResult(
         float(values[best]), tuple(float(v) for v in points[best]), converged

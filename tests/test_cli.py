@@ -83,6 +83,24 @@ def test_simulate_generates_and_echoes_seed(capsys):
     assert json.loads(replay)["results"]["p_hat"] == record["results"]["p_hat"]
 
 
+def test_simulate_and_sweep_identical_across_workers(capsys):
+    # 40000 samples span three chunks, so two workers really split the work
+    commands = [
+        ["simulate", "--culture", "cyclic", "--n", "10", "--k", "2"],
+        ["sweep", "--family", "impartial", "--n-values", "5,7", "--k", "2"],
+    ]
+    for argv in commands:
+        argv = argv + ["--samples", "40000", "--seed", "5", "--format", "json"]
+        _, alone = run_capture(capsys, argv + ["--workers", "1"])
+        _, pooled = run_capture(capsys, argv + ["--workers", "2"])
+        alone, pooled = json.loads(alone), json.loads(pooled)
+        assert alone["results"] == pooled["results"]
+        assert alone["seed"] == pooled["seed"] == 5
+    cells = alone["results"]["cells"]
+    assert [cell["n"] for cell in cells] == [5, 7]
+    assert len({cell["p_hat"] for cell in cells}) == 2
+
+
 def test_lowerbound_with_culture_file(capsys, tmp_path):
     culture = culture_from_entries(
         3, [((0, 1, 2), "1/2"), ((1, 0, 2), "1/2")]
@@ -179,10 +197,17 @@ def test_verify_reports_worst_input(capsys):
     _, human = run_capture(capsys, argv + ["--format", "human"])
     row = json.loads(as_json)["results"]["reports"][0]
     assert row["worst_input"] is not None
-    header, csv_row = list(csv.reader(io.StringIO(as_csv)))[:2]
-    assert json.loads(dict(zip(header, csv_row))["worst_input"]) == row["worst_input"]
+    assert row["worst_inequality"] in ("exp(-t-t^2) <= 1-t", "1-t <= exp(-t)")
+    table = list(csv.reader(io.StringIO(as_csv)))
+    header, csv_row = table[:2]
+    by_column = dict(zip(header, csv_row))
+    assert json.loads(by_column["worst_input"]) == row["worst_input"]
+    assert by_column["worst_inequality"] == row["worst_inequality"]
+    assert len(table[-1]) == len(header)  # violations_total padded to the width
     line = parse_human(human)[row["name"]]
-    assert json.loads(line.split("worst_input=", 1)[1]) == row["worst_input"]
+    inequality, worst_input = line.split("worst_inequality=", 1)[1].split(" worst_input=")
+    assert json.loads(worst_input) == row["worst_input"]
+    assert json.loads(inequality) == row["worst_inequality"]
 
 
 def test_verify_violations_exit_two(capsys, monkeypatch):

@@ -6,21 +6,30 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from condorcet.cultures import (
-    STREAM_VERSION,
-    SeededSampler,
-    cyclic_culture,
-    impartial_culture,
-    mix64,
-    sample_profile,
-    sample_ranking,
-)
+from condorcet.cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
 from condorcet.engine import find_condorcet_winner
-from condorcet.model import culture_from_entries, rotation_ranking
+from condorcet.model import Profile, Ranking, culture_from_entries, rotation_ranking
+from condorcet.montecarlo import _sample_positions
 
 # chi-squared critical values at significance 1e-3 (upper tail), by degrees
 # of freedom n!-1 for n = 2, 3, 4
 CHI2_999 = {1: 10.827566170662733, 5: 20.515005652432873, 23: 49.7282324664315}
+
+
+def stream(master_seed, stream_id=0):
+    return np.random.default_rng(mix64(master_seed, stream_id, STREAM_VERSION))
+
+
+def orders(pos):
+    """Each voter's ranking, best first, decoded from a position row by
+    argsort: one tuple per row of the flattened (profiles * voters, n) array."""
+    rows = pos.reshape(-1, pos.shape[-1])
+    return [tuple(int(a) for a in np.argsort(row)) for row in rows]
+
+
+def has_winner(block, k):
+    voters = tuple(Ranking(tuple(int(a) for a in np.argsort(row))) for row in block)
+    return find_condorcet_winner(Profile(voters, k)).exists
 
 
 def test_mix64_is_deterministic_and_spreads():
@@ -36,20 +45,15 @@ def test_mix64_order_sensitive():
 
 def test_sampler_reproducibility():
     culture = impartial_culture(5)
-    a = SeededSampler(42, stream_id=3)
-    b = SeededSampler(42, stream_id=3)
-    for _ in range(20):
-        pa = sample_profile(culture, 2, a)
-        pb = sample_profile(culture, 2, b)
-        assert pa == pb
+    a = _sample_positions(culture, 2, 20, stream(42, 3))
+    b = _sample_positions(culture, 2, 20, stream(42, 3))
+    assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
     culture = impartial_culture(6)
-    a = SeededSampler(42, stream_id=0)
-    b = SeededSampler(42, stream_id=1)
-    draws_a = [sample_ranking(culture, a.rng).order for _ in range(50)]
-    draws_b = [sample_ranking(culture, b.rng).order for _ in range(50)]
+    draws_a = orders(_sample_positions(culture, 1, 50, stream(42, 0)))
+    draws_b = orders(_sample_positions(culture, 1, 50, stream(42, 1)))
     assert draws_a != draws_b
 
 
@@ -61,11 +65,8 @@ def test_stream_version_feeds_the_seed():
 def test_impartial_sampling_uniform_chi_squared(n):
     """10^5 draws against the uniform law on n! rankings, significance 1e-3."""
     draws = 100_000
-    sampler = SeededSampler(561 + n)
-    counts = Counter(
-        sample_ranking(impartial_culture(n), sampler.rng).order
-        for _ in range(draws)
-    )
+    pos = _sample_positions(impartial_culture(n), 1, draws, stream(561 + n))
+    counts = Counter(orders(pos))
     cells = math.factorial(n)
     assert set(counts) <= set(permutations(range(n)))
     expected = draws / cells
@@ -78,11 +79,8 @@ def test_impartial_sampling_uniform_chi_squared(n):
 
 def test_cyclic_sampling_hits_only_rotations():
     n = 5
-    sampler = SeededSampler(9)
     allowed = {rotation_ranking(n, s).order for s in range(n)}
-    counts = Counter(
-        sample_ranking(cyclic_culture(n), sampler.rng).order for _ in range(5_000)
-    )
+    counts = Counter(orders(_sample_positions(cyclic_culture(n), 1, 5_000, stream(9))))
     assert set(counts) <= allowed
     # every rotation should appear in 5000 draws of 5 outcomes
     assert len(counts) == n
@@ -93,44 +91,31 @@ def test_explicit_sampling_matches_top_marginal():
         3, [((0, 1, 2), "0.7"), ((1, 2, 0), "0.2"), ((2, 0, 1), "0.1")]
     )
     draws = 40_000
-    sampler = SeededSampler(77)
-    tops = Counter(
-        sample_ranking(culture, sampler.rng).top for _ in range(draws)
-    )
+    tops = Counter(order[0] for order in orders(_sample_positions(culture, 1, draws, stream(77))))
     for alt, marginal in enumerate(culture.top_marginals()):
         p = float(marginal)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(tops[alt] / draws - p) < 5 * sigma
 
 
-def test_sample_profile_shape_and_membership():
+def test_sample_positions_shape_and_membership():
     culture = cyclic_culture(4)
-    sampler = SeededSampler(3)
-    profile = sample_profile(culture, 3, sampler)
-    assert profile.voter_count == 5
+    pos = _sample_positions(culture, 3, 7, stream(3))
+    assert pos.shape == (7, 5, 4)  # profiles, 2k-1 voters, alternatives
     allowed = {r.order for r, _ in culture.entries}
-    assert all(v.order in allowed for v in profile.voters)
-    with pytest.raises(ValueError):
-        sample_profile(culture, 0, sampler)
+    assert set(orders(pos)) <= allowed
 
 
 def test_stream_pairwise_independence_smoke():
     """Winner indicators from two stream ids correlate below 4 sigma."""
     culture = impartial_culture(3)
     trials = 2_000
-    a = SeededSampler(1001, stream_id=0)
-    b = SeededSampler(1001, stream_id=1)
-    xs = np.array(
-        [
-            1.0 if find_condorcet_winner(sample_profile(culture, 2, a)).exists else 0.0
-            for _ in range(trials)
-        ]
-    )
-    ys = np.array(
-        [
-            1.0 if find_condorcet_winner(sample_profile(culture, 2, b)).exists else 0.0
-            for _ in range(trials)
-        ]
+    xs, ys = (
+        np.array(
+            [1.0 if has_winner(block, 2) else 0.0
+             for block in _sample_positions(culture, 2, trials, stream(1001, sid))]
+        )
+        for sid in (0, 1)
     )
     corr = np.corrcoef(xs, ys)[0, 1]
     assert abs(corr) < 4.0 / math.sqrt(trials)

@@ -1,12 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from condorcet.cultures import cyclic_culture, impartial_culture, mix64
+from condorcet.engine import find_condorcet_winner
 from condorcet.exact import condorcet_probability, min_condorcet_probability
-from condorcet.model import culture_from_entries
-from condorcet.montecarlo import estimate_condorcet_probability, sweep
+from condorcet.model import Profile, Ranking, culture_from_entries
+from condorcet.montecarlo import (
+    _count_winners_vectorized,
+    _sample_positions,
+    estimate_condorcet_probability,
+    sweep,
+)
 
 
 def test_seed_fixes_the_estimate():
@@ -42,10 +49,20 @@ def test_point_mass_culture_always_wins():
 
 
 def test_naive_and_vectorized_kernels_agree():
-    for culture in (impartial_culture(3), cyclic_culture(5)):
-        fast = estimate_condorcet_probability(culture, 2, 2_048, seed=3)
-        slow = estimate_condorcet_probability(culture, 2, 2_048, seed=3, naive=True)
-        assert fast.p_hat == slow.p_hat
+    """The chunk kernel's winner count equals the all-pairs oracle's count,
+    profile by profile, on the same sampled position tensor."""
+    explicit = culture_from_entries(
+        4, [((0, 1, 2, 3), "0.4"), ((1, 2, 3, 0), "0.35"), ((3, 2, 0, 1), "0.25")]
+    )
+    for culture, k in ((impartial_culture(3), 2), (cyclic_culture(5), 2), (explicit, 3)):
+        rng = np.random.default_rng(mix64(3, culture.n, k))
+        pos = _sample_positions(culture, k, 2_048, rng)
+        slow = 0
+        for block in pos:
+            voters = tuple(Ranking(tuple(int(a) for a in np.argsort(row))) for row in block)
+            slow += find_condorcet_winner(Profile(voters, k), naive=True).exists
+        assert 0 < slow < len(pos)  # both outcomes occur, so the count can tell
+        assert _count_winners_vectorized(pos, k) == slow
 
 
 def test_estimate_within_four_sigma_of_exact():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,6 +177,36 @@ def test_derivative_log_gamma_branch_continuous():
     assert majority_tail_derivative(21, x) == pytest.approx(
         lg_coeff * (x * (1 - x)) ** 20, rel=1e-12
     )
+
+
+def test_tail_and_derivative_on_arrays_match_scalar_calls():
+    """Arrays run the scalar formula elementwise.  numpy's vectorized power
+    and Python's float power may round x**e one ulp apart, so the two agree
+    to a few ulps (measured at most 4 for the tail, 2 for the derivative on
+    a 10^5-point grid, k <= 40), and exactly where every power is exact."""
+    xs = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-9, 0.3333333333333333, 0.999]])
+    grid = xs.reshape(4, 11)  # any shape works elementwise
+    exact_points = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for k in range(1, 7):
+        for fn in (majority_tail, majority_tail_derivative):
+            values = fn(k, grid)
+            assert isinstance(values, np.ndarray) and values.shape == grid.shape
+            scalars = [fn(k, float(x)) for x in grid.ravel()]
+            assert all(type(v) is float for v in scalars)
+            np.testing.assert_array_max_ulp(values.ravel(), np.array(scalars), maxulp=4)
+            assert fn(k, exact_points).tolist() == [fn(k, float(x)) for x in exact_points]
+    # k = 1 is x itself and a constant derivative: no power to round
+    assert majority_tail(1, grid).tolist() == grid.tolist()
+    assert majority_tail_derivative(1, grid).tolist() == np.ones_like(grid).tolist()
+
+
+def test_tail_and_derivative_reject_arrays_outside_unit_interval():
+    for bad in (np.array([0.2, 1.0 + 1e-12, 0.5]), np.array([[0.1], [-1e-300]])):
+        for k in (1, 3):
+            with pytest.raises(ValueError):
+                majority_tail(k, bad)
+            with pytest.raises(ValueError):
+                majority_tail_derivative(k, bad)
 
 
 @settings(max_examples=200)

@@ -45,6 +45,7 @@ from .exact import (
 from .montecarlo import Estimate, estimate_condorcet_probability, sweep
 from .asymptotic import (
     ConstantEstimate,
+    Refinement,
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_asymptotics,
@@ -79,6 +80,7 @@ __all__ = [
     "Profile",
     "Ranking",
     "Rational",
+    "Refinement",
     "STREAM_VERSION",
     "SupportTooLargeError",
     "check_scaled_tail_bound",

@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,6 +59,19 @@ ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
+class Refinement:
+    """One tensor pass of the mesh refinement: ``cells`` per axis,
+    ``points`` in the tensor grid, the quadrature ``value`` and the error
+    reported against the previous pass (None on the first pass, which has
+    nothing to compare with)."""
+
+    cells: int
+    points: int
+    value: float
+    error: Optional[float]
+
+
+@dataclass(frozen=True)
 class ConstantEstimate:
     """Estimated orthant integral with its two labeled error parts.
 
@@ -66,6 +79,8 @@ class ConstantEstimate:
     the empirical mesh-doubling estimate plus a rounding allowance, rounded
     up and never zero.  The honest total is their plain float sum; the
     allowance already covers the rounding of that addition.
+    ``refinements`` lists every pass of the mesh refinement in order; the
+    last one holds ``value`` and ``quadrature_error``.
     """
 
     k: int
@@ -73,6 +88,7 @@ class ConstantEstimate:
     quadrature_error: float
     truncation_bound: float
     truncation_a: float
+    refinements: Tuple[Refinement, ...]
 
     @property
     def total_error(self) -> float:
@@ -182,7 +198,7 @@ def _refine(
     gamma: float,
     max_points: int,
     reduced: bool,
-) -> Tuple[float, float]:
+) -> Tuple[Refinement, ...]:
     """Double the mesh until the reported error is within ``target``.
 
     The reported error is the mesh-doubling difference plus a rounding
@@ -192,24 +208,25 @@ def _refine(
     ``target``.  The error is therefore never zero, and a target below the
     rounding floor exhausts the point budget instead of being under-reported.
 
-    Returns (value, reported error).  Raises when the next refinement
-    would blow the point budget before the target is met.
+    Returns every pass in order; the last one carries the value and its
+    reported error.  Raises when the next refinement would blow the point
+    budget before the target is met.
     """
-    previous = None
+    passes: List[Refinement] = []
     cells = 16
     while True:
-        if (cells * degree) ** dims > max_points:
-            raise CapExceededError(
-                "max_quadrature_points", (cells * degree) ** dims, max_points
-            )
+        points = (cells * degree) ** dims
+        if points > max_points:
+            raise CapExceededError("max_quadrature_points", points, max_points)
         nodes, weights = _axis_rule(a, cells, degree, gamma)
         value = _tensor_quad(ell, dims, nodes, weights, reduced)
-        if previous is not None:
+        error = None
+        if passes:
             allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
-            error = math.nextafter(abs(value - previous) + allowance, math.inf)
-            if error <= target:
-                return value, error
-        previous = value
+            error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
+        passes.append(Refinement(cells, points, value, error))
+        if error is not None and error <= target:
+            return tuple(passes)
         cells *= 2
 
 
@@ -237,8 +254,9 @@ def estimate_leading_constant(
     if k == 1:
         # One dimension: the tail beyond a is exactly exp(-a), rounded up.
         a = max(1.0, -math.log(min(0.5, target_error / 2.0)))
-        value, quad_err = _refine(1, 1, a, target_error / 2.0, degree, gamma, max_points, False)
-        return ConstantEstimate(1, value, quad_err, math.nextafter(math.exp(-a), math.inf), a)
+        passes = _refine(1, 1, a, target_error / 2.0, degree, gamma, max_points, False)
+        tail = math.nextafter(math.exp(-a), math.inf)
+        return ConstantEstimate(1, passes[-1].value, passes[-1].error, tail, a, passes)
 
     # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1 here.
     coeff = m * (m - 1) * math.factorial(m - 1) ** 2
@@ -246,10 +264,8 @@ def estimate_leading_constant(
     a = (2.0 * coeff / target_error) ** (1.0 / exponent)
     tail = orthant_tail_bound(k, m, a)
     dims = m - 1 if reduced else m
-    value, quad_err = _refine(
-        k, dims, a, target_error / 2.0, degree, gamma, max_points, reduced
-    )
-    return ConstantEstimate(k, value, quad_err, tail, a)
+    passes = _refine(k, dims, a, target_error / 2.0, degree, gamma, max_points, reduced)
+    return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 
 def impartial_leading_term(n: int, k: int, constant: float) -> float:

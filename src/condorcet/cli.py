@@ -200,6 +200,7 @@ def _cmd_ck(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         "truncation_bound": estimate.truncation_bound,
         "truncation_a": estimate.truncation_a,
         "total_error": estimate.total_error,
+        "refinements": [asdict(step) for step in estimate.refinements],
     }, None
 
 
@@ -333,6 +334,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _flat_text(value, separator: str) -> str:
+    """One CSV cell or human field for a result value: a list of scalars
+    joined by ``separator``, a list of records (the ck refinement history)
+    JSON-encoded, anything else as ``str``."""
+    if not isinstance(value, list):
+        return str(value)
+    if any(isinstance(v, dict) for v in value):
+        return json.dumps(value)
+    return separator.join(str(v) for v in value)
+
+
 def _render_json(record: RunRecord) -> str:
     return json.dumps(asdict(record), indent=2, default=str)
 
@@ -352,12 +364,7 @@ def _csv_rows(record: RunRecord) -> List[List[str]]:
         padding = [""] * (len(_REPORT_COLUMNS) - 2)
         rows.append(["violations_total", str(results["violations_total"])] + padding)
         return rows
-    rows = []
-    for key, value in results.items():
-        if isinstance(value, list):
-            value = ";".join(str(v) for v in value)
-        rows.append([key, str(value)])
-    return rows
+    return [[key, _flat_text(value, ";")] for key, value in results.items()]
 
 
 def _render_csv(record: RunRecord) -> str:
@@ -385,9 +392,7 @@ def _render_human(record: RunRecord) -> str:
         lines.append(f"violations_total: {results['violations_total']}")
     else:
         for key, value in results.items():
-            if isinstance(value, list):
-                value = ", ".join(str(v) for v in value)
-            lines.append(f"{key}: {value}")
+            lines.append(f"{key}: {_flat_text(value, ', ')}")
     if record.seed is not None:
         lines.append(f"seed: {record.seed}")
     lines.append(f"version: {record.version}")

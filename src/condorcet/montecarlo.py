@@ -34,7 +34,13 @@ _Z95 = 1.96
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo estimate with binomial error and clamped normal 95% CI."""
+    """A Monte Carlo estimate with its binomial error and 95% interval.
+
+    ``std_error`` is the plug-in standard error sqrt(p_hat (1 - p_hat) / N),
+    which is 0 when p_hat is 0 or 1.  The interval is therefore the Wilson
+    score interval, not p_hat +/- 1.96 std_error: it keeps a width of order
+    1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
+    """
 
     p_hat: float
     samples: int
@@ -62,9 +68,11 @@ def _sample_positions(
     dtype = _position_dtype(n)
     if culture.kind == "impartial":
         # A uniform permutation's inverse is uniform, so the generated
-        # permutation can serve directly as the position array.
+        # permutation can serve directly as the position array.  Shuffling
+        # in place makes the same draws as a shuffled copy, without a second
+        # chunk-sized buffer.
         flat = np.tile(np.arange(n, dtype=dtype), (size * voters, 1))
-        flat = rng.permuted(flat, axis=1)
+        rng.permuted(flat, axis=1, out=flat)
         return flat.reshape(size, voters, n)
     if culture.kind == "cyclic":
         starts = rng.integers(0, n, size=(size, voters), dtype=np.int32)
@@ -133,9 +141,27 @@ def estimate_condorcet_probability(
 
     p_hat = wins / samples
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    ci_low = max(0.0, p_hat - _Z95 * std_error)
-    ci_high = min(1.0, p_hat + _Z95 * std_error)
+    ci_low, ci_high = _wilson_interval(p_hat, samples)
     return Estimate(p_hat, samples, std_error, ci_low, ci_high, seed)
+
+
+def _wilson_interval(p_hat: float, samples: int) -> Tuple[float, float]:
+    """Wilson 95% score interval for a proportion p_hat out of N = ``samples``,
+    with z = 1.96:
+
+        (p_hat + z^2/2N -/+ z sqrt(p_hat (1 - p_hat)/N + z^2/4N^2)) / (1 + z^2/N).
+
+    The exact bounds lie in [0, 1] and contain p_hat (they meet it only at
+    p_hat = 0 or 1); the float bounds are held to that, so rounding cannot
+    push them past either.
+    """
+    z2 = _Z95 * _Z95 / samples
+    center = p_hat + 0.5 * z2
+    spread = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / samples + 0.25 * z2 / samples)
+    scale = 1.0 + z2
+    low = min(p_hat, max(0.0, (center - spread) / scale))
+    high = max(p_hat, min(1.0, (center + spread) / scale))
+    return low, high
 
 
 _FAMILIES = {"impartial": impartial_culture, "cyclic": cyclic_culture}

@@ -4,7 +4,10 @@ Each check sweeps a grid or a seeded random cloud through one family of
 inequalities and returns a :class:`CheckReport` counting violations beyond
 tolerance, together with the worst witness seen.  The tolerances separate
 rounding noise from genuine violations: 1e-12 for algebraic identities,
-1e-9 for optimizer claims, 1e-6 for derivative checks.
+1e-9 for optimizer claims, 1e-6 for derivative checks.  The tail checks
+evaluate each grid or cloud in one array call per k; their reports count
+trials and violations and pick the worst witness exactly as a
+point-by-point sweep would.
 
 A report with zero violations is reproducible from (name, seed, trials):
 every random draw goes through mix64 with a per-check tag.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +81,41 @@ class _Tracker:
             self.worst = {
                 "input": witness_input,
                 "inequality": inequality,
+                "margin": margin,
+            }
+
+    def record_array(
+        self,
+        margins,
+        inputs: Callable[[int, int], object],
+        inequality: Union[str, Sequence[str]],
+    ) -> None:
+        """Record a whole block of margins as if :meth:`record` had run on
+        each, row by row and within a row column by column.
+
+        ``margins`` has one row per input and one column per inequality (a
+        1-D array when ``inequality`` is a single name); ``inputs(row,
+        column)`` builds the witness input of one margin, called only for
+        the margin that becomes the worst witness.  A ``+inf`` margin marks
+        an inequality that does not apply to that row: it is neither a
+        trial nor a candidate witness.  The worst witness is the first
+        minimum in that row-major order, the one the scalar loop would keep.
+        """
+        names = (inequality,) if isinstance(inequality, str) else tuple(inequality)
+        flat = np.asarray(margins, dtype=float).reshape(-1)
+        if flat.size == 0:
+            return
+        self.trials += int(np.count_nonzero(flat != math.inf))
+        self.violations += int(np.count_nonzero(flat < -self.tolerance))
+        index = int(np.argmin(flat))
+        margin = float(flat[index])
+        if margin == math.inf:
+            return
+        if self.worst is None or margin < self.worst["margin"]:
+            row, column = divmod(index, len(names))
+            self.worst = {
+                "input": inputs(row, column),
+                "inequality": names[column],
                 "margin": margin,
             }
 
@@ -145,49 +183,58 @@ def check_tail_sandwich(
     refine_coeff = 2.0 ** (4 * k - 2)
     active_n = [n for n in n_values if 2.0 * math.log(n) / (n - 1) <= 1.0 / 3.0]
 
-    vectors = [tuple(float(v) for v in rng.random(m)) for _ in range(trials)]
-    vectors.extend(_sandwich_corner_cases(k))
-    count = 0
-    for xs in vectors:
-        count += 1
-        tail = poisson_binomial_tail(xs, k)
-        s = float(elementary_symmetric(k, xs))
-        tracker.record(s - tail, xs, "tail <= sigma")
-        tracker.record(tail - lower_factor * s, xs, "2^(1-2k) sigma <= tail")
-        tracker.record(
-            tail - (s - refine_coeff * s ** ((k + 1) / k)),
-            xs,
-            "tail >= sigma - 2^(4k-2) sigma^((k+1)/k)",
-        )
-        if k >= 2:
-            for n in active_n:
-                ratio = math.log(n) / (n - 1)
-                if tail <= 2.0 * ratio:
-                    factor = 1.0 - 2.0 ** (4 * k) * ratio ** (1.0 / k)
-                    tracker.record(
-                        tail - factor * s, xs, f"near-equality below threshold, n={n}"
-                    )
-    return tracker.report(trials=count)
+    vectors = np.vstack([rng.random((trials, m)), _sandwich_corner_cases(k)])
+    tail = poisson_binomial_tail(vectors, k)
+    s = elementary_symmetric(k, vectors)
+    columns = [
+        s - tail,
+        tail - lower_factor * s,
+        tail - (s - refine_coeff * s ** ((k + 1) / k)),
+    ]
+    inequalities = [
+        "tail <= sigma",
+        "2^(1-2k) sigma <= tail",
+        "tail >= sigma - 2^(4k-2) sigma^((k+1)/k)",
+    ]
+    if k >= 2:
+        for n in active_n:
+            ratio = math.log(n) / (n - 1)
+            factor = 1.0 - 2.0 ** (4 * k) * ratio ** (1.0 / k)
+            # the inequality only claims rows below the threshold
+            columns.append(np.where(tail <= 2.0 * ratio, tail - factor * s, math.inf))
+            inequalities.append(f"near-equality below threshold, n={n}")
+    tracker.record_array(
+        np.column_stack(columns),
+        lambda row, _: tuple(vectors[row].tolist()),
+        inequalities,
+    )
+    return tracker.report(trials=len(vectors))
 
 
 def check_tail_symmetry(k_max: int = 6, points: int = 201) -> CheckReport:
     """majority_tail(x) + majority_tail(1-x) = 1: exact for rational x,
     within 1e-12 in floating point."""
     tracker = _Tracker("tail_symmetry", TOL_ALGEBRA)
+    exact_grid = [Fraction(i, points - 1) for i in range(points)]
+    grid = np.arange(points) / (points - 1)
     for k in range(1, k_max + 1):
-        for i in range(points):
-            x = Fraction(i, points - 1)
-            exact_sum = majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x)
-            tracker.record(
-                -abs(float(exact_sum - 1)), {"k": k, "x": str(x)}, "exact symmetry"
-            )
-            xf = i / (points - 1)
-            drift = abs(majority_tail(k, xf) + majority_tail(k, 1.0 - xf) - 1.0)
-            tracker.record(-drift, {"k": k, "x": xf}, "float symmetry")
+        exact_drift = [
+            abs(float(majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x) - 1))
+            for x in exact_grid
+        ]
+        float_drift = np.abs(majority_tail(k, grid) + majority_tail(k, 1.0 - grid) - 1.0)
+        tracker.record_array(
+            -np.column_stack([exact_drift, float_drift]),
+            lambda row, column, k=k: {
+                "k": k,
+                "x": str(exact_grid[row]) if column == 0 else float(grid[row]),
+            },
+            ("exact symmetry", "float symmetry"),
+        )
     return tracker.report()
 
 
-def _central_difference(k: int, x: float, h: float) -> float:
+def _central_difference(k: int, x: np.ndarray, h: float) -> np.ndarray:
     """Central difference of the majority tail, evaluated on the stable side.
 
     For x above 1/2 the tail sits just under 1 and the difference of two
@@ -195,8 +242,7 @@ def _central_difference(k: int, x: float, h: float) -> float:
     makes the difference exactly equal to the reflected one near 0, where
     both values are small and fully resolved.
     """
-    if x > 0.5:
-        x = 1.0 - x
+    x = np.where(x > 0.5, 1.0 - x, x)
     return (majority_tail(k, x + h) - majority_tail(k, x - h)) / (2.0 * h)
 
 
@@ -205,12 +251,13 @@ def check_tail_derivative(k_max: int = 6, h: float = 1e-6) -> CheckReport:
     tracker = _Tracker("tail_derivative", TOL_DERIVATIVE)
     grid = np.arange(0.01, 0.99 + 1e-12, 0.005)
     for k in range(1, k_max + 1):
-        for x in grid:
-            x = float(x)
-            fd = _central_difference(k, x, h)
-            closed = majority_tail_derivative(k, x)
-            rel = abs(fd - closed) / abs(closed)
-            tracker.record(-rel, {"k": k, "x": x}, "derivative vs central difference")
+        closed = majority_tail_derivative(k, grid)
+        rel = np.abs(_central_difference(k, grid, h) - closed) / np.abs(closed)
+        tracker.record_array(
+            -rel,
+            lambda row, _, k=k: {"k": k, "x": float(grid[row])},
+            "derivative vs central difference",
+        )
     return tracker.report()
 
 
@@ -223,22 +270,22 @@ def check_tail_convexity(
     rng = np.random.default_rng(mix64(seed, _TAG_CONVEXITY, STREAM_VERSION))
     grid = np.linspace(0.0, 0.5, points)
     for k in range(1, k_max + 1):
-        derivs = [majority_tail_derivative(k, float(x)) for x in grid]
-        for i in range(points - 1):
-            tracker.record(
-                derivs[i + 1] - derivs[i],
-                {"k": k, "x": float(grid[i])},
-                "derivative non-decreasing on [0, 1/2]",
-            )
-        left = rng.integers(0, points, pairs)
-        right = rng.integers(0, points, pairs)
-        for a_idx, b_idx in zip(left, right):
-            a, b = float(grid[a_idx]), float(grid[b_idx])
-            mid = 0.5 * (a + b)
-            margin = 0.5 * (majority_tail(k, a) + majority_tail(k, b)) - majority_tail(
-                k, mid
-            )
-            tracker.record(margin, {"k": k, "a": a, "b": b}, "midpoint convexity")
+        derivs = majority_tail_derivative(k, grid)
+        tracker.record_array(
+            derivs[1:] - derivs[:-1],
+            lambda row, _, k=k: {"k": k, "x": float(grid[row])},
+            "derivative non-decreasing on [0, 1/2]",
+        )
+        a = grid[rng.integers(0, points, pairs)]
+        b = grid[rng.integers(0, points, pairs)]
+        margins = 0.5 * (majority_tail(k, a) + majority_tail(k, b)) - majority_tail(
+            k, 0.5 * (a + b)
+        )
+        tracker.record_array(
+            margins,
+            lambda row, _, k=k: {"k": k, "a": float(a[row]), "b": float(b[row])},
+            "midpoint convexity",
+        )
     return tracker.report()
 
 
@@ -246,11 +293,13 @@ def check_scaled_tail_bound(n_max: int = 1000, k_max: int = 10) -> CheckReport:
     """n * majority_tail(k, 1/n) <= 1, checked in exact rational arithmetic."""
     tracker = _Tracker("scaled_tail_bound", 0.0)
     for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            value = n * majority_tail_exact(k, Fraction(1, n))
-            tracker.record(
-                float(1 - value), {"n": n, "k": k}, "n * tail(1/n) <= 1"
-            )
+        margins = [
+            float(1 - n * majority_tail_exact(k, Fraction(1, n)))
+            for n in range(1, n_max + 1)
+        ]
+        tracker.record_array(
+            margins, lambda row, _, k=k: {"n": row + 1, "k": k}, "n * tail(1/n) <= 1"
+        )
     return tracker.report()
 
 

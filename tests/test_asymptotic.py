@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from condorcet.asymptotic import (
+    DEFAULT_DEGREE,
+    DEFAULT_GAMMA,
     MAX_QUADRATURE_POINTS,
+    _axis_rule,
+    _tensor_quad,
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_asymptotics,
@@ -112,6 +116,25 @@ def test_reduced_and_full_integrators_agree():
     reduced = estimate_leading_constant(2, target_error=0.1, reduced=True)
     full = estimate_leading_constant(2, target_error=0.5, reduced=False)
     assert abs(reduced.value - full.value) <= reduced.total_error + full.total_error
+
+
+def test_refinement_history_records_every_pass():
+    """Each pass of the reduced k = 2 refinement is the tensor quadrature at
+    its mesh, and each reported error compares it with the pass before."""
+    target = 0.001
+    est = estimate_leading_constant(2, target_error=target)
+    passes = est.refinements
+    assert len(passes) == 4
+    assert (passes[-1].value, passes[-1].error) == (est.value, est.quadrature_error)
+    assert passes[0].error is None
+    for i, step in enumerate(passes):
+        assert step.cells == 16 * 2 ** i
+        assert step.points == (step.cells * DEFAULT_DEGREE) ** 2
+        nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
+        assert step.value == _tensor_quad(2, 2, nodes, weights, reduced=True)
+        if i > 0:
+            assert step.error > abs(step.value - passes[i - 1].value)
+            assert (step.error <= target / 2) == (i == len(passes) - 1)
 
 
 def test_leading_constant_rejects_unsupported_k():

@@ -149,6 +149,23 @@ def test_ck_reports_error_budget(capsys):
     )
 
 
+def test_ck_refinement_history_in_every_format(capsys):
+    argv = ["ck", "--k", "2", "--target-error", "0.5"]
+    _, as_json = run_capture(capsys, argv + ["--format", "json"])
+    _, as_csv = run_capture(capsys, argv + ["--format", "csv"])
+    _, human = run_capture(capsys, argv + ["--format", "human"])
+    results = json.loads(as_json)["results"]
+    history = results["refinements"]
+    assert json.loads(dict(csv.reader(io.StringIO(as_csv)))["refinements"]) == history
+    assert json.loads(parse_human(human)["refinements"]) == history
+    assert len(history) >= 2
+    assert [step["cells"] for step in history] == [16 * 2 ** i for i in range(len(history))]
+    assert all(step["points"] == (step["cells"] * 8) ** 2 for step in history)
+    assert history[0]["error"] is None
+    assert history[-1]["value"] == results["value"]
+    assert history[-1]["error"] == results["quadrature_error"]
+
+
 def test_asymptote_large_n(capsys):
     code, out = run_capture(
         capsys,

@@ -41,11 +41,16 @@ def test_generated_seed_is_recorded_and_reproduces():
 
 
 def test_point_mass_culture_always_wins():
+    # the plug-in standard error is 0 at p_hat = 1, but the Wilson interval
+    # keeps its lower end at N / (N + z^2) below 1, even from 10 samples
     culture = culture_from_entries(4, [((3, 0, 1, 2), "1")])
-    est = estimate_condorcet_probability(culture, 2, 5_000, seed=1)
-    assert est.p_hat == 1.0
-    assert est.std_error == 0.0
-    assert (est.ci_low, est.ci_high) == (1.0, 1.0)
+    for samples in (10, 5_000):
+        est = estimate_condorcet_probability(culture, 2, samples, seed=1)
+        assert est.p_hat == 1.0
+        assert est.std_error == 0.0
+        assert est.ci_high == 1.0
+        assert est.ci_low == pytest.approx(samples / (samples + 1.96 ** 2), rel=1e-12)
+    assert estimate_condorcet_probability(culture, 2, 10, seed=1).ci_low < 0.73
 
 
 def test_naive_and_vectorized_kernels_agree():
@@ -96,10 +101,24 @@ def test_sample_count_not_multiple_of_chunk():
 
 
 def test_confidence_interval_shape():
-    est = estimate_condorcet_probability(impartial_culture(3), 2, 10_000, seed=4)
-    assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
-    half = 1.96 * est.std_error
-    assert est.ci_high - est.p_hat == pytest.approx(half, abs=1e-12)
+    """The interval is the Wilson score interval: its ends are the two roots
+    p of (p_hat - p)^2 = z^2 p (1 - p) / N with z = 1.96, so they sit
+    asymmetrically around p_hat, pulled toward 1/2."""
+    z = 1.96
+    cases = [
+        (impartial_culture(3), 2, 10_000, 4),
+        (cyclic_culture(10), 2, 2_000, 9),
+        (culture_from_entries(4, [((3, 0, 1, 2), "1")]), 2, 25, 1),
+    ]
+    for culture, k, samples, seed in cases:
+        est = estimate_condorcet_probability(culture, k, samples, seed=seed)
+        assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
+        assert est.std_error == math.sqrt(est.p_hat * (1.0 - est.p_hat) / samples)
+        for end in (est.ci_low, est.ci_high):
+            score = (est.p_hat - end) ** 2
+            assert score == pytest.approx(z * z * end * (1.0 - end) / samples, rel=1e-9)
+        center = (est.p_hat + z * z / (2 * samples)) / (1 + z * z / samples)
+        assert 0.5 * (est.ci_low + est.ci_high) == pytest.approx(center, rel=1e-12)
 
 
 def test_input_validation():

@@ -94,6 +94,58 @@ def test_poisson_binomial_tail_validates_input():
         poisson_binomial_tail([0.5, 1.5, 0.5], 2)
 
 
+def test_batched_tail_and_symmetric_polynomial_match_row_calls():
+    """A 2-D call (one vector per row) runs the scalar dynamic program on
+    the columns, in the same order, so every row is bit-identical to the
+    call on that row alone, corner rows included."""
+    rng = np.random.default_rng(23)
+    for k in range(1, 5):
+        m = 2 * k - 1
+        corners = [(0.0,) * m, (1.0,) * m, (0.5,) * m, (1e-9,) * m,
+                   (1.0,) + (0.0,) * (m - 1), (0.0,) + (0.5,) * (m - 1)]
+        rows = np.vstack([rng.random((300, m)), corners])
+        as_tuples = [tuple(row) for row in rows.tolist()]
+        tails = poisson_binomial_tail(rows, k)
+        assert tails.shape == (len(rows),)
+        assert np.array_equal(tails, [poisson_binomial_tail(xs, k) for xs in as_tuples])
+        for ell in range(1, m + 1):
+            sigmas = elementary_symmetric(ell, rows)
+            assert np.array_equal(sigmas, [elementary_symmetric(ell, xs) for xs in as_tuples])
+
+
+def test_batched_tail_validates_input():
+    with pytest.raises(ValueError, match="coordinates"):
+        poisson_binomial_tail(np.full((4, 2), 0.5), 2)
+    with pytest.raises(ValueError, match="outside"):
+        poisson_binomial_tail(np.array([[0.5, 0.5, 0.5], [0.5, 1.0 + 1e-12, 0.5]]), 2)
+    with pytest.raises(ValueError):
+        elementary_symmetric(4, np.full((4, 3), 0.5))
+
+
+def fraction_loop_tail(k, x):
+    """The rational majority tail as a sum of Fraction products, term by term."""
+    xf = Fraction(x)
+    m = 2 * k - 1
+    total = Fraction(0)
+    for l in range(k):
+        total += math.comb(m, l) * xf ** (m - l) * (1 - xf) ** l
+    return total
+
+
+def test_majority_tail_exact_matches_fraction_loop():
+    points = [0, 1, 0.0, 1.0, 0.3, 0.75, 1e-9, Fraction(1, 2), Fraction(2, 6),
+              Fraction(0), Fraction(1), Fraction(9, 10)]
+    for k in range(1, 9):
+        for x in points:
+            got = majority_tail_exact(k, x)
+            assert type(got) is Fraction
+            assert got == fraction_loop_tail(k, x)
+        for n in range(1, 61):
+            assert n * majority_tail_exact(k, Fraction(1, n)) == n * fraction_loop_tail(
+                k, Fraction(1, n)
+            )
+
+
 def test_equal_coordinate_identity():
     # the tail of 2k-1 equal coins is the majority tail, to 1e-12
     for k in range(1, 6):

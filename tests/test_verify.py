@@ -4,11 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from condorcet.special import majority_tail_derivative, majority_tail_exact
+import condorcet.verify as verify
+from condorcet.cultures import STREAM_VERSION, mix64
+from condorcet.special import (
+    elementary_symmetric,
+    majority_tail_derivative,
+    majority_tail_exact,
+    poisson_binomial_tail,
+)
 from condorcet.verify import (
     SUITES,
+    TOL_ALGEBRA,
     TOL_OPTIMIZER,
     _project_simplex,
+    _sandwich_corner_cases,
+    _Tracker,
     check_scaled_tail_bound,
     check_tail_sandwich,
     check_taylor_bounds,
@@ -59,6 +69,123 @@ def test_sandwich_report_is_seed_reproducible():
 def test_sandwich_counts_corner_cases():
     report = check_tail_sandwich(2, trials=100, seed=0)
     assert report.trials > 100  # corners ride along with the random draws
+
+
+def scalar_sandwich(k, trials, seed, tail_fn=poisson_binomial_tail,
+                    sigma_fn=elementary_symmetric, n_values=(3, 10, 100, 1000)):
+    """Oracle: the sandwich check as one scalar call and one recorded margin
+    at a time.  Returns (trials, violations, worst witness)."""
+    m = 2 * k - 1
+    rng = np.random.default_rng(mix64(seed, verify._TAG_SANDWICH, k, STREAM_VERSION))
+    lower_factor = 2.0 ** (1 - 2 * k)
+    refine_coeff = 2.0 ** (4 * k - 2)
+    active_n = [n for n in n_values if 2.0 * math.log(n) / (n - 1) <= 1.0 / 3.0]
+    vectors = [tuple(float(v) for v in rng.random(m)) for _ in range(trials)]
+    vectors.extend(_sandwich_corner_cases(k))
+    violations, worst = 0, None
+
+    def record(margin, xs, inequality):
+        nonlocal violations, worst
+        margin = float(margin)
+        violations += margin < -TOL_ALGEBRA
+        if worst is None or margin < worst["margin"]:
+            worst = {"input": xs, "inequality": inequality, "margin": margin}
+
+    for xs in vectors:
+        tail = tail_fn(xs, k)
+        s = float(sigma_fn(k, xs))
+        record(s - tail, xs, "tail <= sigma")
+        record(tail - lower_factor * s, xs, "2^(1-2k) sigma <= tail")
+        record(tail - (s - refine_coeff * s ** ((k + 1) / k)), xs,
+               "tail >= sigma - 2^(4k-2) sigma^((k+1)/k)")
+        if k >= 2:
+            for n in active_n:
+                ratio = math.log(n) / (n - 1)
+                if tail <= 2.0 * ratio:
+                    factor = 1.0 - 2.0 ** (4 * k) * ratio ** (1.0 / k)
+                    record(tail - factor * s, xs, f"near-equality below threshold, n={n}")
+    return len(vectors), violations, worst
+
+
+def assert_same_report(report, oracle):
+    trials, violations, worst = oracle
+    assert (report.trials, report.violations) == (trials, violations)
+    got = report.worst_witness
+    assert got["input"] == worst["input"]
+    assert got["inequality"] == worst["inequality"]
+    # the batch takes sigma^((k+1)/k) as a numpy power, which may round
+    # differently from Python's float power
+    np.testing.assert_array_max_ulp(got["margin"], worst["margin"], maxulp=4)
+
+
+def test_sandwich_matches_scalar_oracle():
+    for seed in (0, 1, 2):
+        for k in (2, 3, 4):
+            report = check_tail_sandwich(k, trials=300, seed=seed)
+            assert_same_report(report, scalar_sandwich(k, 300, seed))
+
+
+def test_broken_sandwich_bound_reports_violations(monkeypatch):
+    # sigma scaled down by 10% breaks "tail <= sigma" wherever the tail is
+    # close to sigma; batch and scalar oracle must count the same rows
+    def shrunk_sigma(ell, xs):
+        return 0.9 * elementary_symmetric(ell, xs)
+
+    monkeypatch.setattr(verify, "elementary_symmetric", shrunk_sigma)
+    for k in (2, 3):
+        report = check_tail_sandwich(k, trials=300, seed=5)
+        oracle = scalar_sandwich(k, 300, 5, sigma_fn=shrunk_sigma)
+        assert report.violations > 0
+        assert report.worst_witness["margin"] < -TOL_ALGEBRA
+        assert_same_report(report, oracle)
+
+
+def test_record_array_counts_and_keeps_first_worst():
+    tracker = _Tracker("t", 0.5)
+    calls = []
+
+    def inputs(row, column):
+        calls.append((row, column))
+        return {"row": row, "column": column}
+
+    margins = np.array([[3.0, np.inf], [-1.0, 2.0], [0.0, -1.0], [-1.0, np.inf]])
+    tracker.record_array(margins, inputs, ("first", "second"))
+    # +inf rows are neither trials nor witnesses; -1.0 < -0.5 three times
+    assert (tracker.trials, tracker.violations) == (6, 3)
+    # three entries tie at -1.0; the first in row-major order wins
+    assert tracker.worst == {
+        "input": {"row": 1, "column": 0}, "inequality": "first", "margin": -1.0
+    }
+    assert calls == [(1, 0)]
+    # a later tie does not displace the earlier witness, a lower margin does
+    tracker.record_array([5.0, -1.0], inputs, "third")
+    tracker.record(-1.0, "scalar", "fourth")
+    assert tracker.worst["inequality"] == "first"
+    tracker.record_array([-0.25, -2.0], inputs, "third")
+    assert tracker.worst == {
+        "input": {"row": 1, "column": 0}, "inequality": "third", "margin": -2.0
+    }
+    assert (tracker.trials, tracker.violations) == (11, 6)
+
+
+def test_record_array_matches_record_loop():
+    rng = np.random.default_rng(8)
+    margins = np.round(rng.normal(size=(50, 3)), 1)
+    margins[rng.random((50, 3)) < 0.2] = np.inf
+    names = ("a", "b", "c")
+    batch, loop = _Tracker("t", 0.3), _Tracker("t", 0.3)
+    batch.record_array(margins, lambda row, column: (row, column), names)
+    for row in range(50):
+        for column in range(3):
+            if margins[row, column] != np.inf:
+                loop.record(margins[row, column], (row, column), names[column])
+    assert batch.report() == loop.report()
+
+
+def test_record_array_all_inactive_keeps_no_witness():
+    tracker = _Tracker("t", 0.0)
+    tracker.record_array(np.full((3, 2), np.inf), lambda row, column: row, ("a", "b"))
+    assert (tracker.trials, tracker.violations, tracker.worst) == (0, 0, None)
 
 
 def test_scaled_tail_bound_small_range():

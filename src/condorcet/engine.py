@@ -1,11 +1,12 @@
-"""Pairwise majority decisions and Condorcet winner detection.
+"""Pairwise majority decisions and Condorcet winner detection, profile by
+profile.
 
-The hot path is ``find_condorcet_winner``: a linear candidate-elimination
-scan (current champion against the next alternative) followed by one full
-verification pass.  That is O(n * k) preference tests per profile once the
-position arrays exist, which is what the Monte Carlo estimator needs at
-n in the hundreds.  The naive all-pairs check is kept as a test oracle and
-debug fallback.
+``find_condorcet_winner`` is the package's deliberately naive all-pairs
+check: every alternative against every other, O(n^2 k) preference tests.
+No production path runs it.  It is the oracle the fast winner checks are
+tested against: the Monte Carlo knockout kernel
+(``montecarlo._count_winners_vectorized``) and the packed-tally test of
+exact enumeration (``exact._multiset_winner``).
 """
 
 from __future__ import annotations
@@ -48,33 +49,14 @@ def majority_prefers(profile: Profile, a: int, b: int) -> bool:
     return False
 
 
-def _beats_all(profile: Profile, candidate: int) -> bool:
-    return all(
-        majority_prefers(profile, candidate, other)
-        for other in range(profile.n)
-        if other != candidate
-    )
-
-
-def find_condorcet_winner(profile: Profile, naive: bool = False) -> CondorcetOutcome:
-    """Find the unique alternative that wins every pairwise majority, if any.
-
-    The scan keeps a champion and replaces it whenever the next alternative
-    beats it; only the surviving champion can possibly beat everyone, so one
-    verification pass settles it.  ``naive=True`` checks every alternative
-    against all others instead (O(n^2 k), oracle use only).
-    """
-    n = profile.n
-    if naive:
-        for candidate in range(n):
-            if _beats_all(profile, candidate):
-                return CondorcetOutcome(candidate)
-        return CondorcetOutcome(None)
-
-    champion = 0
-    for challenger in range(1, n):
-        if majority_prefers(profile, challenger, champion):
-            champion = challenger
-    if _beats_all(profile, champion):
-        return CondorcetOutcome(champion)
+def find_condorcet_winner(profile: Profile) -> CondorcetOutcome:
+    """Find the unique alternative that wins every pairwise majority, if any,
+    by checking every alternative against all others."""
+    for candidate in range(profile.n):
+        if all(
+            majority_prefers(profile, candidate, other)
+            for other in range(profile.n)
+            if other != candidate
+        ):
+            return CondorcetOutcome(candidate)
     return CondorcetOutcome(None)

@@ -8,10 +8,13 @@ Workers only decide which thread evaluates a chunk, and the merge is an
 integer sum of winner counts, so p_hat depends on (seed, version) alone and
 is identical for any worker count.
 
-The winner kernel is the candidate-elimination scan, vectorized over a whole
-chunk of profiles at once on position arrays: O(n) numpy passes for the
-elimination, one tensor pass for verification.  Its oracle is the all-pairs
-check of :func:`condorcet.engine.find_condorcet_winner` with ``naive=True``.
+The winner kernel, :func:`_count_winners_vectorized`, is a knockout
+tournament run on whole position tensors, one block of profiles at a time:
+ceil(log2 n) rounds of paired majority contests leave one survivor per
+profile, and one verification pass checks it against all n alternatives.
+A Condorcet winner beats everyone, so it survives any bracket, and the
+count equals that of any candidate-elimination scan.  Its oracle is the
+all-pairs check :func:`condorcet.engine.find_condorcet_winner`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .model import Culture
 from .cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
 
 CHUNK_SAMPLES = 1 << 14
+# Profiles per block of the winner kernel; bounds its temporaries.
+_BLOCK_PROFILES = 2048
 
 _Z95 = 1.96
 
@@ -88,18 +93,44 @@ def _sample_positions(
 
 
 def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
-    """Number of profiles in the chunk that have a Condorcet winner."""
+    """Number of profiles in the chunk that have a Condorcet winner.
+
+    Knockout rounds: in a round of width w, column i meets column w - 1 - i
+    and the majority winner of each pair survives; with w odd the middle
+    column meets itself, which is its bye.  A Condorcet winner beats every
+    alternative, so it is the last survivor whenever it exists, and one
+    verification pass against all n alternatives decides each profile.
+
+    Profiles run in blocks of ``_BLOCK_PROFILES``, and every vote count is
+    accumulated one voter at a time in the smallest unsigned type that
+    holds 2k - 1, so the temporaries stay a few (block, n) arrays.
+    """
     size, voters, n = pos.shape
-    champion = np.zeros(size, dtype=np.int64)
-    champion_pos = pos[:, :, 0].copy()
-    for challenger in range(1, n):
-        cand = pos[:, :, challenger]
-        beats = (cand < champion_pos).sum(axis=1) >= k
-        champion = np.where(beats, challenger, champion)
-        champion_pos = np.where(beats[:, None], cand, champion_pos)
-    champ_col = np.take_along_axis(pos, champion[:, None, None], axis=2)
-    pairwise_wins = (champ_col < pos).sum(axis=1) >= k
-    return int((pairwise_wins.sum(axis=1) == n - 1).sum())
+    count_dtype = np.min_scalar_type(voters)
+    wins = 0
+    for lo in range(0, size, _BLOCK_PROFILES):
+        block = pos[lo:lo + _BLOCK_PROFILES]
+        rows = len(block)
+        survivors = block
+        while survivors.shape[2] > 1:
+            width = survivors.shape[2]
+            half = (width + 1) // 2
+            left = survivors[:, :, :half]
+            right = survivors[:, :, width - 1:width - half - 1:-1]
+            votes = np.zeros((rows, half), dtype=count_dtype)
+            for v in range(voters):
+                votes += left[:, v] < right[:, v]
+            # right + (left - right) * [left won], written into one buffer.
+            survivors = np.subtract(left, right)
+            survivors *= (votes >= k)[:, None, :]
+            survivors += right
+        champion = survivors[:, :, 0]
+        votes = np.zeros((rows, n), dtype=count_dtype)
+        for v in range(voters):
+            votes += champion[:, v, None] < block[:, v]
+        # The champion never beats itself, so a winner beats the other n - 1.
+        wins += int(np.count_nonzero(np.count_nonzero(votes >= k, axis=1) == n - 1))
+    return wins
 
 
 def _chunk_layout(samples: int, chunk: int) -> List[Tuple[int, int]]:

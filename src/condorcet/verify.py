@@ -289,16 +289,32 @@ def check_tail_convexity(
     return tracker.report()
 
 
+def _scaled_tail_margins(k: int, n_max: int) -> List[float]:
+    """1 - n * majority_tail(k, 1/n) for n = 1..n_max, each correctly rounded.
+
+    With m = 2k - 1, n * T(1/n) = N / n^(m-1) for the integer
+    N = sum_{l<k} C(m, l) (n-1)^l, so the margin is (n^(m-1) - N) / n^(m-1),
+    and Python's int true division rounds that quotient correctly, as
+    float(Fraction) would.
+    """
+    m = 2 * k - 1
+    coefficients = [math.comb(m, l) for l in range(k)]
+    margins = []
+    for n in range(1, n_max + 1):
+        scale = n ** (m - 1)
+        count = sum(c * (n - 1) ** l for l, c in enumerate(coefficients))
+        margins.append((scale - count) / scale)
+    return margins
+
+
 def check_scaled_tail_bound(n_max: int = 1000, k_max: int = 10) -> CheckReport:
-    """n * majority_tail(k, 1/n) <= 1, checked in exact rational arithmetic."""
+    """n * majority_tail(k, 1/n) <= 1, checked in exact integer arithmetic."""
     tracker = _Tracker("scaled_tail_bound", 0.0)
     for k in range(1, k_max + 1):
-        margins = [
-            float(1 - n * majority_tail_exact(k, Fraction(1, n)))
-            for n in range(1, n_max + 1)
-        ]
         tracker.record_array(
-            margins, lambda row, _, k=k: {"n": row + 1, "k": k}, "n * tail(1/n) <= 1"
+            _scaled_tail_margins(k, n_max),
+            lambda row, _, k=k: {"n": row + 1, "k": k},
+            "n * tail(1/n) <= 1",
         )
     return tracker.report()
 

@@ -77,7 +77,7 @@ def _ordered_tuple_oracle(culture, k):
     for tup in itertools.product(culture.entries, repeat=2 * k - 1):
         weight = math.prod((w for _, w in tup), start=Fraction(1))
         profile = Profile(tuple(r for r, _ in tup), k)
-        winner = find_condorcet_winner(profile, naive=True).winner
+        winner = find_condorcet_winner(profile).winner
         if winner is not None:
             per_alt[winner] += weight
     return per_alt

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from condorcet.cultures import cyclic_culture, impartial_culture, mix64
 from condorcet.engine import find_condorcet_winner
 from condorcet.exact import condorcet_probability, min_condorcet_probability
-from condorcet.model import Profile, Ranking, culture_from_entries
+from condorcet.model import Profile, Ranking, culture_from_entries, rotation_ranking
 from condorcet.montecarlo import (
+    _BLOCK_PROFILES,
     _count_winners_vectorized,
     _sample_positions,
     estimate_condorcet_probability,
@@ -53,6 +55,16 @@ def test_point_mass_culture_always_wins():
     assert estimate_condorcet_probability(culture, 2, 10, seed=1).ci_low < 0.73
 
 
+def oracle_winners(pos, k):
+    """Per-profile winner indicators from the all-pairs oracle."""
+    return [
+        find_condorcet_winner(
+            Profile(tuple(Ranking(tuple(int(a) for a in np.argsort(row))) for row in block), k)
+        ).exists
+        for block in pos
+    ]
+
+
 def test_naive_and_vectorized_kernels_agree():
     """The chunk kernel's winner count equals the all-pairs oracle's count,
     profile by profile, on the same sampled position tensor."""
@@ -62,12 +74,76 @@ def test_naive_and_vectorized_kernels_agree():
     for culture, k in ((impartial_culture(3), 2), (cyclic_culture(5), 2), (explicit, 3)):
         rng = np.random.default_rng(mix64(3, culture.n, k))
         pos = _sample_positions(culture, k, 2_048, rng)
-        slow = 0
-        for block in pos:
-            voters = tuple(Ranking(tuple(int(a) for a in np.argsort(row))) for row in block)
-            slow += find_condorcet_winner(Profile(voters, k), naive=True).exists
+        slow = sum(oracle_winners(pos, k))
         assert 0 < slow < len(pos)  # both outcomes occur, so the count can tell
         assert _count_winners_vectorized(pos, k) == slow
+
+
+EXPLICIT_5 = culture_from_entries(
+    5,
+    [((0, 1, 2, 3, 4), "1/3"), ((1, 2, 3, 4, 0), "1/4"), ((2, 3, 4, 0, 1), "1/4"),
+     ((4, 3, 2, 1, 0), "1/6")],
+)
+
+
+@pytest.mark.parametrize(
+    "culture, k, profiles",
+    [
+        (impartial_culture(1), 2, 50),
+        (impartial_culture(2), 2, 200),
+        (impartial_culture(7), 2, 600),
+        (impartial_culture(13), 2, 600),
+        (impartial_culture(6), 1, 200),
+        (impartial_culture(4), 5, 400),
+        (cyclic_culture(7), 3, 400),
+        (EXPLICIT_5, 3, 400),
+        (impartial_culture(3), 2, _BLOCK_PROFILES + 1),
+    ],
+    ids=["n1", "n2", "n7_byes", "n13_byes", "k1", "k5", "cyclic", "explicit",
+         "partial_block"],
+)
+def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles):
+    """Odd widths give byes in several rounds (7 -> 4 -> 2 -> 1 and
+    13 -> 7 -> 4 -> 2 -> 1); a chunk of one block plus one profile runs a
+    partial last block."""
+    rng = np.random.default_rng(mix64(17, culture.n, k))
+    pos = _sample_positions(culture, k, profiles, rng)
+    expected = oracle_winners(pos, k)
+    got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(len(pos))]
+    assert got == [int(e) for e in expected]
+    assert _count_winners_vectorized(pos, k) == sum(expected)
+    if culture.n >= 3 and k >= 2:
+        assert 0 < sum(expected) < len(pos)  # both outcomes occur
+
+
+def test_kernel_counts_more_than_255_votes():
+    """k = 129 gives 257 voters, past what uint8 vote counts can hold."""
+    k = 129
+    unanimous = culture_from_entries(3, [((2, 0, 1), "1")])
+    pos = _sample_positions(unanimous, k, 4, np.random.default_rng(0))
+    assert _count_winners_vectorized(pos, k) == 4
+    assert estimate_condorcet_probability(unanimous, k, 4, seed=1).p_hat == 1.0
+    pos = _sample_positions(impartial_culture(3), k, 12, np.random.default_rng(1))
+    assert _count_winners_vectorized(pos, k) == sum(oracle_winners(pos, k))
+
+
+def test_kernel_temporaries_stay_small():
+    """On a chunk shaped like impartial n = 800, k = 2 the kernel's traced
+    peak stays far below the position tensor itself."""
+    n, k, size = 800, 2, 16_384
+    winner = np.array([np.arange(n), np.arange(n)[::-1], np.arange(n)], dtype=np.int16)
+    cycle = np.array([rotation_ranking(n, s).positions for s in range(3)], dtype=np.int16)
+    pos = np.empty((size, 2 * k - 1, n), dtype=np.int16)
+    pos[0::2] = winner
+    pos[1::2] = cycle
+    tracemalloc.start()
+    try:
+        count = _count_winners_vectorized(pos, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == size // 2
+    assert peak < pos.nbytes / 4
 
 
 def test_estimate_within_four_sigma_of_exact():

@@ -195,6 +195,19 @@ def test_scaled_tail_bound_small_range():
     assert 1 * majority_tail_exact(3, Fraction(1, 1)) == 1
 
 
+def test_scaled_tail_margins_match_exact_tail():
+    """The integer margins are float(1 - n T(1/n)) of the rational tail, bit
+    for bit, at a sample of (n, k) that includes both ends of the suite's
+    range."""
+    rng = np.random.default_rng(mix64(5, STREAM_VERSION))
+    for k in (1, 2, 3, 7, 10):
+        margins = verify._scaled_tail_margins(k, 1000)
+        assert len(margins) == 1000
+        for n in {1, 2, 999, 1000, *(int(x) for x in rng.integers(1, 1001, 40))}:
+            exact = 1 - n * majority_tail_exact(k, Fraction(1, n))
+            assert margins[n - 1] == float(exact), (n, k)
+
+
 def test_truncated_integral_check_validates():
     with pytest.raises(ValueError):
         check_truncated_integral_bounds(3, 3, 10.0)

@@ -16,7 +16,9 @@ from __future__ import annotations
 from .model import Culture, rotation_ranking
 
 # Bumped whenever the sampling pipeline changes in a way that alters streams.
-STREAM_VERSION = 1
+# Version 2: impartial profiles are i.i.d. uint64 keys instead of shuffled
+# ranks, and each Monte Carlo chunk draws its profiles one block at a time.
+STREAM_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from condorcet import montecarlo
 from condorcet.cultures import cyclic_culture, impartial_culture, mix64
 from condorcet.engine import find_condorcet_winner
 from condorcet.exact import condorcet_probability, min_condorcet_probability
-from condorcet.model import Profile, Ranking, culture_from_entries, rotation_ranking
+from condorcet.model import Profile, Ranking, culture_from_entries
 from condorcet.montecarlo import (
-    _BLOCK_PROFILES,
+    CHUNK_SAMPLES,
+    _BLOCK_KEYS,
     _count_winners_vectorized,
     _sample_positions,
     estimate_condorcet_probability,
@@ -86,6 +88,10 @@ EXPLICIT_5 = culture_from_entries(
 )
 
 
+# Rows of one sampled block at impartial n = 40, k = 2.
+ROWS_N40_K2 = _BLOCK_KEYS // (3 * 40)
+
+
 @pytest.mark.parametrize(
     "culture, k, profiles",
     [
@@ -97,23 +103,59 @@ EXPLICIT_5 = culture_from_entries(
         (impartial_culture(4), 5, 400),
         (cyclic_culture(7), 3, 400),
         (EXPLICIT_5, 3, 400),
-        (impartial_culture(3), 2, _BLOCK_PROFILES + 1),
+        (impartial_culture(40), 2, ROWS_N40_K2 + 1),
     ],
     ids=["n1", "n2", "n7_byes", "n13_byes", "k1", "k5", "cyclic", "explicit",
          "partial_block"],
 )
-def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles):
-    """Odd widths give byes in several rounds (7 -> 4 -> 2 -> 1 and
-    13 -> 7 -> 4 -> 2 -> 1); a chunk of one block plus one profile runs a
-    partial last block."""
-    rng = np.random.default_rng(mix64(17, culture.n, k))
-    pos = _sample_positions(culture, k, profiles, rng)
+def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypatch):
+    """One chunk through the production path: it draws blocks of
+    max(1, _BLOCK_KEYS // ((2k - 1) n)) profiles one after another from the
+    chunk's generator, and its win count equals the oracle's on those same
+    draws.  Odd widths give byes in several rounds (7 -> 4 -> 2 -> 1 and
+    13 -> 7 -> 4 -> 2 -> 1); a chunk of one block plus one profile ends on
+    a partial block."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(_sample_positions(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(montecarlo, "_sample_positions", record)
+    est = estimate_condorcet_probability(culture, k, profiles, seed=17, chunk=profiles)
+    rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
+    assert [len(b) for b in drawn] == [min(rows, profiles - lo) for lo in range(0, profiles, rows)]
+    pos = np.concatenate(drawn)
     expected = oracle_winners(pos, k)
     got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(len(pos))]
     assert got == [int(e) for e in expected]
     assert _count_winners_vectorized(pos, k) == sum(expected)
+    assert est.p_hat == sum(expected) / profiles
     if culture.n >= 3 and k >= 2:
         assert 0 < sum(expected) < len(pos)  # both outcomes occur
+
+
+def test_kernel_on_extreme_uint64_keys():
+    """Impartial keys span all of uint64.  Keys at both ends and on either
+    side of 2^63: a signed cast puts every key from 2^63 up ahead of the
+    rest, a float cast merges neighbours such as 2^64 - 2 and 2^64 - 1, and
+    the survivor update must return one of the two keys exactly although
+    left - right wraps."""
+    pool = np.array(
+        [0, 1, 2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1],
+        dtype=np.uint64,
+    )
+    rng = np.random.default_rng(mix64(29, len(pool)))
+    for n, k in ((8, 2), (5, 3), (6, 1)):
+        profiles, voters = 300, 2 * k - 1
+        keys = rng.permuted(np.tile(pool, (profiles * voters, 1)), axis=1)[:, :n]
+        pos = np.ascontiguousarray(keys).reshape(profiles, voters, n)
+        expected = oracle_winners(pos, k)
+        got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(profiles)]
+        assert got == [int(e) for e in expected]
+        assert _count_winners_vectorized(pos, k) == sum(expected)
+        if k >= 2:
+            assert 0 < sum(expected) < profiles  # both outcomes occur
 
 
 def test_kernel_counts_more_than_255_votes():
@@ -128,22 +170,19 @@ def test_kernel_counts_more_than_255_votes():
 
 
 def test_kernel_temporaries_stay_small():
-    """On a chunk shaped like impartial n = 800, k = 2 the kernel's traced
-    peak stays far below the position tensor itself."""
-    n, k, size = 800, 2, 16_384
-    winner = np.array([np.arange(n), np.arange(n)[::-1], np.arange(n)], dtype=np.int16)
-    cycle = np.array([rotation_ranking(n, s).positions for s in range(3)], dtype=np.int16)
-    pos = np.empty((size, 2 * k - 1, n), dtype=np.int16)
-    pos[0::2] = winner
-    pos[1::2] = cycle
+    """One impartial n = 800, k = 2 chunk is sampled and judged block by
+    block, so its traced peak stays below a quarter of the chunk's rank
+    tensor in int16, 16384 * 3 * 800 * 2 B; the chunk's uint64 keys drawn
+    whole would take 315 MB."""
+    n, k = 800, 2
     tracemalloc.start()
     try:
-        count = _count_winners_vectorized(pos, k)
+        est = estimate_condorcet_probability(impartial_culture(n), k, CHUNK_SAMPLES, seed=9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == size // 2
-    assert peak < pos.nbytes / 4
+    assert est.samples == CHUNK_SAMPLES
+    assert peak < CHUNK_SAMPLES * (2 * k - 1) * n * 2 / 4
 
 
 def test_estimate_within_four_sigma_of_exact():
@@ -156,6 +195,20 @@ def test_estimate_within_four_sigma_of_exact():
         est = estimate_condorcet_probability(culture, k, 40_000, seed=2718)
         sigma = math.sqrt(float(exact) * (1 - float(exact)) / est.samples)
         assert abs(est.p_hat - float(exact)) < 4 * sigma
+
+
+# Impartial k = 2 winner probabilities from the three-voter formula,
+# perfbench/reference.py::impartial_three_voter_probability (exact up to
+# float rounding; it reproduces 17/18, 8/9 and 21/25 at n = 3, 4, 5).
+IMPARTIAL_K2 = {200: 0.18676376905325828, 800: 0.09592072429103762}
+
+
+def test_impartial_estimate_within_four_sigma_at_large_n():
+    """The production sampler and kernel at the paper's decay-trend cells."""
+    for n, exact in IMPARTIAL_K2.items():
+        est = estimate_condorcet_probability(impartial_culture(n), 2, 16_384, seed=2718)
+        sigma = math.sqrt(exact * (1 - exact) / est.samples)
+        assert abs(est.p_hat - exact) < 4 * sigma
 
 
 def test_explicit_culture_estimate_matches_enumeration():

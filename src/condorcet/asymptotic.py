@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -194,8 +195,6 @@ def _refine(
     dims: int,
     a: float,
     target: float,
-    degree: int,
-    gamma: float,
     max_points: int,
     reduced: bool,
 ) -> Tuple[Refinement, ...]:
@@ -215,10 +214,10 @@ def _refine(
     passes: List[Refinement] = []
     cells = 16
     while True:
-        points = (cells * degree) ** dims
+        points = (cells * DEFAULT_DEGREE) ** dims
         if points > max_points:
             raise CapExceededError("max_quadrature_points", points, max_points)
-        nodes, weights = _axis_rule(a, cells, degree, gamma)
+        nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
         value = _tensor_quad(ell, dims, nodes, weights, reduced)
         error = None
         if passes:
@@ -233,8 +232,6 @@ def _refine(
 def estimate_leading_constant(
     k: int,
     target_error: float = 0.1,
-    degree: int = DEFAULT_DEGREE,
-    gamma: float = DEFAULT_GAMMA,
     max_points: int = MAX_QUADRATURE_POINTS,
     reduced: bool = True,
 ) -> ConstantEstimate:
@@ -254,7 +251,7 @@ def estimate_leading_constant(
     if k == 1:
         # One dimension: the tail beyond a is exactly exp(-a), rounded up.
         a = max(1.0, -math.log(min(0.5, target_error / 2.0)))
-        passes = _refine(1, 1, a, target_error / 2.0, degree, gamma, max_points, False)
+        passes = _refine(1, 1, a, target_error / 2.0, max_points, False)
         tail = math.nextafter(math.exp(-a), math.inf)
         return ConstantEstimate(1, passes[-1].value, passes[-1].error, tail, a, passes)
 
@@ -264,7 +261,7 @@ def estimate_leading_constant(
     a = (2.0 * coeff / target_error) ** (1.0 / exponent)
     tail = orthant_tail_bound(k, m, a)
     dims = m - 1 if reduced else m
-    passes = _refine(k, dims, a, target_error / 2.0, degree, gamma, max_points, reduced)
+    passes = _refine(k, dims, a, target_error / 2.0, max_points, reduced)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 
@@ -279,12 +276,19 @@ def impartial_leading_term(n: int, k: int, constant: float) -> float:
     return constant * float(n) ** (-(k - 1) / k)
 
 
-def min_prob_large_n_leading(n: int, k: int) -> float:
-    """Leading large-n term of the minimum winner probability:
-    C(2k-1, k) * n^(-(k-1))."""
+def min_prob_large_n_leading_exact(n: int, k: int) -> Fraction:
+    """Leading large-n term of the minimum winner probability as an exact
+    rational: C(2k-1, k) / n^(k-1)."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
-    return math.comb(2 * k - 1, k) * float(n) ** (-(k - 1))
+    return Fraction(math.comb(2 * k - 1, k), n ** (k - 1))
+
+
+def min_prob_large_n_leading(n: int, k: int) -> float:
+    """The leading large-n term as a float, rounded once from the rational:
+    C(2k-1, k) alone overflows a float from k = 516 on, while the term
+    itself underflows to 0.0 at large k."""
+    return float(min_prob_large_n_leading_exact(n, k))
 
 
 def min_prob_large_k_rate(n: int) -> float:

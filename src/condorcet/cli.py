@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import secrets
 import sys
 import time
@@ -27,7 +28,7 @@ from .asymptotic import (
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_large_k_rate,
-    min_prob_large_n_leading,
+    min_prob_large_n_leading_exact,
 )
 from .cultures import cyclic_culture, impartial_culture
 from .exact import (
@@ -210,21 +211,21 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     if n is None:
         raise ValueError("--n is required")
     if args.mode == "large-n":
-        exact = float(min_condorcet_probability(n, k))
-        leading = min_prob_large_n_leading(n, k)
+        exact = min_condorcet_probability(n, k)
+        leading = min_prob_large_n_leading_exact(n, k)
         return {
             "mode": "large-n",
             "n": n,
             "k": k,
-            "exact_min_prob": exact,
-            "leading_term": leading,
-            "relative_deviation": abs(exact - leading) / leading,
+            "exact_min_prob": float(exact),
+            "leading_term": float(leading),
+            "relative_deviation": float(abs(exact - leading) / leading),
         }, None
     if args.mode == "large-k":
         rate = min_prob_large_k_rate(n)
-        import math
-
-        empirical = -math.log(min_condorcet_probability(n, k)) / k
+        # -log P from the exact integers: P itself underflows a float at large k
+        exact = min_condorcet_probability(n, k)
+        empirical = (math.log(exact.denominator) - math.log(exact.numerator)) / k
         return {
             "mode": "large-k",
             "n": n,

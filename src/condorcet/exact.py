@@ -5,10 +5,12 @@ bound.  Everything here is exact rational arithmetic.
 Enumeration runs on integers only.  Each support ranking's pairwise
 preferences are packed into one Python int, one small field per ordered
 pair of alternatives, so a voter multiset's pairwise tally is one int sum
-and its Condorcet winner one mask test per alternative.  Weights are
-integer numerators over the lcm D of the weight denominators; the winner
-mass per alternative accumulates as an integer over D^(2k-1) and becomes a
-``Fraction`` once, at the end.
+and its Condorcet winner one mask test per alternative.  The multisets are
+walked as multiplicity vectors, the multinomial weight built up as a product
+of binomials, so each costs one winner check whatever the support size and
+voter count.  Weights are integer numerators over the lcm D of the weight
+denominators; the winner mass per alternative accumulates as an integer
+over D^(2k-1) and becomes a ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -110,53 +112,43 @@ def _enumerate_range(
     """Winner mass per alternative over every multiset of ``voters`` support
     indices, as integer numerators over D^voters.
 
-    A multiset is a non-decreasing index sequence i_1 <= ... <= i_voters; it
-    adds ``voters! / prod(c_i!) * prod(nums[i]^c_i)`` (c_i its
-    multiplicities) to its winner.  The sequences run in lexicographic
-    order; slot p of the state lists holds the tally, the weight product,
-    the multinomial coefficient and the length of the final run of the
-    first p indices, so advancing to the next prefix recomputes only the
-    slots after the index that changed, and the last voter is a tight loop
-    over the remaining support.  Appending an index that makes a run of
-    length r to a prefix of length p multiplies the multinomial by
-    (p + 1) / r, which stays an integer.
+    A multiset with multiplicities c_i adds ``voters! / prod(c_i!) *
+    prod(nums[i]^c_i)`` to its winner.  ``walk(start, left, tally, coeff)``
+    places the ``left`` remaining voters on indices >= start: index i takes
+    a run of r = 1..left voters, each step adding ``packed[i]`` to the tally
+    and multiplying ``coeff`` by ``(left - r + 1) / r * nums[i]``, and the
+    walk recurses on (i + 1, left - r).  The multinomial is the product of
+    the binomials C(left, c_i), so every division is exact.  Three cases
+    end the walk: the last index takes every remaining voter, a run that
+    takes every remaining voter is a leaf, and a single remaining voter is a
+    tight loop over the rest of the support.  Each multiset costs one winner
+    check, and the recursion is at most min(support, voters) + 1 deep.
     """
-    support = len(packed)
+    last = len(packed) - 1
     per_alt = [0] * len(rows)
-    depth = voters - 1
-    idx = [0] * depth
-    tally = [bias] * voters
-    weight = [1] * voters
-    multinomial = [1] * voters
-    run = [0] * voters
-    stale = 0
-    while True:
-        for p in range(stale, depth):
-            v = idx[p]
-            r = run[p] + 1 if p and idx[p - 1] == v else 1
-            tally[p + 1] = tally[p] + packed[v]
-            weight[p + 1] = weight[p] * nums[v]
-            multinomial[p + 1] = multinomial[p] * (p + 1) // r
-            run[p + 1] = r
-        prefix, w = tally[depth], weight[depth]
-        full = multinomial[depth] * voters
-        last = idx[-1] if depth else 0
-        winner = _multiset_winner(prefix + packed[last], rows)
-        if winner is not None:
-            per_alt[winner] += full // (run[depth] + 1) * w * nums[last]
-        coeff = full * w
-        for q in range(last + 1, support):
-            winner = _multiset_winner(prefix + packed[q], rows)
+
+    def walk(start: int, left: int, tally: int, coeff: int) -> None:
+        if left == 1:
+            for q in range(start, last + 1):
+                winner = _multiset_winner(tally + packed[q], rows)
+                if winner is not None:
+                    per_alt[winner] += coeff * nums[q]
+            return
+        for i in range(start, last):
+            v, w, t, c = packed[i], nums[i], tally, coeff
+            for r in range(1, left):
+                t += v
+                c = c * (left - r + 1) // r * w
+                walk(i + 1, left - r, t, c)
+            winner = _multiset_winner(t + v, rows)
             if winner is not None:
-                per_alt[winner] += coeff * nums[q]
-        stale = depth - 1
-        while stale >= 0 and idx[stale] == support - 1:
-            stale -= 1
-        if stale < 0:
-            return per_alt
-        v = idx[stale] + 1
-        for p in range(stale, depth):
-            idx[p] = v
+                per_alt[winner] += c // left * w
+        winner = _multiset_winner(tally + left * packed[last], rows)
+        if winner is not None:
+            per_alt[winner] += coeff * nums[last] ** left
+
+    walk(0, voters, bias, 1)
+    return per_alt
 
 
 def condorcet_probability(
@@ -169,7 +161,10 @@ def condorcet_probability(
 
     Enumerates unordered voter multisets over the explicit support with
     multinomial weights, which cuts the work by up to (2k-1)! against
-    ordered tuples while keeping the arithmetic exact.  Each multiset's
+    ordered tuples while keeping the arithmetic exact.  The walk over
+    multiplicity vectors (:func:`_enumerate_range`), at most
+    min(support, 2k-1) + 1 deep, makes one winner check per multiset and
+    builds its multinomial as a product of binomials.  Each multiset's
     pairwise tally is a sum of packed ints, one per voter, and its winner a
     mask test per alternative (:func:`_pack`).  Weights enter as integer
     numerators over D, the lcm of their denominators, so the winner mass

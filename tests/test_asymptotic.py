@@ -14,6 +14,7 @@ from condorcet.asymptotic import (
     min_prob_asymptotics,
     min_prob_large_k_rate,
     min_prob_large_n_leading,
+    min_prob_large_n_leading_exact,
     orthant_tail_bound,
     truncated_box_integral,
 )
@@ -167,6 +168,17 @@ def test_large_n_leading_term_tracks_closed_form():
     leading = min_prob_large_n_leading(n, 2)
     assert leading == pytest.approx(3.0 / n)
     assert abs(exact - leading) / leading == pytest.approx(2.0 / (3.0 * n), rel=1e-6)
+
+
+def test_large_n_leading_term_at_large_k():
+    # 10^-(k-1) alone underflows a float at k = 400 and C(2k-1, k) alone
+    # overflows at k = 1000; the term is formed exactly and rounded once:
+    # about 9.4e-161 at k = 400, 0.0 (underflow) at k = 1000
+    k = 400
+    log_term = math.lgamma(2 * k) - math.lgamma(k + 1) - math.lgamma(k) - (k - 1) * math.log(10)
+    assert min_prob_large_n_leading(10, k) == pytest.approx(math.exp(log_term), rel=1e-9)
+    assert min_prob_large_n_leading(10, 1000) == 0.0
+    assert min_prob_large_n_leading_exact(10, 1000) > 0
 
 
 def test_large_k_rate():

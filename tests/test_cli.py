@@ -185,6 +185,22 @@ def test_asymptote_large_k(capsys):
     assert float(fields["decay_rate"]) == pytest.approx(math.log(9.0 / 8.0))
 
 
+@pytest.mark.parametrize("mode", ["large-n", "large-k"])
+def test_asymptote_at_large_k(capsys, mode):
+    # the minimum probability and the large-n term both underflow a float here
+    code, out = run_capture(
+        capsys, ["asymptote", "--mode", mode, "--n", "10", "--k", "1000", "--format", "json"]
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert all(math.isfinite(v) for v in results.values() if isinstance(v, float))
+    if mode == "large-k":
+        assert results["empirical_rate"] == pytest.approx(1.02385, abs=1e-5)
+        assert results["decay_rate"] == pytest.approx(1.02165, abs=1e-5)
+    else:
+        assert results["relative_deviation"] == pytest.approx(1.0)
+
+
 def test_asymptote_impartial_needs_constant(capsys):
     code, _ = run_capture(
         capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--voters", "3"]

@@ -115,7 +115,12 @@ def test_one_winner_check_per_multiset(monkeypatch):
         return check(tally, rows)
 
     monkeypatch.setattr(exact, "_multiset_winner", counted)
-    cases = ((impartial_culture(3), 2), (cyclic_culture(5), 3), (impartial_culture(2), 1))
+    cases = (
+        (impartial_culture(3), 2),
+        (cyclic_culture(5), 3),
+        (impartial_culture(2), 1),
+        (impartial_culture(2), 1000),
+    )
     for culture, k in cases:
         condorcet_probability(culture, k)
         assert len(calls) == multiset_count(culture.support_size, k)
@@ -157,10 +162,22 @@ def test_min_probability_closed_form_values():
 
 
 def test_cyclic_culture_attains_the_minimum():
-    for n in (3, 4, 5):
-        for k in (1, 2):
-            enumerated = condorcet_probability(cyclic_culture(n), k).value
-            assert enumerated == min_condorcet_probability(n, k)
+    cases = [(n, k) for n in (3, 4, 5) for k in (1, 2)] + [(3, 10), (3, 25), (3, 40)]
+    for n, k in cases:
+        enumerated = condorcet_probability(cyclic_culture(n), k).value
+        assert enumerated == min_condorcet_probability(n, k), (n, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 30, 200])
+def test_two_rankings_many_voters(k):
+    # tiny support, many voters: each alternative wins with its majority tail
+    culture = culture_from_entries(2, [((0, 1), "1/3"), ((1, 0), "2/3")])
+    result = condorcet_probability(culture, k)
+    assert result.per_alternative == (
+        majority_tail_exact(k, Fraction(1, 3)),
+        majority_tail_exact(k, Fraction(2, 3)),
+    )
+    assert result.value == 1
 
 
 def test_min_probability_equals_scaled_tail():

@@ -205,6 +205,10 @@ def _cmd_ck(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     }, None
 
 
+def _log10(value: Fraction) -> float:
+    return math.log10(value.numerator) - math.log10(value.denominator)
+
+
 def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     k = _resolve_k(args)
     n = args.n
@@ -213,12 +217,15 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     if args.mode == "large-n":
         exact = min_condorcet_probability(n, k)
         leading = min_prob_large_n_leading_exact(n, k)
+        # log10 from the exact integers: at large k both values underflow a float
         return {
             "mode": "large-n",
             "n": n,
             "k": k,
             "exact_min_prob": float(exact),
+            "log10_exact_min_prob": _log10(exact),
             "leading_term": float(leading),
+            "log10_leading_term": _log10(leading),
             "relative_deviation": float(abs(exact - leading) / leading),
         }, None
     if args.mode == "large-k":

@@ -19,6 +19,15 @@ survives any bracket, and the count equals that of any
 candidate-elimination scan.  It only compares keys, so any keys whose
 order is the voter's ranking will do.  Its oracle is the all-pairs check
 :func:`condorcet.engine.find_condorcet_winner`.
+
+A culture with finite support of S rankings (cyclic or explicit) gives a
+profile of m = 2k - 1 voters as one of S^m tuples of support indices.  When
+S^m <= min(samples, ``_BLOCK_KEYS``), the kernel judges every tuple once,
+before the chunks run, into a winner table of at most 256 KiB, never judging
+more profiles than the run would; each block then draws its support indices
+with :func:`_sample_support` and counts the table entries they index.  The
+draws are the calls :func:`_sample_positions` makes on the same blocks, so
+p_hat is the one the kernel would give on the block's rank tensors.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ class Estimate:
     which is 0 when p_hat is 0 or 1.  The interval is therefore the Wilson
     score interval, not p_hat +/- 1.96 std_error: it keeps a width of order
     1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
+    ``winner_table`` is the number of entries of the winner table the
+    profiles were judged by, 0 when the knockout kernel judged each one.
     """
 
     p_hat: float
@@ -61,6 +72,7 @@ class Estimate:
     ci_low: float
     ci_high: float
     seed: int
+    winner_table: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_hat <= 1.0:
@@ -71,6 +83,33 @@ def _position_dtype(n: int):
     return np.int16 if n <= 2 ** 15 - 1 else np.int32
 
 
+def _support_ranks(culture: Culture) -> np.ndarray:
+    """The (S, n) position table of a finite-support culture: row i holds
+    the ranks 0..n-1 of support ranking i (cyclic: rotation i, whose rank of
+    a is (a - i) mod n, built as a read-only strided view of O(n) memory)."""
+    n = culture.n
+    dtype = _position_dtype(n)
+    if culture.kind == "cyclic":
+        base = (np.arange(1, 2 * n) % n).astype(dtype)
+        return np.lib.stride_tricks.sliding_window_view(base, n)[::-1]
+    return np.array([r.positions for r, _ in culture.entries], dtype=dtype)
+
+
+def _sample_support(
+    culture: Culture, k: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Support indices for ``size`` profiles of a finite-support culture:
+    out[b, v] is the ranking of voter v of profile b, drawn with its weight
+    (cyclic: uniform on the n rotations)."""
+    voters = 2 * k - 1
+    if culture.kind == "cyclic":
+        return rng.integers(0, culture.n, size=(size, voters), dtype=np.int32)
+    cum = np.cumsum([float(w) for _, w in culture.entries])
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rng.random((size, voters)), side="right")
+    return np.clip(idx, 0, len(culture.entries) - 1, out=idx)
+
+
 def _sample_positions(
     culture: Culture, k: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -78,39 +117,29 @@ def _sample_positions(
     alternative a to alternative c exactly when out[b, v, a] < out[b, v, c].
 
     The cyclic and explicit cultures give ranks 0..n-1 (the position of a in
-    the voter's ranking).  The impartial culture gives i.i.d. uniform uint64
-    keys, drawn in one call: given distinct keys, the ranking they induce is
-    exactly uniform on the n! orders.  A tie has probability at most
-    C(n, 2) / 2^64 per voter, and it can only change the indicator of the
-    profile it sits in, so |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64, which
-    is 5.2e-14 at n = 800, k = 2.
+    the voter's ranking), the rows of :func:`_support_ranks` picked by
+    :func:`_sample_support`.  The impartial culture gives i.i.d. uniform
+    uint64 keys, drawn in one call: given distinct keys, the ranking they
+    induce is exactly uniform on the n! orders.  A tie has probability at
+    most C(n, 2) / 2^64 per voter, and it can only change the indicator of
+    the profile it sits in, so |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64,
+    which is 5.2e-14 at n = 800, k = 2.
     """
-    n = culture.n
-    voters = 2 * k - 1
     if culture.kind == "impartial":
-        return rng.bit_generator.random_raw((size, voters, n))
-    dtype = _position_dtype(n)
-    if culture.kind == "cyclic":
-        starts = rng.integers(0, n, size=(size, voters), dtype=np.int32)
-        alts = np.arange(n, dtype=np.int32)[None, None, :]
-        return np.mod(alts - starts[:, :, None], n).astype(dtype)
-    weights = np.array([float(w) for _, w in culture.entries])
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    table = np.array([r.positions for r, _ in culture.entries], dtype=dtype)
-    idx = np.searchsorted(cum, rng.random((size, voters)), side="right")
-    np.clip(idx, 0, len(culture.entries) - 1, out=idx)
-    return table[idx]
+        return rng.bit_generator.random_raw((size, 2 * k - 1, culture.n))
+    return _support_ranks(culture)[_sample_support(culture, k, size, rng)]
 
 
-def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
-    """Number of profiles in the key tensor that have a Condorcet winner.
+def _winner_mask(pos: np.ndarray, k: int) -> np.ndarray:
+    """Per-profile Condorcet winner indicators of the key tensor.
 
-    Knockout rounds: in a round of width w, column i meets column w - 1 - i
-    and the majority winner of each pair survives; with w odd the middle
-    column meets itself, which is its bye.  A Condorcet winner beats every
-    alternative, so it is the last survivor whenever it exists, and one
-    verification pass against all n alternatives decides each profile.
+    Knockout rounds: in a round of width w, let h = ceil(w / 2); column i < h
+    meets column i + (w - h) and the majority winner of each pair survives.
+    Both halves are contiguous views.  With w odd the middle column plays
+    twice, once in each half, which is harmless: a column is dropped only
+    when it loses, so a Condorcet winner beats every alternative and is the
+    last survivor whenever it exists.  One verification pass against all n
+    alternatives then decides each profile.
 
     Every vote count is accumulated one voter at a time in the smallest
     unsigned type that holds 2k - 1, so the temporaries are a few (rows, n)
@@ -124,7 +153,7 @@ def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
         width = survivors.shape[2]
         half = (width + 1) // 2
         left = survivors[:, :, :half]
-        right = survivors[:, :, width - 1:width - half - 1:-1]
+        right = survivors[:, :, width - half:]
         votes = np.zeros((rows, half), dtype=count_dtype)
         for v in range(voters):
             votes += left[:, v] < right[:, v]
@@ -139,7 +168,34 @@ def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
     for v in range(voters):
         votes += champion[:, v, None] < pos[:, v]
     # The champion never beats itself, so a winner beats the other n - 1.
-    return int(np.count_nonzero(np.count_nonzero(votes >= k, axis=1) == n - 1))
+    return np.count_nonzero(votes >= k, axis=1) == n - 1
+
+
+def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
+    """Number of profiles in the key tensor that have a Condorcet winner."""
+    return int(np.count_nonzero(_winner_mask(pos, k)))
+
+
+def _digit_weights(culture: Culture, k: int) -> np.ndarray:
+    """S^(m-1-v) for voter v of m = 2k - 1: a support tuple (i_0, ..., i_m-1)
+    has flat index sum_v i_v S^(m-1-v) in the winner table."""
+    size = culture.support_size
+    return size ** np.arange(2 * k - 2, -1, -1, dtype=np.int64)
+
+
+def _winner_table(culture: Culture, k: int, block_rows: int) -> np.ndarray:
+    """Winner indicator of every support tuple, by flat index: the knockout
+    kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a time.  The
+    digits are formed arithmetically, as np.indices allows at most 64
+    dimensions and a profile may have more voters."""
+    size = culture.support_size
+    ranks = _support_ranks(culture)
+    weights = _digit_weights(culture, k)
+    flat = np.arange(size ** (2 * k - 1))
+    return np.concatenate([
+        _winner_mask(ranks[flat[lo:lo + block_rows, None] // weights % size], k)
+        for lo in range(0, len(flat), block_rows)
+    ])
 
 
 def _chunk_layout(samples: int, chunk: int) -> List[Tuple[int, int]]:
@@ -168,16 +224,23 @@ def estimate_condorcet_probability(
     if seed is None:
         seed = secrets.randbits(63)
 
-    block_rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
+    voters = 2 * k - 1
+    block_rows = max(1, _BLOCK_KEYS // (voters * culture.n))
+    table = None
+    if culture.kind != "impartial" and culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
+        table = _winner_table(culture, k, block_rows)
+        weights = _digit_weights(culture, k)
+
+    def run_block(size: int, rng: np.random.Generator) -> int:
+        if table is None:
+            return _count_winners_vectorized(_sample_positions(culture, k, size, rng), k)
+        return int(np.count_nonzero(table[_sample_support(culture, k, size, rng) @ weights]))
 
     def run_chunk(task: Tuple[int, int]) -> int:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
         return sum(
-            _count_winners_vectorized(
-                _sample_positions(culture, k, min(block_rows, size - lo), rng), k
-            )
-            for lo in range(0, size, block_rows)
+            run_block(min(block_rows, size - lo), rng) for lo in range(0, size, block_rows)
         )
 
     tasks = _chunk_layout(samples, chunk)
@@ -190,7 +253,8 @@ def estimate_condorcet_probability(
     p_hat = wins / samples
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     ci_low, ci_high = _wilson_interval(p_hat, samples)
-    return Estimate(p_hat, samples, std_error, ci_low, ci_high, seed)
+    winner_table = 0 if table is None else len(table)
+    return Estimate(p_hat, samples, std_error, ci_low, ci_high, seed, winner_table)
 
 
 def _wilson_interval(p_hat: float, samples: int) -> Tuple[float, float]:

@@ -201,6 +201,47 @@ def test_asymptote_at_large_k(capsys, mode):
         assert results["relative_deviation"] == pytest.approx(1.0)
 
 
+def three_formats(capsys, argv):
+    """The results of one command as JSON, CSV and human output."""
+    _, as_json = run_capture(capsys, argv + ["--format", "json"])
+    _, as_csv = run_capture(capsys, argv + ["--format", "csv"])
+    _, human = run_capture(capsys, argv + ["--format", "human"])
+    return json.loads(as_json)["results"], dict(csv.reader(io.StringIO(as_csv))), parse_human(human)
+
+
+@pytest.mark.parametrize(
+    "n, k, exact, leading",
+    [(10, 1000, -444.65, -398.99), (5, 3, math.log10(0.2896), math.log10(0.4))],
+)
+def test_asymptote_large_n_log10_fields(capsys, n, k, exact, leading):
+    """log10 of both values from their exact integers, in every format: at
+    (10, 1000) the values themselves underflow to 0.0; at (5, 3) the fields
+    equal log10 of the float fields."""
+    argv = ["asymptote", "--mode", "large-n", "--n", str(n), "--k", str(k)]
+    results, csv_fields, human = three_formats(capsys, argv)
+    for name, expected in (("log10_exact_min_prob", exact), ("log10_leading_term", leading)):
+        assert results[name] == pytest.approx(expected, abs=0.01)
+        assert float(csv_fields[name]) == float(human[name]) == results[name]
+    if k == 1000:
+        assert results["exact_min_prob"] == results["leading_term"] == 0.0
+    else:
+        for name in ("exact_min_prob", "leading_term"):
+            assert results[f"log10_{name}"] == pytest.approx(math.log10(results[name]), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "culture, n, entries", [("cyclic", 10, 1000), ("impartial", 50, 0)]
+)
+def test_simulate_reports_winner_table(capsys, culture, n, entries):
+    """Cyclic (10, 2) judges its profiles by lookup in a table of 10^3
+    entries; the impartial culture has no finite support to tabulate."""
+    argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
+            "--samples", "4096", "--seed", "3"]
+    results, csv_fields, human = three_formats(capsys, argv)
+    assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
+    assert int(human["winner_table"]) == entries
+
+
 def test_asymptote_impartial_needs_constant(capsys):
     code, _ = run_capture(
         capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--voters", "3"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 
 from condorcet import montecarlo
-from condorcet.cultures import cyclic_culture, impartial_culture, mix64
+from condorcet.cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
 from condorcet.engine import find_condorcet_winner
 from condorcet.exact import condorcet_probability, min_condorcet_probability
 from condorcet.model import Profile, Ranking, culture_from_entries
 from condorcet.montecarlo import (
     CHUNK_SAMPLES,
     _BLOCK_KEYS,
+    _chunk_layout,
     _count_winners_vectorized,
     _sample_positions,
+    _sample_support,
+    _winner_table,
     estimate_condorcet_probability,
     sweep,
 )
@@ -133,6 +137,81 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
     assert est.p_hat == sum(expected) / profiles
     if culture.n >= 3 and k >= 2:
         assert 0 < sum(expected) < len(pos)  # both outcomes occur
+
+
+@pytest.mark.parametrize(
+    "culture, k", [(cyclic_culture(5), 2), (EXPLICIT_5, 2), (EXPLICIT_5, 3)],
+    ids=["cyclic5_k2", "explicit_k2", "explicit_k3"],
+)
+@pytest.mark.parametrize("block_rows", [7, 4096])
+def test_winner_table_matches_oracle(culture, k, block_rows):
+    """Entry sum_v i_v S^(m-1-v) of the winner table is the oracle's verdict
+    on the profile whose voter v holds support ranking i_v, whether the
+    table is built in many blocks or in one."""
+    support = [ranking for ranking, _ in culture.entries]
+    table = _winner_table(culture, k, block_rows)
+    tuples = list(itertools.product(range(len(support)), repeat=2 * k - 1))
+    assert table.dtype == bool and len(table) == len(tuples)
+    expected = [
+        find_condorcet_winner(Profile(tuple(support[i] for i in t), k)).exists for t in tuples
+    ]
+    assert table.tolist() == expected
+    assert 0 < sum(expected) < len(tuples)  # both outcomes occur
+
+
+def replay_key_path(culture, k, samples, seed):
+    """Win count of the run's own draws, judged profile tensor by profile
+    tensor as on the key path: the chunk generators and block sizes of
+    :func:`estimate_condorcet_probability`, with every block of support
+    indices turned into ranks and passed to the knockout kernel."""
+    ranks = np.array([ranking.positions for ranking, _ in culture.entries])
+    rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
+    wins = 0
+    for index, size in _chunk_layout(samples, CHUNK_SAMPLES):
+        rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
+        for lo in range(0, size, rows):
+            idx = _sample_support(culture, k, min(rows, size - lo), rng)
+            wins += _count_winners_vectorized(ranks[idx], k)
+    return wins
+
+
+@pytest.mark.parametrize(
+    "culture, k, samples, workers",
+    [
+        (cyclic_culture(10), 2, 1 << 15, 1),
+        (cyclic_culture(10), 2, 1 << 15, 2),
+        (EXPLICIT_5, 2, 5_000, 1),
+    ],
+    ids=["cyclic10_w1", "cyclic10_w2", "explicit_k2"],
+)
+def test_table_path_equals_key_path(culture, k, samples, workers):
+    """A culture with S^(2k-1) <= min(samples, _BLOCK_KEYS) is judged by
+    lookup; it draws exactly what the key path draws, so p_hat is the key
+    path's, bit for bit."""
+    est = estimate_condorcet_probability(culture, k, samples, seed=23, workers=workers)
+    assert est.winner_table == culture.support_size ** (2 * k - 1)
+    assert est.p_hat == replay_key_path(culture, k, samples, 23) / samples
+
+
+def test_table_needs_no_more_entries_than_samples(monkeypatch):
+    """Cyclic (5, 2) has 125 support tuples: 125 samples build the table,
+    124 stay on the key path and sample rank tensors."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(_sample_positions(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(montecarlo, "_sample_positions", record)
+    culture = cyclic_culture(5)
+    on_keys = estimate_condorcet_probability(culture, 2, 124, seed=4)
+    assert on_keys.winner_table == 0
+    assert sum(len(block) for block in drawn) == 124
+    assert on_keys.p_hat == replay_key_path(culture, 2, 124, 4) / 124
+    drawn.clear()
+    by_table = estimate_condorcet_probability(culture, 2, 125, seed=4)
+    assert by_table.winner_table == 125 and drawn == []
+    assert by_table.p_hat == replay_key_path(culture, 2, 125, 4) / 125
 
 
 def test_kernel_on_extreme_uint64_keys():

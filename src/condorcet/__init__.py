@@ -12,7 +12,6 @@ from .model import (
     Culture,
     Profile,
     Ranking,
-    Rational,
     SupportTooLargeError,
     culture_from_entries,
     culture_from_json_obj,
@@ -48,7 +47,6 @@ from .asymptotic import (
     Refinement,
     estimate_leading_constant,
     impartial_leading_term,
-    min_prob_asymptotics,
     min_prob_large_k_rate,
     min_prob_large_n_leading,
     orthant_tail_bound,
@@ -79,7 +77,6 @@ __all__ = [
     "MinimizeResult",
     "Profile",
     "Ranking",
-    "Rational",
     "Refinement",
     "STREAM_VERSION",
     "SupportTooLargeError",
@@ -108,7 +105,6 @@ __all__ = [
     "majority_tail_exact",
     "marginal_lower_bound",
     "min_condorcet_probability",
-    "min_prob_asymptotics",
     "min_prob_large_k_rate",
     "min_prob_large_n_leading",
     "minimize_marginal_bound",

@@ -38,12 +38,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .model import CapExceededError
+from .special import _symmetric_polynomials
 
 SUPPORTED_K = (1, 2, 3)
 
@@ -137,9 +138,9 @@ def _tensor_quad(
     polynomial of the coordinates.
 
     The symmetric polynomials are built by absorbing one axis at a time with
-    broadcasting (e_j += x * e_{j-1}), and the first axis is processed in
-    slabs to bound memory.  Slab results are accumulated in a fixed order,
-    so the total is reproducible.
+    broadcasting (:func:`special._symmetric_polynomials`), and the first
+    axis is processed in slabs to bound memory.  Slab results are
+    accumulated in a fixed order, so the total is reproducible.
     """
     points = len(nodes)
     if dims == 1:
@@ -147,26 +148,20 @@ def _tensor_quad(
             raise ValueError("reduced integrand needs at least two dimensions")
         return float(np.dot(weights, np.exp(-nodes)))
 
+    shapes = [(1,) * axis + (points,) + (1,) * (dims - 1 - axis) for axis in range(1, dims)]
     slab = max(1, int(4_000_000 // points ** (dims - 1)))
     total = 0.0
     for start in range(0, points, slab):
         x0 = nodes[start : start + slab]
         w0 = weights[start : start + slab]
         shape0 = (len(x0),) + (1,) * (dims - 1)
-        e: List[np.ndarray] = [np.ones(shape0)] + [
-            np.zeros(shape0) for _ in range(ell)
-        ]
-        e[1] = e[1] + x0.reshape(shape0)
-        for axis in range(1, dims):
-            shape = (1,) * axis + (points,) + (1,) * (dims - 1 - axis)
-            xa = nodes.reshape(shape)
-            for j in range(min(axis + 1, ell), 0, -1):
-                e[j] = e[j] + xa * e[j - 1]
+        e = _symmetric_polynomials(
+            ell, [x0.reshape(shape0)] + [nodes.reshape(shape) for shape in shapes]
+        )
         values = np.exp(-e[ell])
         if reduced:
             values = values / e[ell - 1]
-        for axis in range(1, dims):
-            shape = (1,) * axis + (points,) + (1,) * (dims - 1 - axis)
+        for shape in shapes:
             values = values * weights.reshape(shape)
         total += float(values.sum(axis=tuple(range(1, dims))) @ w0)
     return total
@@ -205,12 +200,23 @@ def _refine(
     up.  The |value| part covers the rounding of the tensor sum; the target
     part covers the caller's addition of a tail bound no larger than
     ``target``.  The error is therefore never zero, and a target below the
-    rounding floor exhausts the point budget instead of being under-reported.
+    rounding floor is never under-reported.
+
+    A pass is accepted only if its value also clears ``cube_bound``, a lower
+    bound on the integral over the unit cube, which the box [0, a]^dims
+    (a >= 1) contains: there e_ell <= C(dims, ell) and e_{ell-1} <=
+    C(dims, ell-1).  A mesh too coarse to resolve the integrand near the
+    axes can see almost none of its mass; two such passes agree and would
+    otherwise report a near-zero value as converged.
 
     Returns every pass in order; the last one carries the value and its
     reported error.  Raises when the next refinement would blow the point
-    budget before the target is met.
+    budget before the target is met, or at once when a pass's allowance
+    alone exceeds the target, since no finer mesh can then meet it.
     """
+    cube_bound = math.exp(-math.comb(dims, ell))
+    if reduced:
+        cube_bound /= math.comb(dims, ell - 1)
     passes: List[Refinement] = []
     cells = 16
     while True:
@@ -219,12 +225,14 @@ def _refine(
             raise CapExceededError("max_quadrature_points", points, max_points)
         nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
         value = _tensor_quad(ell, dims, nodes, weights, reduced)
+        allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
+        if allowance > target:
+            raise CapExceededError("max_quadrature_points", math.inf, max_points)
         error = None
         if passes:
-            allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
         passes.append(Refinement(cells, points, value, error))
-        if error is not None and error <= target:
+        if error is not None and error <= target and value >= cube_bound:
             return tuple(passes)
         cells *= 2
 
@@ -244,7 +252,7 @@ def estimate_leading_constant(
     """
     if k not in SUPPORTED_K:
         raise ValueError(f"k={k} outside supported range {SUPPORTED_K}")
-    if target_error <= 0:
+    if not target_error > 0:
         raise ValueError("target_error must be positive")
     m = 2 * k - 1
 
@@ -298,13 +306,3 @@ def min_prob_large_k_rate(n: int) -> float:
     if n < 3:
         raise ValueError("the large-k rate needs n >= 3")
     return math.log(n * n / (4.0 * (n - 1)))
-
-
-class MinProbAsymptotics(NamedTuple):
-    large_n_leading: float
-    large_k_rate: float
-
-
-def min_prob_asymptotics(n: int, k: int) -> MinProbAsymptotics:
-    """Both asymptotic readouts of the minimum-probability formula."""
-    return MinProbAsymptotics(min_prob_large_n_leading(n, k), min_prob_large_k_rate(n))

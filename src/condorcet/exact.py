@@ -26,7 +26,7 @@ from .model import (
     Culture,
     SupportTooLargeError,
 )
-from .special import majority_tail_exact
+from .special import _tail_numerator, majority_tail_exact
 
 MAX_WINNER_CHECKS = 10 ** 8
 
@@ -35,11 +35,9 @@ MAX_WINNER_CHECKS = 10 ** 8
 class ExactProbability:
     """An exact probability with its provenance.
 
-    ``method`` is "enumeration" for support enumeration, "closed_form" for
-    the minimum-probability formula, "marginal_bound" for the sum of
-    majority tails of the top-choice marginals (a lower bound, not the
-    probability itself).  ``per_alternative`` decomposes the total by
-    winning alternative; the winner is unique, so it sums to ``value``.
+    Only support enumeration builds one, so ``method`` is "enumeration".
+    ``per_alternative`` decomposes the total by winning alternative; the
+    winner is unique, so it sums to ``value``.
     """
 
     value: Fraction
@@ -51,10 +49,6 @@ class ExactProbability:
             raise ValueError(f"probability {self.value} outside [0, 1]")
         if self.per_alternative is not None and sum(self.per_alternative) != self.value:
             raise ValueError("per-alternative decomposition does not sum to the total")
-
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
 
 
 def multiset_count(support: int, k: int) -> int:
@@ -198,14 +192,14 @@ def min_condorcet_probability(n: int, k: int) -> Fraction:
     """The minimum Condorcet winner probability over all cultures on n
     alternatives with 2k-1 voters, as an exact rational:
 
-        n^-(2k-2) * sum_{l=0}^{k-1} C(2k-1, l) (n-1)^l
+        n^-(2k-2) * sum_{l=0}^{k-1} C(2k-1, l) (n-1)^l,
 
-    The cyclic rotation culture attains it.  For n <= 2 the value is 1.
+    that is n * majority_tail(k, 1/n).  The cyclic rotation culture attains
+    it.  For n <= 2 the value is 1.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
-    acc = sum(math.comb(2 * k - 1, l) * (n - 1) ** l for l in range(k))
-    return Fraction(acc, n ** (2 * k - 2))
+    return Fraction(_tail_numerator(k, 1, n), n ** (2 * k - 2))
 
 
 def marginal_lower_bound(culture: Culture, k: int) -> Fraction:

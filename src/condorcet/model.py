@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
-# Exact rational probability type used across the package.
-Rational = Fraction
-
 # Default resource caps.  They are arguments with defaults, not constants
 # baked into the algorithms, so callers can raise or lower them.
 MAX_EXPLICIT_SUPPORT = 10 ** 6
@@ -238,6 +235,11 @@ def culture_from_json_obj(obj: dict) -> Culture:
     raw = obj.get("entries")
     if not raw:
         raise ValueError("explicit culture object must have non-empty 'entries'")
+    if not isinstance(raw, list):
+        raise ValueError(f"culture 'entries' must be a list, got {raw!r}")
+    for i, e in enumerate(raw):
+        if not (isinstance(e, dict) and isinstance(e.get("ranking"), list) and "p" in e):
+            raise ValueError(f"culture entry {i} needs a 'ranking' list and a 'p': {e!r}")
     entries = tuple(
         (ranking_from_order(e["ranking"]), parse_probability(e["p"])) for e in raw
     )

@@ -208,7 +208,6 @@ def estimate_condorcet_probability(
     samples: int,
     seed: Optional[int] = None,
     workers: int = 1,
-    chunk: int = CHUNK_SAMPLES,
 ) -> Estimate:
     """Estimate P(Condorcet winner exists) from i.i.d. sampled profiles.
 
@@ -243,7 +242,7 @@ def estimate_condorcet_probability(
             run_block(min(block_rows, size - lo), rng) for lo in range(0, size, block_rows)
         )
 
-    tasks = _chunk_layout(samples, chunk)
+    tasks = _chunk_layout(samples, CHUNK_SAMPLES)
     if workers <= 1 or len(tasks) == 1:
         wins = sum(run_chunk(t) for t in tasks)
     else:

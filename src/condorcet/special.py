@@ -31,13 +31,27 @@ def _columns(xs) -> list:
     return list(xs)
 
 
-def elementary_symmetric(ell: int, xs):
-    """The ell-th elementary symmetric polynomial of ``xs``.
+def _symmetric_polynomials(ell: int, cols) -> List:
+    """[e_0, ..., e_ell] of the coordinates ``cols``, numbers or mutually
+    broadcastable arrays.
 
     One-pass dynamic program over prefix polynomials: after absorbing x the
-    coefficient e[j] becomes e[j] + x * e[j-1].  O(len(xs) * ell) time, all
+    coefficient e[j] becomes e[j] + x * e[j-1].  O(len(cols) * ell) time, all
     additions of non-negative terms for non-negative inputs, so no
     cancellation blow-up.  Works for floats and Fractions alike.
+    """
+    zero = cols[0] * 0
+    e: List = [zero] * (ell + 1)
+    e[0] = zero + 1
+    for i, x in enumerate(cols):
+        for j in range(min(i + 1, ell), 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    return e
+
+
+def elementary_symmetric(ell: int, xs):
+    """The ell-th elementary symmetric polynomial of ``xs``
+    (see :func:`_symmetric_polynomials`).
 
     ``xs`` is one vector (a sequence of numbers) or a 2-D ndarray with one
     vector per row; a batch returns one value per row, each bit-identical to
@@ -48,13 +62,7 @@ def elementary_symmetric(ell: int, xs):
     m = len(cols)
     if not 1 <= ell <= m:
         raise ValueError(f"order {ell} out of range for {m} inputs")
-    zero = cols[0] * 0
-    e: List = [zero] * (ell + 1)
-    e[0] = zero + 1
-    for i, x in enumerate(cols):
-        for j in range(min(i + 1, ell), 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    return e[ell]
+    return _symmetric_polynomials(ell, cols)[ell]
 
 
 def poisson_binomial_tail(xs, k: int):
@@ -113,22 +121,27 @@ def majority_tail(k: int, x):
     return total
 
 
+def _tail_numerator(k: int, p: int, q: int) -> int:
+    """sum_{l<k} C(2k-1, l) p^(2k-1-l) (q-p)^l: the majority tail at
+    x = p/q times q^(2k-1), an integer."""
+    m = 2 * k - 1
+    return sum(math.comb(m, l) * p ** (m - l) * (q - p) ** l for l in range(k))
+
+
 def majority_tail_exact(k: int, x: Number) -> Fraction:
     """Exact rational twin of :func:`majority_tail` for rational x.
 
-    With x = p/q in lowest terms the tail is one integer over q^(2k-1),
-    sum_{l<k} C(2k-1, l) p^(2k-1-l) (q-p)^l / q^(2k-1), so the sum runs in
-    integers and a single ``Fraction`` is built (and reduced) at the end.
+    With x = p/q in lowest terms the tail is :func:`_tail_numerator` over
+    q^(2k-1), so the sum runs in integers and a single ``Fraction`` is built
+    (and reduced) at the end.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     xf = Fraction(x)
     if not 0 <= xf <= 1:
         raise ValueError(f"x={x} outside [0, 1]")
-    m = 2 * k - 1
     p, q = xf.numerator, xf.denominator
-    numerator = sum(math.comb(m, l) * p ** (m - l) * (q - p) ** l for l in range(k))
-    return Fraction(numerator, q ** m)
+    return Fraction(_tail_numerator(k, p, q), q ** (2 * k - 1))
 
 
 def _derivative_coefficient(k: int) -> float:

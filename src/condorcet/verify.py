@@ -26,6 +26,7 @@ from .asymptotic import orthant_tail_bound, truncated_box_integral
 from .cultures import STREAM_VERSION, mix64
 from .special import (
     _derivative_coefficient,
+    _tail_numerator,
     elementary_symmetric,
     majority_tail,
     majority_tail_derivative,
@@ -72,26 +73,14 @@ class _Tracker:
         self.violations = 0
         self.worst: Optional[dict] = None
 
-    def record(self, margin: float, witness_input, inequality: str) -> None:
-        self.trials += 1
-        margin = float(margin)
-        if margin < -self.tolerance:
-            self.violations += 1
-        if self.worst is None or margin < self.worst["margin"]:
-            self.worst = {
-                "input": witness_input,
-                "inequality": inequality,
-                "margin": margin,
-            }
-
     def record_array(
         self,
         margins,
         inputs: Callable[[int, int], object],
         inequality: Union[str, Sequence[str]],
     ) -> None:
-        """Record a whole block of margins as if :meth:`record` had run on
-        each, row by row and within a row column by column.
+        """Record a block of margins, one trial each, read row by row and
+        within a row column by column.
 
         ``margins`` has one row per input and one column per inequality (a
         1-D array when ``inequality`` is a single name); ``inputs(row,
@@ -99,7 +88,8 @@ class _Tracker:
         the margin that becomes the worst witness.  A ``+inf`` margin marks
         an inequality that does not apply to that row: it is neither a
         trial nor a candidate witness.  The worst witness is the first
-        minimum in that row-major order, the one the scalar loop would keep.
+        minimum in that row-major order, the one a margin-by-margin loop
+        would keep.
         """
         names = (inequality,) if isinstance(inequality, str) else tuple(inequality)
         flat = np.asarray(margins, dtype=float).reshape(-1)
@@ -132,13 +122,16 @@ def check_taylor_bounds(grid: Optional[Sequence[float]] = None) -> CheckReport:
     """exp(-t - t^2) <= 1 - t <= exp(-t) pointwise on [0, 1/3]."""
     if grid is None:
         grid = np.linspace(0.0, 1.0 / 3.0, 10_000)
-    tracker = _Tracker("taylor_bounds", 1e-15)
-    for t in grid:
-        t = float(t)
+    points = [float(t) for t in grid]
+    for t in points:
         if not 0.0 <= t <= 1.0 / 3.0 + 1e-15:
             raise ValueError(f"grid point {t} outside [0, 1/3]")
-        tracker.record((1.0 - t) - math.exp(-t - t * t), t, "exp(-t-t^2) <= 1-t")
-        tracker.record(math.exp(-t) - (1.0 - t), t, "1-t <= exp(-t)")
+    tracker = _Tracker("taylor_bounds", 1e-15)
+    tracker.record_array(
+        [((1.0 - t) - math.exp(-t - t * t), math.exp(-t) - (1.0 - t)) for t in points],
+        lambda row, _: points[row],
+        ("exp(-t-t^2) <= 1-t", "1-t <= exp(-t)"),
+    )
     return tracker.report()
 
 
@@ -292,18 +285,14 @@ def check_tail_convexity(
 def _scaled_tail_margins(k: int, n_max: int) -> List[float]:
     """1 - n * majority_tail(k, 1/n) for n = 1..n_max, each correctly rounded.
 
-    With m = 2k - 1, n * T(1/n) = N / n^(m-1) for the integer
-    N = sum_{l<k} C(m, l) (n-1)^l, so the margin is (n^(m-1) - N) / n^(m-1),
-    and Python's int true division rounds that quotient correctly, as
-    float(Fraction) would.
+    n * T(1/n) = N / n^(2k-2) for the integer N = ``_tail_numerator(k, 1,
+    n)``, so the margin is (n^(2k-2) - N) / n^(2k-2), and Python's int true
+    division rounds that quotient correctly, as float(Fraction) would.
     """
-    m = 2 * k - 1
-    coefficients = [math.comb(m, l) for l in range(k)]
     margins = []
     for n in range(1, n_max + 1):
-        scale = n ** (m - 1)
-        count = sum(c * (n - 1) ** l for l, c in enumerate(coefficients))
-        margins.append((scale - count) / scale)
+        scale = n ** (2 * k - 2)
+        margins.append((scale - _tail_numerator(k, 1, n)) / scale)
     return margins
 
 
@@ -339,13 +328,15 @@ def check_truncated_integral_bounds(
     tracker = _Tracker(f"truncated_integral_l{ell}_m{m}", TOL_DERIVATIVE)
     value = truncated_box_integral(ell, m, a, cells=cells, degree=degree)
     cap = float(math.factorial(m) ** 2)
-    tracker.record(cap - value, {"ell": ell, "m": m, "a": a}, "value <= (m!)^2")
+    tracker.record_array(
+        [cap - value], lambda *_: {"ell": ell, "m": m, "a": a}, "value <= (m!)^2"
+    )
     if ell >= 2:
         fuller = truncated_box_integral(ell, m, 4.0 * a, cells=cells, degree=degree)
         tail = orthant_tail_bound(ell, m, a)
-        tracker.record(
-            value - (fuller - tail),
-            {"ell": ell, "m": m, "a": a, "fuller": fuller},
+        tracker.record_array(
+            [value - (fuller - tail)],
+            lambda *_: {"ell": ell, "m": m, "a": a, "fuller": fuller},
             "truncated >= full - tail bound",
         )
     return tracker.report()
@@ -455,16 +446,17 @@ def _suite_truncated_integral(seed: int) -> List[CheckReport]:
 
 
 def _suite_minimizer(seed: int) -> List[CheckReport]:
-    tracker = _Tracker("minimizer_attains_bound", TOL_OPTIMIZER)
+    margins, inputs = [], []
     for n in range(1, 9):
         for k in range(1, 5):
             floor = float(n * majority_tail_exact(k, Fraction(1, n)))
             result = minimize_marginal_bound(n, k, starts=20, seed=seed)
-            tracker.record(
-                result.value - floor,
-                {"n": n, "k": k, "point": result.point},
-                "optimized value >= n * tail(1/n)",
-            )
+            margins.append(result.value - floor)
+            inputs.append({"n": n, "k": k, "point": result.point})
+    tracker = _Tracker("minimizer_attains_bound", TOL_OPTIMIZER)
+    tracker.record_array(
+        margins, lambda row, _: inputs[row], "optimized value >= n * tail(1/n)"
+    )
     return [tracker.report()]
 
 

@@ -11,13 +11,13 @@ from condorcet.asymptotic import (
     _tensor_quad,
     estimate_leading_constant,
     impartial_leading_term,
-    min_prob_asymptotics,
     min_prob_large_k_rate,
     min_prob_large_n_leading,
     min_prob_large_n_leading_exact,
     orthant_tail_bound,
     truncated_box_integral,
 )
+import condorcet.asymptotic as asymptotic
 from condorcet.exact import min_condorcet_probability
 from condorcet.model import CapExceededError
 
@@ -119,6 +119,47 @@ def test_reduced_and_full_integrators_agree():
     assert abs(reduced.value - full.value) <= reduced.total_error + full.total_error
 
 
+def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
+    """Reference tensor quadrature with its own symmetric-polynomial
+    recurrence, absorbing one broadcast axis at a time; the production one
+    must match it bit for bit."""
+    points = len(nodes)
+    slab = max(1, int(4_000_000 // points ** (dims - 1)))
+    total = 0.0
+    for start in range(0, points, slab):
+        x0 = nodes[start : start + slab]
+        w0 = weights[start : start + slab]
+        shape0 = (len(x0),) + (1,) * (dims - 1)
+        e = [np.ones(shape0)] + [np.zeros(shape0) for _ in range(ell)]
+        e[1] = e[1] + x0.reshape(shape0)
+        for axis in range(1, dims):
+            shape = (1,) * axis + (points,) + (1,) * (dims - 1 - axis)
+            xa = nodes.reshape(shape)
+            for j in range(min(axis + 1, ell), 0, -1):
+                e[j] = e[j] + xa * e[j - 1]
+        values = np.exp(-e[ell])
+        if reduced:
+            values = values / e[ell - 1]
+        for axis in range(1, dims):
+            shape = (1,) * axis + (points,) + (1,) * (dims - 1 - axis)
+            values = values * weights.reshape(shape)
+        total += float(values.sum(axis=tuple(range(1, dims))) @ w0)
+    return total
+
+
+@pytest.mark.parametrize(
+    "ell, dims, reduced", [(2, 2, True), (2, 3, False), (3, 4, True), (2, 4, False)]
+)
+@pytest.mark.parametrize("a, cells, degree", [(12.0, 3, 4), (40.0, 2, 6)])
+def test_tensor_quad_bit_identical_to_broadcasting_recurrence(
+    ell, dims, reduced, a, cells, degree
+):
+    nodes, weights = _axis_rule(a, cells, degree, DEFAULT_GAMMA)
+    assert _tensor_quad(ell, dims, nodes, weights, reduced) == broadcasting_tensor_quad(
+        ell, dims, nodes, weights, reduced
+    )
+
+
 def test_refinement_history_records_every_pass():
     """Each pass of the reduced k = 2 refinement is the tensor quadrature at
     its mesh, and each reported error compares it with the pass before."""
@@ -143,6 +184,44 @@ def test_leading_constant_rejects_unsupported_k():
         estimate_leading_constant(4)
     with pytest.raises(ValueError):
         estimate_leading_constant(2, target_error=0.0)
+    with pytest.raises(ValueError):
+        estimate_leading_constant(1, target_error=math.nan)
+
+
+def test_target_below_rounding_floor_fails_fast(monkeypatch):
+    """At k = 1 and 1e-14 the rounding allowance of a pass, 64 eps |value|,
+    already exceeds half the target, so no finer mesh can meet it: the
+    refinement raises at once instead of doubling the mesh up to the point
+    budget."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 2:
+            raise AssertionError("refinement kept going past an unreachable target")
+        return _tensor_quad(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotic, "_tensor_quad", counted)
+    with pytest.raises(CapExceededError) as exc:
+        estimate_leading_constant(1, target_error=1e-14)
+    assert exc.value.cap_name == "max_quadrature_points"
+    assert exc.value.needed == math.inf
+    assert exc.value.cap == MAX_QUADRATURE_POINTS
+    assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("target", [1e-7, 1e-10, 1e-14])
+def test_unresolved_mesh_is_never_accepted(target):
+    """For k = 2 below 1e-6 the box grows to 48/target, and the graded
+    meshes the budget allows put their first node far from the axes, where
+    the integrand has underflowed: every pass sees almost none of the
+    mass (0.0 at 1e-14) and two such passes agree.  No pass below the
+    unit-cube bound is accepted, so the budget runs out instead of a
+    near-zero value being reported as converged."""
+    budget = 10 ** 6
+    with pytest.raises(CapExceededError) as exc:
+        estimate_leading_constant(2, target_error=target, max_points=budget)
+    assert exc.value.needed == (128 * DEFAULT_DEGREE) ** 2 > budget
 
 
 def test_unreachable_target_raises_instead_of_lying():
@@ -186,9 +265,3 @@ def test_large_k_rate():
     assert min_prob_large_k_rate(4) == pytest.approx(math.log(16.0 / 12.0))
     with pytest.raises(ValueError):
         min_prob_large_k_rate(2)
-
-
-def test_asymptotics_bundle():
-    bundle = min_prob_asymptotics(50, 2)
-    assert bundle.large_n_leading == min_prob_large_n_leading(50, 2)
-    assert bundle.large_k_rate == min_prob_large_k_rate(50)

@@ -320,6 +320,34 @@ def test_missing_culture_file_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "obj, entry",
+    [
+        ({"n": 2, "entries": [{"ranking": [0, 1]}]}, "culture entry 0"),
+        ({"n": 2, "entries": [[[0, 1], "1"]]}, "culture entry 0"),
+        ({"n": 2, "entries": [{"ranking": 5, "p": "1"}]}, "culture entry 0"),
+        ({"n": 2, "entries": 5}, "'entries' must be a list"),
+    ],
+    ids=["missing_p", "list_entry", "ranking_not_list", "entries_not_list"],
+)
+def test_malformed_culture_file_exit_one(capsys, tmp_path, obj, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = cli.run(["exact", "--culture", str(path), "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("condorcet: error:")
+    assert entry in err
+    assert "Traceback" not in err
+
+
+def test_ck_nan_target_exit_one(capsys):
+    code = cli.run(["ck", "--k", "1", "--target-error", "nan"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("condorcet: error:")
+
+
 def test_cap_exceeded_exit_three(capsys):
     code, _ = run_capture(
         capsys,
@@ -328,6 +356,9 @@ def test_cap_exceeded_exit_three(capsys):
     )
     assert code == 3
     code, _ = run_capture(capsys, ["ck", "--k", "3", "--target-error", "1e-9"])
+    assert code == 3
+    # below 1e-6 no k = 2 mesh within the budget resolves the box
+    code, _ = run_capture(capsys, ["ck", "--k", "2", "--target-error", "1e-7"])
     assert code == 3
 
 

@@ -126,7 +126,8 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
         return drawn[-1]
 
     monkeypatch.setattr(montecarlo, "_sample_positions", record)
-    est = estimate_condorcet_probability(culture, k, profiles, seed=17, chunk=profiles)
+    assert profiles <= CHUNK_SAMPLES  # one chunk, so one generator draws every block
+    est = estimate_condorcet_probability(culture, k, profiles, seed=17)
     rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
     assert [len(b) for b in drawn] == [min(rows, profiles - lo) for lo in range(0, profiles, rows)]
     pos = np.concatenate(drawn)

@@ -159,13 +159,24 @@ def test_record_array_counts_and_keeps_first_worst():
     assert calls == [(1, 0)]
     # a later tie does not displace the earlier witness, a lower margin does
     tracker.record_array([5.0, -1.0], inputs, "third")
-    tracker.record(-1.0, "scalar", "fourth")
+    tracker.record_array([-1.0], inputs, "fourth")
     assert tracker.worst["inequality"] == "first"
     tracker.record_array([-0.25, -2.0], inputs, "third")
     assert tracker.worst == {
         "input": {"row": 1, "column": 0}, "inequality": "third", "margin": -2.0
     }
     assert (tracker.trials, tracker.violations) == (11, 6)
+
+
+def scalar_record(tracker, margin, witness_input, inequality):
+    """Reference recorder, one margin at a time, that record_array must
+    match."""
+    tracker.trials += 1
+    margin = float(margin)
+    if margin < -tracker.tolerance:
+        tracker.violations += 1
+    if tracker.worst is None or margin < tracker.worst["margin"]:
+        tracker.worst = {"input": witness_input, "inequality": inequality, "margin": margin}
 
 
 def test_record_array_matches_record_loop():
@@ -178,7 +189,7 @@ def test_record_array_matches_record_loop():
     for row in range(50):
         for column in range(3):
             if margins[row, column] != np.inf:
-                loop.record(margins[row, column], (row, column), names[column])
+                scalar_record(loop, margins[row, column], (row, column), names[column])
     assert batch.report() == loop.report()
 
 

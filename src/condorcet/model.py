@@ -228,7 +228,10 @@ def culture_to_json_obj(culture: Culture) -> dict:
 def culture_from_json_obj(obj: dict) -> Culture:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("culture object must have an 'n' field")
-    n = int(obj["n"])
+    try:
+        n = int(obj["n"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"culture 'n' must be an integer, got {obj['n']!r}") from exc
     kind = obj.get("kind", "explicit")
     if kind == "impartial":
         return Culture(n, "impartial")
@@ -237,13 +240,15 @@ def culture_from_json_obj(obj: dict) -> Culture:
         raise ValueError("explicit culture object must have non-empty 'entries'")
     if not isinstance(raw, list):
         raise ValueError(f"culture 'entries' must be a list, got {raw!r}")
+    entries = []
     for i, e in enumerate(raw):
         if not (isinstance(e, dict) and isinstance(e.get("ranking"), list) and "p" in e):
             raise ValueError(f"culture entry {i} needs a 'ranking' list and a 'p': {e!r}")
-    entries = tuple(
-        (ranking_from_order(e["ranking"]), parse_probability(e["p"])) for e in raw
-    )
-    return Culture(n, kind, entries)
+        try:
+            entries.append((ranking_from_order(e["ranking"]), parse_probability(e["p"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"culture entry {i} is invalid ({exc}): {e!r}") from exc
+    return Culture(n, kind, tuple(entries))
 
 
 def save_culture(culture: Culture, path: str) -> None:

@@ -1,4 +1,8 @@
+import itertools
 import math
+import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from condorcet.asymptotic import (
     DEFAULT_DEGREE,
     DEFAULT_GAMMA,
     MAX_QUADRATURE_POINTS,
+    ROUNDING_ULPS,
     _axis_rule,
+    _orbits,
     _tensor_quad,
     estimate_leading_constant,
     impartial_leading_term,
@@ -120,9 +126,9 @@ def test_reduced_and_full_integrators_agree():
 
 
 def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
-    """Reference tensor quadrature with its own symmetric-polynomial
-    recurrence, absorbing one broadcast axis at a time; the production one
-    must match it bit for bit."""
+    """Naive reference tensor quadrature: every point of the full grid, with
+    its own symmetric-polynomial recurrence absorbing one broadcast axis at
+    a time."""
     points = len(nodes)
     slab = max(1, int(4_000_000 // points ** (dims - 1)))
     total = 0.0
@@ -151,13 +157,43 @@ def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
     "ell, dims, reduced", [(2, 2, True), (2, 3, False), (3, 4, True), (2, 4, False)]
 )
 @pytest.mark.parametrize("a, cells, degree", [(12.0, 3, 4), (40.0, 2, 6)])
-def test_tensor_quad_bit_identical_to_broadcasting_recurrence(
-    ell, dims, reduced, a, cells, degree
-):
+def test_tensor_quad_matches_full_grid(ell, dims, reduced, a, cells, degree):
+    """The orbit sum adds the same positive terms as the full grid in
+    another order, so the two agree up to rounding: within a quarter of the
+    rounding allowance the refinement reports."""
     nodes, weights = _axis_rule(a, cells, degree, DEFAULT_GAMMA)
-    assert _tensor_quad(ell, dims, nodes, weights, reduced) == broadcasting_tensor_quad(
-        ell, dims, nodes, weights, reduced
-    )
+    got = _tensor_quad(ell, dims, nodes, weights, reduced)
+    naive = broadcasting_tensor_quad(ell, dims, nodes, weights, reduced)
+    assert abs(got - naive) <= ROUNDING_ULPS / 4 * sys.float_info.epsilon * naive
+
+
+@pytest.mark.parametrize("points", [1, 2, 5, 7])
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_orbits_are_the_sorted_grid_tuples(points, dims):
+    tuples, mult = _orbits(points, dims)
+    grid = Counter(tuple(sorted(t)) for t in itertools.product(range(points), repeat=dims))
+    assert [tuple(t) for t in tuples.tolist()] == sorted(grid)
+    assert mult.tolist() == [grid[t] for t in sorted(grid)]
+    assert int(mult.sum()) == points ** dims
+
+
+@pytest.mark.parametrize(
+    "ell, dims, a, cells, reduced",
+    [(2, 3, 4800.0, 32, False), (2, 2, 480000.0, 256, True)],
+    ids=["k2_full", "k2_reduced"],
+)
+def test_tensor_quad_temporaries_stay_small(ell, dims, a, cells, reduced):
+    """One k = 2 pass (full at target 0.01, reduced at 1e-4) works block by
+    block on the orbits, so its traced peak stays under 16 MB; the full-grid
+    slabs of the broadcasting sum took 153 MB and 122 MB."""
+    nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
+    tracemalloc.start()
+    try:
+        _tensor_quad(ell, dims, nodes, weights, reduced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_refinement_history_records_every_pass():
@@ -172,6 +208,7 @@ def test_refinement_history_records_every_pass():
     for i, step in enumerate(passes):
         assert step.cells == 16 * 2 ** i
         assert step.points == (step.cells * DEFAULT_DEGREE) ** 2
+        assert step.orbits == math.comb(step.cells * DEFAULT_DEGREE + 1, 2)
         nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
         assert step.value == _tensor_quad(2, 2, nodes, weights, reduced=True)
         if i > 0:

@@ -161,6 +161,7 @@ def test_ck_refinement_history_in_every_format(capsys):
     assert len(history) >= 2
     assert [step["cells"] for step in history] == [16 * 2 ** i for i in range(len(history))]
     assert all(step["points"] == (step["cells"] * 8) ** 2 for step in history)
+    assert all(step["orbits"] == math.comb(step["cells"] * 8 + 1, 2) for step in history)
     assert history[0]["error"] is None
     assert history[-1]["value"] == results["value"]
     assert history[-1]["error"] == results["quadrature_error"]
@@ -327,8 +328,14 @@ def test_missing_culture_file_exit_one(capsys):
         ({"n": 2, "entries": [[[0, 1], "1"]]}, "culture entry 0"),
         ({"n": 2, "entries": [{"ranking": 5, "p": "1"}]}, "culture entry 0"),
         ({"n": 2, "entries": 5}, "'entries' must be a list"),
+        ({"n": 2, "entries": [{"ranking": [0, 1], "p": None}]}, "culture entry 0"),
+        ({"n": 2, "entries": [{"ranking": ["a", "b"], "p": "1"}]}, "culture entry 0"),
+        ({"n": "x", "entries": [{"ranking": [0, 1], "p": "1"}]}, "culture 'n'"),
     ],
-    ids=["missing_p", "list_entry", "ranking_not_list", "entries_not_list"],
+    ids=[
+        "missing_p", "list_entry", "ranking_not_list", "entries_not_list",
+        "null_p", "ranking_not_indices", "n_not_integer",
+    ],
 )
 def test_malformed_culture_file_exit_one(capsys, tmp_path, obj, entry):
     path = tmp_path / "bad.json"

@@ -131,6 +131,7 @@ def _cmd_exact(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         "n": culture.n,
         "k": k,
         "multisets": multiset_count(culture.support_size, k),
+        "winner_checks": result.winner_checks,
     }, None
 
 

@@ -4,13 +4,17 @@ bound.  Everything here is exact rational arithmetic.
 
 Enumeration runs on integers only.  Each support ranking's pairwise
 preferences are packed into one Python int, one small field per ordered
-pair of alternatives, so a voter multiset's pairwise tally is one int sum
-and its Condorcet winner one mask test per alternative.  The multisets are
-walked as multiplicity vectors, the multinomial weight built up as a product
-of binomials, so each costs one winner check whatever the support size and
-voter count.  Weights are integer numerators over the lcm D of the weight
-denominators; the winner mass per alternative accumulates as an integer
-over D^(2k-1) and becomes a ``Fraction`` once, at the end.
+pair of alternatives, so a voter multiset's pairwise tally is one int sum,
+and whether an alternative wins it, or has already lost it to some rival,
+one mask test.  Each alternative's winner mass comes from its own walk over
+multiplicity vectors, the multinomial weight built up as a product of
+binomials; the walk cuts every branch in which the alternative has already
+lost, so it judges, once each, only the multisets the alternative has not
+lost before their last voter, whatever the support size and voter count.  Impartial and cyclic cultures are symmetric,
+so one walk serves every alternative.  Weights are integer numerators over
+the lcm D of the weight denominators; the winner mass per alternative
+accumulates as an integer over D^(2k-1) and becomes a ``Fraction`` once, at
+the end.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .model import (
 )
 from .special import _tail_numerator, majority_tail_exact
 
+# Caps the multiset count, checked before any walk; each walk judges at most
+# that many multisets, and pruning usually far fewer.
 MAX_WINNER_CHECKS = 10 ** 8
 
 
@@ -37,12 +43,15 @@ class ExactProbability:
 
     Only support enumeration builds one, so ``method`` is "enumeration".
     ``per_alternative`` decomposes the total by winning alternative; the
-    winner is unique, so it sums to ``value``.
+    winner is unique, so it sums to ``value``.  ``winner_checks`` counts the
+    multisets the enumeration judged, summed over its walks; it is at most
+    the multiset count times the number of alternatives walked.
     """
 
     value: Fraction
     method: str
     per_alternative: Optional[Tuple[Fraction, ...]] = None
+    winner_checks: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
@@ -53,14 +62,14 @@ class ExactProbability:
 
 def multiset_count(support: int, k: int) -> int:
     """Number of multisets of 2k-1 voters over a support of ``support``
-    rankings: the winner checks one enumeration makes."""
+    rankings: the most winner checks one walk can make."""
     voters = 2 * k - 1
     return math.comb(support + voters - 1, voters)
 
 
-def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
+def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], List[int], int]:
     """Packed pairwise preferences of the support rankings, the winner row
-    masks and the tally bias.
+    masks, the defeat masks and the tally bias.
 
     Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits at
     bit ``w * (a * n + b)``; a ranking's packed int holds 1 there when it
@@ -70,7 +79,9 @@ def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
     carry crosses into the next field, and the field's top bit is set
     exactly when at least k voters put a above b.  ``rows[a]`` masks the top
     bits of the fields (a, b) for b != a, so a is the Condorcet winner iff
-    ``tally & rows[a] == rows[a]``.
+    ``tally & rows[a] == rows[a]``.  ``against[a]`` masks the top bits of
+    the fields (b, a), so ``tally & against[a]`` is nonzero once some b has
+    k votes over a, on a partial tally as well as a full one.
     """
     n = culture.n
     width = k.bit_length() + 1
@@ -83,66 +94,78 @@ def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
             sum(bit[a][b] for i, a in enumerate(order) for b in order[i + 1:])
         )
     rows = [sum(top * bit[a][b] for b in range(n) if b != a) for a in range(n)]
+    against = [sum(top * bit[b][a] for b in range(n) if b != a) for a in range(n)]
     bias = (top - k) * sum(bit[a][b] for a in range(n) for b in range(n) if b != a)
-    return packed, rows, bias
+    return packed, rows, against, bias
 
 
-def _multiset_winner(tally: int, rows: Sequence[int]) -> Optional[int]:
-    """Condorcet winner of a voter multiset from its packed pairwise tally
-    (see :func:`_pack`), or None when there is none."""
-    for a, row in enumerate(rows):
-        if tally & row == row:
-            return a
-    return None
+def _multiset_winner(tally: int, row: int) -> bool:
+    """Whether the alternative with winner row mask ``row`` is the Condorcet
+    winner of a voter multiset, from its packed pairwise tally (see
+    :func:`_pack`)."""
+    return tally & row == row
 
 
 def _enumerate_range(
     packed: Sequence[int],
-    rows: Sequence[int],
+    row: int,
+    against: int,
     bias: int,
     nums: Sequence[int],
     voters: int,
-) -> List[int]:
-    """Winner mass per alternative over every multiset of ``voters`` support
-    indices, as integer numerators over D^voters.
+) -> Tuple[int, int]:
+    """Winner mass of one alternative over the multisets of ``voters``
+    support indices, as an integer numerator over D^voters, and the number
+    of winner checks made.
 
     A multiset with multiplicities c_i adds ``voters! / prod(c_i!) *
-    prod(nums[i]^c_i)`` to its winner.  ``walk(start, left, tally, coeff)``
-    places the ``left`` remaining voters on indices >= start: index i takes
-    a run of r = 1..left voters, each step adding ``packed[i]`` to the tally
-    and multiplying ``coeff`` by ``(left - r + 1) / r * nums[i]``, and the
-    walk recurses on (i + 1, left - r).  The multinomial is the product of
-    the binomials C(left, c_i), so every division is exact.  Three cases
-    end the walk: the last index takes every remaining voter, a run that
-    takes every remaining voter is a leaf, and a single remaining voter is a
-    tight loop over the rest of the support.  Each multiset costs one winner
-    check, and the recursion is at most min(support, voters) + 1 deep.
+    prod(nums[i]^c_i)`` when the alternative with masks ``row`` and
+    ``against`` (see :func:`_pack`) wins it.  ``walk(start, left, tally,
+    coeff)`` places the ``left`` remaining voters on indices >= start: index
+    i takes a run of r = 1..left voters, each step adding ``packed[i]`` to
+    the tally and multiplying ``coeff`` by ``(left - r + 1) / r * nums[i]``,
+    and the walk recurses on (i + 1, left - r).  The multinomial is the
+    product of the binomials C(left, c_i), so every division is exact.
+
+    A partial tally with ``tally & against`` nonzero gives some b k votes
+    over the alternative; votes only grow along a branch, so the run stops
+    there and no multiset below it is visited.  Callers order the support
+    by the alternative's position, worst first, so the cut comes after few
+    voters.  Three cases end the walk, each with one winner check per
+    multiset: the last index takes every remaining voter, a run that takes
+    every remaining voter is a leaf, and a single remaining voter is a tight
+    loop over the rest of the support.  The recursion is at most
+    min(support, voters) + 1 deep.
     """
     last = len(packed) - 1
-    per_alt = [0] * len(rows)
+    mass = checks = 0
 
     def walk(start: int, left: int, tally: int, coeff: int) -> None:
+        nonlocal mass, checks
         if left == 1:
+            checks += last + 1 - start
             for q in range(start, last + 1):
-                winner = _multiset_winner(tally + packed[q], rows)
-                if winner is not None:
-                    per_alt[winner] += coeff * nums[q]
+                if _multiset_winner(tally + packed[q], row):
+                    mass += coeff * nums[q]
             return
         for i in range(start, last):
             v, w, t, c = packed[i], nums[i], tally, coeff
             for r in range(1, left):
                 t += v
+                if t & against:
+                    break
                 c = c * (left - r + 1) // r * w
                 walk(i + 1, left - r, t, c)
-            winner = _multiset_winner(t + v, rows)
-            if winner is not None:
-                per_alt[winner] += c // left * w
-        winner = _multiset_winner(tally + left * packed[last], rows)
-        if winner is not None:
-            per_alt[winner] += coeff * nums[last] ** left
+            else:
+                checks += 1
+                if _multiset_winner(t + v, row):
+                    mass += c // left * w
+        checks += 1
+        if _multiset_winner(tally + left * packed[last], row):
+            mass += coeff * nums[last] ** left
 
     walk(0, voters, bias, 1)
-    return per_alt
+    return mass, checks
 
 
 def condorcet_probability(
@@ -155,18 +178,25 @@ def condorcet_probability(
 
     Enumerates unordered voter multisets over the explicit support with
     multinomial weights, which cuts the work by up to (2k-1)! against
-    ordered tuples while keeping the arithmetic exact.  The walk over
-    multiplicity vectors (:func:`_enumerate_range`), at most
-    min(support, 2k-1) + 1 deep, makes one winner check per multiset and
-    builds its multinomial as a product of binomials.  Each multiset's
-    pairwise tally is a sum of packed ints, one per voter, and its winner a
-    mask test per alternative (:func:`_pack`).  Weights enter as integer
+    ordered tuples while keeping the arithmetic exact.  Each alternative's
+    winner mass comes from its own walk over multiplicity vectors
+    (:func:`_enumerate_range`), at most min(support, 2k-1) + 1 deep, which
+    orders the support by that alternative's position, worst first, and
+    cuts every branch the alternative has already lost.  Each multiset the
+    walk reaches costs one winner check; ``winner_checks`` counts them over
+    all walks.  Impartial and cyclic cultures are invariant under a
+    relabelling that sends 0 to any alternative (any permutation, or the
+    cyclic shift), so only alternative 0 is walked and its mass is every
+    alternative's; explicit cultures walk every alternative.  Each
+    multiset's pairwise tally is a sum of packed ints, one per voter, and a
+    win or a defeat one mask test (:func:`_pack`).  Weights enter as integer
     numerators over D, the lcm of their denominators, so the winner mass
     accumulates as integers over D^(2k-1) and is divided once at the end.
 
     Raises :class:`SupportTooLargeError` when the explicit support would
     exceed ``max_support`` and :class:`CapExceededError` when the multiset
-    count exceeds ``max_winner_checks``.
+    count exceeds ``max_winner_checks``; no walk checks more multisets than
+    that count.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -181,11 +211,25 @@ def condorcet_probability(
     voters = 2 * k - 1
     scale = math.lcm(*(w.denominator for _, w in explicit.entries))
     nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
-    packed, rows, bias = _pack(explicit, k)
-    mass = _enumerate_range(packed, rows, bias, nums, voters)
+    packed, rows, against, bias = _pack(explicit, k)
+    rankings = [ranking for ranking, _ in explicit.entries]
+    symmetric = culture.kind in ("impartial", "cyclic")
+    mass, checks = [], 0
+    for a in range(1 if symmetric else culture.n):
+        order = sorted(range(support), key=lambda i: -rankings[i].positions[a])
+        won, made = _enumerate_range(
+            [packed[i] for i in order], rows[a], against[a], bias,
+            [nums[i] for i in order], voters,
+        )
+        mass.append(won)
+        checks += made
+    if symmetric:
+        mass *= culture.n
     total_den = scale ** voters
     per_alt = tuple(Fraction(m, total_den) for m in mass)
-    return ExactProbability(Fraction(sum(mass), total_den), "enumeration", per_alt)
+    return ExactProbability(
+        Fraction(sum(mass), total_den), "enumeration", per_alt, checks
+    )
 
 
 def min_condorcet_probability(n: int, k: int) -> Fraction:

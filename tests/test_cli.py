@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 import condorcet.cli as cli
+from condorcet.cultures import cyclic_culture, impartial_culture
+from condorcet.exact import condorcet_probability
 from condorcet.model import culture_from_entries, save_culture
 from condorcet.verify import CheckReport
 
@@ -378,3 +380,19 @@ def test_out_writes_same_text(capsys, tmp_path):
     )
     assert path.read_text() == out
     assert json.loads(out)["results"]["value"] == str(Fraction(13, 25))
+
+
+@pytest.mark.parametrize(
+    "culture, n, k, multisets", [("impartial", 3, 2, 56), ("cyclic", 12, 4, 31824)]
+)
+def test_exact_reports_winner_checks(capsys, culture, n, k, multisets):
+    """Every format carries the multiset count and the winner checks the
+    pruned walk made, which the library reports too."""
+    argv = ["exact", "--culture", culture, "--n", str(n), "--k", str(k)]
+    results, csv_fields, human = three_formats(capsys, argv)
+    build = impartial_culture if culture == "impartial" else cyclic_culture
+    checks = condorcet_probability(build(n), k).winner_checks
+    assert results["multisets"] == int(csv_fields["multisets"]) == int(human["multisets"]) == multisets
+    assert results["winner_checks"] == int(csv_fields["winner_checks"]) == checks
+    assert int(human["winner_checks"]) == checks
+    assert 0 < checks < multisets

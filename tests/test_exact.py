@@ -106,13 +106,13 @@ def test_enumeration_matches_ordered_tuple_oracle(culture, k):
     assert result.value == sum(expected)
 
 
-def test_one_winner_check_per_multiset(monkeypatch):
+def test_winner_checks_count_the_checks_made(monkeypatch):
     calls = []
     check = exact._multiset_winner
 
-    def counted(tally, rows):
+    def counted(tally, row):
         calls.append(tally)
-        return check(tally, rows)
+        return check(tally, row)
 
     monkeypatch.setattr(exact, "_multiset_winner", counted)
     cases = (
@@ -120,11 +120,61 @@ def test_one_winner_check_per_multiset(monkeypatch):
         (cyclic_culture(5), 3),
         (impartial_culture(2), 1),
         (impartial_culture(2), 1000),
+        (cyclic_culture(12), 4),
+        (cyclic_culture(5).expand(), 3),
     )
+    checks = {}
     for culture, k in cases:
-        condorcet_probability(culture, k)
-        assert len(calls) == multiset_count(culture.support_size, k)
+        result = condorcet_probability(culture, k)
+        walked = 1 if culture.kind in ("impartial", "cyclic") else culture.n
+        assert len(calls) == result.winner_checks, (culture.kind, culture.n, k)
+        assert result.winner_checks <= walked * multiset_count(culture.support_size, k)
+        checks[culture.kind, culture.n, k] = result.winner_checks
         calls.clear()
+    # the cut, not the result, is what keeps the cyclic minimiser cheap
+    assert multiset_count(12, 4) == 31824
+    assert checks["cyclic", 12, 4] < 31824 // 10
+
+
+@pytest.mark.parametrize(
+    "culture, k",
+    [
+        (cyclic_culture(5), 2),
+        (cyclic_culture(6), 3),
+        (cyclic_culture(7), 2),
+        (impartial_culture(3), 3),
+        (impartial_culture(4), 2),
+    ],
+    ids=["cyclic_5_2", "cyclic_6_3", "cyclic_7_2", "impartial_3_3", "impartial_4_2"],
+)
+def test_symmetric_shortcut_matches_every_walk(culture, k):
+    # the explicit expansion assumes no symmetry and walks every alternative
+    symbolic = condorcet_probability(culture, k)
+    walked = condorcet_probability(culture.expand(), k)
+    assert walked.per_alternative == symbolic.per_alternative
+    assert walked.value == symbolic.value
+
+
+@pytest.mark.parametrize(
+    "culture, k",
+    [
+        (impartial_culture(3), 2),
+        (impartial_culture(3), 3),
+        (cyclic_culture(4), 2),
+        (cyclic_culture(5), 3),
+    ],
+    ids=["impartial_3_2", "impartial_3_3", "cyclic_4_2", "cyclic_5_3"],
+)
+def test_symmetric_cultures_match_ordered_tuple_oracle(culture, k):
+    expected = _ordered_tuple_oracle(culture.expand(), k)
+    assert list(condorcet_probability(culture, k).per_alternative) == expected
+
+
+def test_impartial_three_voter_paradox_at_six_alternatives():
+    # the classical three-voter value: no winner with probability 0.2022
+    result = condorcet_probability(impartial_culture(6), 2)
+    assert result.value == Fraction(359, 450)
+    assert result.per_alternative == (Fraction(359, 2700),) * 6
 
 
 def test_winner_check_cap():
@@ -163,6 +213,7 @@ def test_min_probability_closed_form_values():
 
 def test_cyclic_culture_attains_the_minimum():
     cases = [(n, k) for n in (3, 4, 5) for k in (1, 2)] + [(3, 10), (3, 25), (3, 40)]
+    cases += [(12, 4), (10, 5), (16, 5), (8, 8)]
     for n, k in cases:
         enumerated = condorcet_probability(cyclic_culture(n), k).value
         assert enumerated == min_condorcet_probability(n, k), (n, k)

@@ -44,7 +44,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +55,8 @@ from .special import _symmetric_polynomials
 SUPPORTED_K = (1, 2, 3)
 
 DEFAULT_DEGREE = 8
-DEFAULT_GAMMA = 4.0
+# Power of the mesh grading: cell edges at a * (i / cells)^MESH_GRADING.
+MESH_GRADING = 4.0
 MAX_QUADRATURE_POINTS = 2 * 10 ** 8
 
 # Rounding allowance of a quadrature value, in units of eps relative to it.
@@ -129,10 +129,9 @@ def orthant_tail_bound(ell: int, m: int, a: float) -> float:
     return math.nextafter(m * (m - 1) * math.factorial(m - 1) ** 2 * power, math.inf)
 
 
-@lru_cache(maxsize=None)
-def _axis_rule(a: float, cells: int, degree: int, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+def _axis_rule(a: float, cells: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, a] over a power-law graded mesh."""
-    edges = a * (np.arange(cells + 1) / cells) ** gamma
+    edges = a * (np.arange(cells + 1) / cells) ** MESH_GRADING
     ref_x, ref_w = leggauss(degree)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -238,13 +237,12 @@ def truncated_box_integral(
     a: float,
     cells: int = 32,
     degree: int = DEFAULT_DEGREE,
-    gamma: float = DEFAULT_GAMMA,
     max_points: int = MAX_QUADRATURE_POINTS,
 ) -> float:
     """Quadrature value of the integral of exp(-sigma_ell) over [0, a]^m."""
     if not 1 <= ell <= m:
         raise ValueError("order out of range for the dimension")
-    nodes, weights = _axis_rule(float(a), cells, degree, gamma)
+    nodes, weights = _axis_rule(float(a), cells, degree)
     if len(nodes) ** m > max_points:
         raise CapExceededError("max_quadrature_points", len(nodes) ** m, max_points)
     return _tensor_quad(ell, m, nodes, weights, reduced=False)
@@ -289,7 +287,7 @@ def _refine(
         points = per_axis ** dims
         if points > max_points:
             raise CapExceededError("max_quadrature_points", points, max_points)
-        nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
+        nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
         value = _tensor_quad(ell, dims, nodes, weights, reduced)
         allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
         if allowance > target:
@@ -322,19 +320,16 @@ def estimate_leading_constant(
     if not target_error > 0:
         raise ValueError("target_error must be positive")
     m = 2 * k - 1
-
     if k == 1:
-        # One dimension: the tail beyond a is exactly exp(-a), rounded up.
+        # One dimension, nothing to reduce: the tail beyond a is exactly
+        # exp(-a), rounded up.
         a = max(1.0, -math.log(min(0.5, target_error / 2.0)))
-        passes = _refine(1, 1, a, target_error / 2.0, max_points, False)
         tail = math.nextafter(math.exp(-a), math.inf)
-        return ConstantEstimate(1, passes[-1].value, passes[-1].error, tail, a, passes)
-
-    # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1 here.
-    coeff = m * (m - 1) * math.factorial(m - 1) ** 2
-    exponent = (m - k) / (k - 1)
-    a = (2.0 * coeff / target_error) ** (1.0 / exponent)
-    tail = orthant_tail_bound(k, m, a)
+        reduced = False
+    else:
+        # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1.
+        a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
+        tail = orthant_tail_bound(k, m, a)
     dims = m - 1 if reduced else m
     passes = _refine(k, dims, a, target_error / 2.0, max_points, reduced)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)

@@ -30,7 +30,7 @@ from .asymptotic import (
     min_prob_large_k_rate,
     min_prob_large_n_leading_exact,
 )
-from .cultures import cyclic_culture, impartial_culture
+from .cultures import NAMED_CULTURES
 from .exact import (
     MAX_WINNER_CHECKS,
     condorcet_probability,
@@ -92,12 +92,12 @@ def _add_culture_args(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_culture(args: argparse.Namespace) -> Culture:
     name = args.culture
-    if name == "impartial" or name == "cyclic":
+    if name in NAMED_CULTURES:
         if args.n is None:
             raise ValueError(f"--n is required with --culture {name}")
         if args.n < 1:
             raise ValueError("n must be at least 1")
-        return impartial_culture(args.n) if name == "impartial" else cyclic_culture(args.n)
+        return NAMED_CULTURES[name](args.n)
     culture = load_culture(name)
     if args.n is not None and args.n != culture.n:
         raise ValueError(f"--n {args.n} does not match culture file n={culture.n}")
@@ -310,7 +310,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subparsers.add_parser("sweep", help="estimates across n for a culture family")
-    sub.add_argument("--family", choices=("impartial", "cyclic"), required=True)
+    sub.add_argument("--family", choices=tuple(NAMED_CULTURES), required=True)
     _add_voter_args(sub)
     sub.add_argument("--n-values", required=True, help="comma-separated list, e.g. 200,800")
     sub.add_argument("--samples", type=int, required=True)
@@ -442,9 +442,5 @@ def run(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

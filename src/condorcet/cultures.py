@@ -57,3 +57,8 @@ def cyclic_culture(n: int) -> Culture:
     share = Fraction(1, n)
     entries = tuple((rotation_ranking(n, s), share) for s in range(n))
     return Culture(n, "cyclic", entries)
+
+
+# The cultures named on the command line, by name: each builds the culture
+# on n alternatives.
+NAMED_CULTURES = {"impartial": impartial_culture, "cyclic": cyclic_culture}

@@ -289,10 +289,6 @@ class Profile:
     def n(self) -> int:
         return self.voters[0].n
 
-    @property
-    def voter_count(self) -> int:
-        return len(self.voters)
-
     @cached_property
     def positions(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-voter position arrays, computed once per profile."""

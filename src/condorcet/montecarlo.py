@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Culture
-from .cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
+from .cultures import NAMED_CULTURES, STREAM_VERSION, mix64
 
 CHUNK_SAMPLES = 1 << 14
 # Keys per sampled block, 2 MiB of uint64 impartial keys: small enough for
@@ -275,9 +275,6 @@ def _wilson_interval(p_hat: float, samples: int) -> Tuple[float, float]:
     return low, high
 
 
-_FAMILIES = {"impartial": impartial_culture, "cyclic": cyclic_culture}
-
-
 def sweep(
     family: str,
     k: int,
@@ -291,11 +288,11 @@ def sweep(
     Each cell runs with its own seed mix64(master, n, k), recorded in the
     cell's Estimate, so any cell can be reproduced in isolation.
     """
-    if family not in _FAMILIES:
+    if family not in NAMED_CULTURES:
         raise ValueError(f"unknown culture family {family!r}")
     if seed is None:
         seed = secrets.randbits(63)
-    build = _FAMILIES[family]
+    build = NAMED_CULTURES[family]
     results = []
     for n in n_values:
         cell_seed = mix64(seed, n, k)

@@ -145,11 +145,9 @@ def majority_tail_exact(k: int, x: Number) -> Fraction:
 
 
 def _derivative_coefficient(k: int) -> float:
-    """(2k-1)! / ((k-1)!)^2 for k >= 2, in log space above k = 20 to avoid
-    factorial overflow."""
-    if k <= 20:
-        return float(math.factorial(2 * k - 1) // (math.factorial(k - 1) ** 2))
-    return math.exp(math.lgamma(2 * k) - 2.0 * math.lgamma(k))
+    """(2k-1)! / ((k-1)!)^2 = k * C(2k-1, k), an integer rounded once to a
+    float; from k = 511 on it overflows a float and raises OverflowError."""
+    return float(k * math.comb(2 * k - 1, k))
 
 
 def majority_tail_derivative(k: int, x):
@@ -161,6 +159,4 @@ def majority_tail_derivative(k: int, x):
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_unit_interval(x)
-    if k == 1:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     return _derivative_coefficient(k) * (x * (1.0 - x)) ** (k - 1)

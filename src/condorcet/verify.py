@@ -43,6 +43,16 @@ _TAG_SANDWICH = 101
 _TAG_CONVEXITY = 102
 _TAG_MINIMIZER = 103
 
+# Fixed grids of the checks.  The majority-tail checks run k = 1..6; the
+# sandwich's near-equality claim is tried at these n.
+_TAIL_K_MAX = 6
+_SANDWICH_N = (3, 10, 100, 1000)
+_SYMMETRY_POINTS = 201
+_DERIVATIVE_STEP = 1e-6
+_CONVEXITY_POINTS = 401
+_CONVEXITY_PAIRS = 2000
+_MINIMIZER_STEPS = 2000
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -147,12 +157,7 @@ def _sandwich_corner_cases(k: int) -> List[Tuple[float, ...]]:
     return cases
 
 
-def check_tail_sandwich(
-    k: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    n_values: Sequence[int] = (3, 10, 100, 1000),
-) -> CheckReport:
+def check_tail_sandwich(k: int, trials: int = 10_000, seed: int = 0) -> CheckReport:
     """Sandwich of the Poisson binomial tail by the k-th symmetric polynomial.
 
     For xs in [0,1]^(2k-1) with tail T and polynomial value s:
@@ -160,8 +165,8 @@ def check_tail_sandwich(
         2^(1-2k) * s <= T <= s
         T >= s - 2^(4k-2) * s^((k+1)/k)
 
-    and, for k >= 2 and each n with 2 ln(n)/(n-1) <= 1/3, whenever
-    T <= 2 ln(n)/(n-1) additionally
+    and, for k >= 2 and each n in ``_SANDWICH_N`` with 2 ln(n)/(n-1) <= 1/3,
+    whenever T <= 2 ln(n)/(n-1) additionally
 
         T >= (1 - 2^(4k) * (ln(n)/(n-1))^(1/k)) * s.
 
@@ -174,7 +179,7 @@ def check_tail_sandwich(
     tracker = _Tracker(f"tail_sandwich_k{k}", TOL_ALGEBRA)
     lower_factor = 2.0 ** (1 - 2 * k)
     refine_coeff = 2.0 ** (4 * k - 2)
-    active_n = [n for n in n_values if 2.0 * math.log(n) / (n - 1) <= 1.0 / 3.0]
+    active_n = [n for n in _SANDWICH_N if 2.0 * math.log(n) / (n - 1) <= 1.0 / 3.0]
 
     vectors = np.vstack([rng.random((trials, m)), _sandwich_corner_cases(k)])
     tail = poisson_binomial_tail(vectors, k)
@@ -204,13 +209,14 @@ def check_tail_sandwich(
     return tracker.report(trials=len(vectors))
 
 
-def check_tail_symmetry(k_max: int = 6, points: int = 201) -> CheckReport:
+def check_tail_symmetry() -> CheckReport:
     """majority_tail(x) + majority_tail(1-x) = 1: exact for rational x,
-    within 1e-12 in floating point."""
+    within 1e-12 in floating point, on a grid of ``_SYMMETRY_POINTS``."""
     tracker = _Tracker("tail_symmetry", TOL_ALGEBRA)
+    points = _SYMMETRY_POINTS
     exact_grid = [Fraction(i, points - 1) for i in range(points)]
     grid = np.arange(points) / (points - 1)
-    for k in range(1, k_max + 1):
+    for k in range(1, _TAIL_K_MAX + 1):
         exact_drift = [
             abs(float(majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x) - 1))
             for x in exact_grid
@@ -239,13 +245,15 @@ def _central_difference(k: int, x: np.ndarray, h: float) -> np.ndarray:
     return (majority_tail(k, x + h) - majority_tail(k, x - h)) / (2.0 * h)
 
 
-def check_tail_derivative(k_max: int = 6, h: float = 1e-6) -> CheckReport:
-    """Closed-form derivative against central finite differences, relative."""
+def check_tail_derivative() -> CheckReport:
+    """Closed-form derivative against central finite differences of step
+    ``_DERIVATIVE_STEP``, relative."""
     tracker = _Tracker("tail_derivative", TOL_DERIVATIVE)
     grid = np.arange(0.01, 0.99 + 1e-12, 0.005)
-    for k in range(1, k_max + 1):
+    for k in range(1, _TAIL_K_MAX + 1):
         closed = majority_tail_derivative(k, grid)
-        rel = np.abs(_central_difference(k, grid, h) - closed) / np.abs(closed)
+        difference = _central_difference(k, grid, _DERIVATIVE_STEP)
+        rel = np.abs(difference - closed) / np.abs(closed)
         tracker.record_array(
             -rel,
             lambda row, _, k=k: {"k": k, "x": float(grid[row])},
@@ -254,15 +262,15 @@ def check_tail_derivative(k_max: int = 6, h: float = 1e-6) -> CheckReport:
     return tracker.report()
 
 
-def check_tail_convexity(
-    k_max: int = 6, points: int = 401, pairs: int = 2000, seed: int = 0
-) -> CheckReport:
+def check_tail_convexity(seed: int = 0) -> CheckReport:
     """Convexity of the majority tail on [0, 1/2]: non-decreasing derivative
-    along the grid and midpoint convexity for sampled grid pairs."""
+    along a grid of ``_CONVEXITY_POINTS`` and midpoint convexity for
+    ``_CONVEXITY_PAIRS`` sampled grid pairs per k."""
     tracker = _Tracker("tail_convexity", TOL_ALGEBRA)
     rng = np.random.default_rng(mix64(seed, _TAG_CONVEXITY, STREAM_VERSION))
+    points, pairs = _CONVEXITY_POINTS, _CONVEXITY_PAIRS
     grid = np.linspace(0.0, 0.5, points)
-    for k in range(1, k_max + 1):
+    for k in range(1, _TAIL_K_MAX + 1):
         derivs = majority_tail_derivative(k, grid)
         tracker.record_array(
             derivs[1:] - derivs[:-1],
@@ -364,25 +372,17 @@ class MinimizeResult:
     converged: bool
 
 
-def minimize_marginal_bound(
-    n: int,
-    k: int,
-    starts: int = 100,
-    seed: int = 0,
-    tol: float = TOL_OPTIMIZER,
-    max_iter: int = 2000,
-) -> MinimizeResult:
+def minimize_marginal_bound(n: int, k: int, starts: int = 100, seed: int = 0) -> MinimizeResult:
     """Minimize sum_j majority_tail(k, x_j) over the probability simplex.
 
     Multi-start projected gradient descent with the closed-form gradient,
-    vectorized across starts.  The true minimum is n * majority_tail(k, 1/n),
-    attained at the uniform point, so the returned value never sits below
-    that by more than ``tol``.
+    vectorized across starts.  It stops once no point moves more than 1e-13
+    in a step (``converged``) or after ``_MINIMIZER_STEPS`` steps.  The true
+    minimum is n * majority_tail(k, 1/n), attained at the uniform point; the
+    minimizer suite checks the returned value against it.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, STREAM_VERSION))
     points = rng.dirichlet(np.ones(n), size=starts)
     points[0] = 1.0 / n
@@ -397,7 +397,7 @@ def minimize_marginal_bound(
         step = 1.0 / (lipschitz + 1.0)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MINIMIZER_STEPS):
         gradient = majority_tail_derivative(k, points)
         moved = _project_simplex(points - step * gradient)
         shift = np.abs(moved - points).max()

@@ -9,8 +9,8 @@ import pytest
 
 from condorcet.asymptotic import (
     DEFAULT_DEGREE,
-    DEFAULT_GAMMA,
     MAX_QUADRATURE_POINTS,
+    MESH_GRADING,
     ROUNDING_ULPS,
     _axis_rule,
     _orbits,
@@ -161,10 +161,23 @@ def test_tensor_quad_matches_full_grid(ell, dims, reduced, a, cells, degree):
     """The orbit sum adds the same positive terms as the full grid in
     another order, so the two agree up to rounding: within a quarter of the
     rounding allowance the refinement reports."""
-    nodes, weights = _axis_rule(a, cells, degree, DEFAULT_GAMMA)
+    nodes, weights = _axis_rule(a, cells, degree)
     got = _tensor_quad(ell, dims, nodes, weights, reduced)
     naive = broadcasting_tensor_quad(ell, dims, nodes, weights, reduced)
     assert abs(got - naive) <= ROUNDING_ULPS / 4 * sys.float_info.epsilon * naive
+
+
+def test_axis_rule_grades_cells_toward_zero():
+    """Each cell of the axis rule carries ``degree`` Gauss-Legendre nodes
+    inside it and weights summing to its width; the cell edges are
+    a * (i / cells)^MESH_GRADING."""
+    a, cells, degree = 12.0, 4, 3
+    nodes, weights = _axis_rule(a, cells, degree)
+    edges = a * (np.arange(cells + 1) / cells) ** MESH_GRADING
+    for c in range(cells):
+        cell = slice(c * degree, (c + 1) * degree)
+        assert ((edges[c] < nodes[cell]) & (nodes[cell] < edges[c + 1])).all()
+        assert weights[cell].sum() == pytest.approx(edges[c + 1] - edges[c], rel=1e-14)
 
 
 @pytest.mark.parametrize("points", [1, 2, 5, 7])
@@ -186,7 +199,7 @@ def test_tensor_quad_temporaries_stay_small(ell, dims, a, cells, reduced):
     """One k = 2 pass (full at target 0.01, reduced at 1e-4) works block by
     block on the orbits, so its traced peak stays under 16 MB; the full-grid
     slabs of the broadcasting sum took 153 MB and 122 MB."""
-    nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
+    nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
     tracemalloc.start()
     try:
         _tensor_quad(ell, dims, nodes, weights, reduced)
@@ -209,7 +222,7 @@ def test_refinement_history_records_every_pass():
         assert step.cells == 16 * 2 ** i
         assert step.points == (step.cells * DEFAULT_DEGREE) ** 2
         assert step.orbits == math.comb(step.cells * DEFAULT_DEGREE + 1, 2)
-        nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE, DEFAULT_GAMMA)
+        nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE)
         assert step.value == _tensor_quad(2, 2, nodes, weights, reduced=True)
         if i > 0:
             assert step.error > abs(step.value - passes[i - 1].value)

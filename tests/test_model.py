@@ -206,5 +206,5 @@ def test_profile_requires_odd_matching_count():
 def test_profile_positions_match_voters():
     voters = (Ranking((2, 0, 1)), Ranking((0, 1, 2)), Ranking((1, 2, 0)))
     p = Profile(voters, 2)
-    assert p.n == 3 and p.voter_count == 3
+    assert p.n == 3
     assert p.positions == tuple(v.positions for v in voters)

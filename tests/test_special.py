@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condorcet.special import (
+    _derivative_coefficient,
     elementary_symmetric,
     majority_tail,
     majority_tail_derivative,
@@ -220,8 +221,17 @@ def test_derivative_positive_inside_zero_at_ends():
         assert majority_tail_derivative(k, 0.4) > 0.0
 
 
+def test_derivative_coefficient_is_one_rounded_integer():
+    """(2k-1)! / ((k-1)!)^2 = k * C(2k-1, k) is rounded to a float once, for
+    every k up to the last one a float holds."""
+    for k in range(1, 511):
+        assert _derivative_coefficient(k) == float(k * math.comb(2 * k - 1, k))
+    with pytest.raises(OverflowError):
+        _derivative_coefficient(511)
+
+
 def test_derivative_log_gamma_branch_continuous():
-    # the exact-factorial and log-gamma coefficient paths must agree
+    # the exact coefficient agrees with its log-gamma form
     x = 0.31
     exact_coeff = math.factorial(41) / math.factorial(20) ** 2
     lg_coeff = math.exp(math.lgamma(42) - 2 * math.lgamma(21))

@@ -168,7 +168,8 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     return {**asdict(estimate), "n": culture.n, "k": k}, seed
 
 
-# Columns of a sweep cell, in output order: every Estimate field but samples.
+# Columns of a sweep cell, in output order: every Estimate field but samples
+# and the work counters (winner_table, blocks, rejudged_blocks).
 _CELL_COLUMNS = ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
 
 # Columns of a verify report row; worst_input is JSON-encoded in CSV and human.

@@ -18,7 +18,9 @@ from .model import Culture, rotation_ranking
 # Bumped whenever the sampling pipeline changes in a way that alters streams.
 # Version 2: impartial profiles are i.i.d. uint64 keys instead of shuffled
 # ranks, and each Monte Carlo chunk draws its profiles one block at a time.
-STREAM_VERSION = 2
+# Version 3: impartial keys are uint32, two per generator word; a block
+# whose keys tie draws their 32 low bits right after it.
+STREAM_VERSION = 3
 
 _MASK64 = (1 << 64) - 1
 

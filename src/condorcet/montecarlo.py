@@ -13,12 +13,20 @@ count.
 
 The winner kernel, :func:`_count_winners_vectorized`, is a knockout
 tournament run on a key tensor: ceil(log2 n) rounds of paired majority
-contests leave one survivor per profile, and one verification pass checks
-it against all n alternatives.  A Condorcet winner beats everyone, so it
-survives any bracket, and the count equals that of any
-candidate-elimination scan.  It only compares keys, so any keys whose
-order is the voter's ranking will do.  Its oracle is the all-pairs check
+contests, in which the odd column of an odd-width round has a bye, leave
+one survivor per profile, and one verification pass checks it against all
+n alternatives.  A Condorcet winner beats everyone, so it survives any
+bracket, and the count equals that of any candidate-elimination scan.  It
+only compares keys, so any keys whose order is the voter's ranking will
+do.  Its oracle is the all-pairs check
 :func:`condorcet.engine.find_condorcet_winner`.
+
+Impartial keys are the 32-bit high halves of i.i.d. uniform 64-bit keys.
+The kernel reports whether any comparison it made was a tie; if none was,
+its verdicts are those it would give on the 64-bit keys, whatever their
+low halves.  A block with a tie, about 1 in 8000 at n = 800, k = 2, draws
+its low halves from the chunk's generator right after the block and is
+judged again on the 64-bit keys, so p_hat is the 64-bit estimator's.
 
 A culture with finite support of S rankings (cyclic or explicit) gives a
 profile of m = 2k - 1 voters as one of S^m tuples of support indices.  When
@@ -44,11 +52,13 @@ from .model import Culture
 from .cultures import NAMED_CULTURES, STREAM_VERSION, mix64
 
 CHUNK_SAMPLES = 1 << 14
-# Keys per sampled block, 2 MiB of uint64 impartial keys: small enough for
+# Keys per sampled block, 1 MiB of uint32 impartial keys: small enough for
 # the block and the kernel's temporaries to stay in cache, large enough to
-# amortise numpy's per-call cost.  Blocks of 2^16 to 2^21 keys were timed
-# (2 vCPUs, 2 MiB L2 per core) at impartial n = 800, 200 and 50 and cyclic
-# n = 10; 2^18 was the best or within about 10% of the best on each.
+# amortise numpy's per-call cost.  On 2 vCPUs with 2 MiB L2 per core, 2^18
+# was the best or within about 10% of the best of 2^16 to 2^21 uint64 keys
+# at impartial n = 800, 200 and 50 and cyclic n = 10.  On uint32 keys, 2^19
+# tied it at n = 800, k = 2 (0.33 s per 16384 profiles), lost at n = 50,
+# k = 5 (0.24-0.26 s against 0.19-0.23 s) and added 1.5 MB of peak RSS.
 _BLOCK_KEYS = 1 << 18
 
 _Z95 = 1.96
@@ -64,6 +74,9 @@ class Estimate:
     1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
     ``winner_table`` is the number of entries of the winner table the
     profiles were judged by, 0 when the knockout kernel judged each one.
+    ``blocks`` counts the blocks the chunks were sampled in, and
+    ``rejudged_blocks`` those of them whose 32-bit keys tied, so the kernel
+    judged them again on 64-bit keys.
     """
 
     p_hat: float
@@ -73,6 +86,8 @@ class Estimate:
     ci_high: float
     seed: int
     winner_table: int
+    blocks: int
+    rejudged_blocks: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_hat <= 1.0:
@@ -110,6 +125,14 @@ def _sample_support(
     return np.clip(idx, 0, len(culture.entries) - 1, out=idx)
 
 
+def _random_keys32(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform uint32 keys of ``shape``, two per 64-bit generator word,
+    low half first on any host."""
+    count = math.prod(shape)
+    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    return words.view("<u4")[:count].reshape(shape)
+
+
 def _sample_positions(
     culture: Culture, k: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -119,27 +142,39 @@ def _sample_positions(
     The cyclic and explicit cultures give ranks 0..n-1 (the position of a in
     the voter's ranking), the rows of :func:`_support_ranks` picked by
     :func:`_sample_support`.  The impartial culture gives i.i.d. uniform
-    uint64 keys, drawn in one call: given distinct keys, the ranking they
-    induce is exactly uniform on the n! orders.  A tie has probability at
-    most C(n, 2) / 2^64 per voter, and it can only change the indicator of
-    the profile it sits in, so |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64,
-    which is 5.2e-14 at n = 800, k = 2.
+    uint32 keys, drawn in one call: the high halves of i.i.d. uniform uint64
+    keys, whose low halves are drawn only if the kernel meets a tie (see
+    :func:`estimate_condorcet_probability`).  Given distinct 64-bit keys,
+    the ranking they induce is exactly uniform on the n! orders.  A 64-bit
+    tie has probability at most C(n, 2) / 2^64 per voter, and it can only
+    change the indicator of the profile it sits in, so |E[p_hat] - P| <=
+    (2k - 1) C(n, 2) / 2^64, which is 5.2e-14 at n = 800, k = 2.
     """
     if culture.kind == "impartial":
-        return rng.bit_generator.random_raw((size, 2 * k - 1, culture.n))
+        return _random_keys32((size, 2 * k - 1, culture.n), rng)
     return _support_ranks(culture)[_sample_support(culture, k, size, rng)]
 
 
-def _winner_mask(pos: np.ndarray, k: int) -> np.ndarray:
-    """Per-profile Condorcet winner indicators of the key tensor.
+def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
+    """Per-profile Condorcet winner indicators of the key tensor, and whether
+    any comparison the kernel made was a tie.
 
-    Knockout rounds: in a round of width w, let h = ceil(w / 2); column i < h
-    meets column i + (w - h) and the majority winner of each pair survives.
-    Both halves are contiguous views.  With w odd the middle column plays
-    twice, once in each half, which is harmless: a column is dropped only
-    when it loses, so a Condorcet winner beats every alternative and is the
-    last survivor whenever it exists.  One verification pass against all n
-    alternatives then decides each profile.
+    Knockout rounds: in a round of width w, let h = floor(w / 2); column
+    i < h meets column i + (w - h) and the majority winner of each pair
+    survives.  Both halves are contiguous views.  With w odd the middle
+    column has a bye: it passes to the next round without playing, so no
+    column ever meets itself.  A column is dropped only when it loses, so a
+    Condorcet winner beats every alternative and is the last survivor
+    whenever it exists.  One verification pass against all n alternatives
+    then decides each profile.
+
+    A tie is two equal keys of one voter.  The knockout sees one as a
+    difference left - right of 0, the verification pass as a key equal to
+    the champion's other than the champion's own, which makes the count of
+    champion == key differ from rows x voters.  Rank tensors never tie.
+    When no comparison tied, every comparison made had the result it would
+    have on any keys extending these in the low bits, so the verdicts are
+    theirs too.
 
     Every vote count is accumulated one voter at a time in the smallest
     unsigned type that holds 2k - 1, so the temporaries are a few (rows, n)
@@ -148,32 +183,45 @@ def _winner_mask(pos: np.ndarray, k: int) -> np.ndarray:
     """
     rows, voters, n = pos.shape
     count_dtype = np.min_scalar_type(voters)
+    tied = False
     survivors = pos
     while survivors.shape[2] > 1:
         width = survivors.shape[2]
-        half = (width + 1) // 2
+        half = width // 2
         left = survivors[:, :, :half]
         right = survivors[:, :, width - half:]
         votes = np.zeros((rows, half), dtype=count_dtype)
         for v in range(voters):
             votes += left[:, v] < right[:, v]
+        following = np.empty((rows, voters, width - half), dtype=pos.dtype)
+        won = following[:, :, :half]
         # right + (left - right) * [left won], written into one buffer.  On
-        # uint64 keys the subtraction wraps, but every step is exact modulo
-        # 2^64, so the result is left or right exactly.
-        survivors = np.subtract(left, right)
-        survivors *= (votes >= k)[:, None, :]
-        survivors += right
+        # unsigned keys the subtraction wraps, but every step is exact modulo
+        # 2^bits, so the result is left or right exactly.
+        np.subtract(left, right, out=won)
+        tied = tied or not won.all()
+        won *= (votes >= k)[:, None, :]
+        won += right
+        if width % 2:
+            following[:, :, half] = survivors[:, :, half]
+        survivors = following
     champion = survivors[:, :, 0]
     votes = np.zeros((rows, n), dtype=count_dtype)
+    equal = 0
     for v in range(voters):
-        votes += champion[:, v, None] < pos[:, v]
+        keys = pos[:, v]
+        votes += champion[:, v, None] < keys
+        equal += np.count_nonzero(champion[:, v, None] == keys)
+    tied = tied or equal != rows * voters
     # The champion never beats itself, so a winner beats the other n - 1.
-    return np.count_nonzero(votes >= k, axis=1) == n - 1
+    return np.count_nonzero(votes >= k, axis=1) == n - 1, tied
 
 
-def _count_winners_vectorized(pos: np.ndarray, k: int) -> int:
-    """Number of profiles in the key tensor that have a Condorcet winner."""
-    return int(np.count_nonzero(_winner_mask(pos, k)))
+def _count_winners_vectorized(pos: np.ndarray, k: int) -> Tuple[int, bool]:
+    """Number of profiles in the key tensor that have a Condorcet winner,
+    and whether any comparison made to find them was a tie."""
+    mask, tied = _winner_mask(pos, k)
+    return int(np.count_nonzero(mask)), tied
 
 
 def _digit_weights(culture: Culture, k: int) -> np.ndarray:
@@ -193,7 +241,7 @@ def _winner_table(culture: Culture, k: int, block_rows: int) -> np.ndarray:
     weights = _digit_weights(culture, k)
     flat = np.arange(size ** (2 * k - 1))
     return np.concatenate([
-        _winner_mask(ranks[flat[lo:lo + block_rows, None] // weights % size], k)
+        _winner_mask(ranks[flat[lo:lo + block_rows, None] // weights % size], k)[0]
         for lo in range(0, len(flat), block_rows)
     ])
 
@@ -230,30 +278,44 @@ def estimate_condorcet_probability(
         table = _winner_table(culture, k, block_rows)
         weights = _digit_weights(culture, k)
 
-    def run_block(size: int, rng: np.random.Generator) -> int:
-        if table is None:
-            return _count_winners_vectorized(_sample_positions(culture, k, size, rng), k)
-        return int(np.count_nonzero(table[_sample_support(culture, k, size, rng) @ weights]))
+    def run_block(size: int, rng: np.random.Generator) -> Tuple[int, int]:
+        """Wins among ``size`` profiles, and 1 when the block was judged
+        again on 64-bit keys."""
+        if table is not None:
+            return int(np.count_nonzero(table[_sample_support(culture, k, size, rng) @ weights])), 0
+        keys = _sample_positions(culture, k, size, rng)
+        wins, tied = _count_winners_vectorized(keys, k)
+        if not tied:
+            return wins, 0
+        # Only 32-bit impartial keys tie.  Draw their low halves and judge
+        # the block on the full 64-bit keys, whatever those tie.
+        keys = np.left_shift(keys, 32, dtype=np.uint64)
+        keys |= _random_keys32(keys.shape, rng)
+        return _count_winners_vectorized(keys, k)[0], 1
 
-    def run_chunk(task: Tuple[int, int]) -> int:
+    def run_chunk(task: Tuple[int, int]) -> Tuple[int, int, int]:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
-        return sum(
+        judged = [
             run_block(min(block_rows, size - lo), rng) for lo in range(0, size, block_rows)
-        )
+        ]
+        return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)
 
     tasks = _chunk_layout(samples, CHUNK_SAMPLES)
     if workers <= 1 or len(tasks) == 1:
-        wins = sum(run_chunk(t) for t in tasks)
+        counts = [run_chunk(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            wins = sum(pool.map(run_chunk, tasks))
+            counts = list(pool.map(run_chunk, tasks))
+    wins, blocks, rejudged = (sum(column) for column in zip(*counts))
 
     p_hat = wins / samples
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     ci_low, ci_high = _wilson_interval(p_hat, samples)
     winner_table = 0 if table is None else len(table)
-    return Estimate(p_hat, samples, std_error, ci_low, ci_high, seed, winner_table)
+    return Estimate(
+        p_hat, samples, std_error, ci_low, ci_high, seed, winner_table, blocks, rejudged
+    )
 
 
 def _wilson_interval(p_hat: float, samples: int) -> Tuple[float, float]:

@@ -119,13 +119,8 @@ class _Tracker:
                 "margin": margin,
             }
 
-    def report(self, trials: Optional[int] = None) -> CheckReport:
-        return CheckReport(
-            self.name,
-            self.trials if trials is None else trials,
-            self.violations,
-            self.worst,
-        )
+    def report(self) -> CheckReport:
+        return CheckReport(self.name, self.trials, self.violations, self.worst)
 
 
 def check_taylor_bounds(grid: Optional[Sequence[float]] = None) -> CheckReport:
@@ -206,7 +201,7 @@ def check_tail_sandwich(k: int, trials: int = 10_000, seed: int = 0) -> CheckRep
         lambda row, _: tuple(vectors[row].tolist()),
         inequalities,
     )
-    return tracker.report(trials=len(vectors))
+    return tracker.report()
 
 
 def check_tail_symmetry() -> CheckReport:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import condorcet.cli as cli
+from condorcet import montecarlo
 from condorcet.cultures import cyclic_culture, impartial_culture
 from condorcet.exact import condorcet_probability
 from condorcet.model import culture_from_entries, save_culture
@@ -237,12 +238,29 @@ def test_asymptote_large_n_log10_fields(capsys, n, k, exact, leading):
 )
 def test_simulate_reports_winner_table(capsys, culture, n, entries):
     """Cyclic (10, 2) judges its profiles by lookup in a table of 10^3
-    entries; the impartial culture has no finite support to tabulate."""
+    entries; the impartial culture has no finite support to tabulate.
+    4096 profiles make one block of cyclic (10, 2) and three of impartial
+    (50, 2), at most 2^18 // (3 n) profiles each, and none is judged again."""
     argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
     assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
     assert int(human["winner_table"]) == entries
+    blocks = {"cyclic": 1, "impartial": 3}[culture]
+    for field, value in (("blocks", blocks), ("rejudged_blocks", 0)):
+        assert results[field] == int(csv_fields[field]) == int(human[field]) == value
+
+
+def test_simulate_reports_rejudged_blocks(capsys, monkeypatch):
+    """A sampler keeping 4 bits of each impartial key makes every block tie,
+    so all three blocks are judged again, and every format says so."""
+    real = montecarlo._sample_positions
+    monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
+    argv = ["simulate", "--culture", "impartial", "--n", "50", "--k", "2",
+            "--samples", "4096", "--seed", "3"]
+    results, csv_fields, human = three_formats(capsys, argv)
+    for field in ("blocks", "rejudged_blocks"):
+        assert results[field] == int(csv_fields[field]) == int(human[field]) == 3
 
 
 def test_asymptote_impartial_needs_constant(capsys):

@@ -18,6 +18,7 @@ from condorcet.montecarlo import (
     _count_winners_vectorized,
     _sample_positions,
     _sample_support,
+    _winner_mask,
     _winner_table,
     estimate_condorcet_probability,
     sweep,
@@ -82,7 +83,7 @@ def test_naive_and_vectorized_kernels_agree():
         pos = _sample_positions(culture, k, 2_048, rng)
         slow = sum(oracle_winners(pos, k))
         assert 0 < slow < len(pos)  # both outcomes occur, so the count can tell
-        assert _count_winners_vectorized(pos, k) == slow
+        assert _count_winners_vectorized(pos, k) == (slow, False)
 
 
 EXPLICIT_5 = culture_from_entries(
@@ -133,9 +134,10 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
     pos = np.concatenate(drawn)
     expected = oracle_winners(pos, k)
     got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(len(pos))]
-    assert got == [int(e) for e in expected]
-    assert _count_winners_vectorized(pos, k) == sum(expected)
+    assert got == [(int(e), False) for e in expected]
+    assert _count_winners_vectorized(pos, k) == (sum(expected), False)
     assert est.p_hat == sum(expected) / profiles
+    assert est.blocks == len(drawn) and est.rejudged_blocks == 0
     if culture.n >= 3 and k >= 2:
         assert 0 < sum(expected) < len(pos)  # both outcomes occur
 
@@ -172,7 +174,7 @@ def replay_key_path(culture, k, samples, seed):
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
         for lo in range(0, size, rows):
             idx = _sample_support(culture, k, min(rows, size - lo), rng)
-            wins += _count_winners_vectorized(ranks[idx], k)
+            wins += _count_winners_vectorized(ranks[idx], k)[0]
     return wins
 
 
@@ -215,8 +217,25 @@ def test_table_needs_no_more_entries_than_samples(monkeypatch):
     assert by_table.p_hat == replay_key_path(culture, 2, 125, 4) / 125
 
 
+def assert_kernel_matches_oracle_on(pool, seed):
+    """Profiles whose voters each hold n distinct keys of ``pool``, at
+    (n, k) = (8, 2), (5, 3) and (6, 1): the kernel's verdicts are the
+    oracle's, profile by profile and as one tensor, with no tie reported."""
+    rng = np.random.default_rng(mix64(seed, len(pool)))
+    for n, k in ((8, 2), (5, 3), (6, 1)):
+        profiles, voters = 300, 2 * k - 1
+        keys = rng.permuted(np.tile(pool, (profiles * voters, 1)), axis=1)[:, :n]
+        pos = np.ascontiguousarray(keys).reshape(profiles, voters, n)
+        expected = oracle_winners(pos, k)
+        got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(profiles)]
+        assert got == [(int(e), False) for e in expected]
+        assert _count_winners_vectorized(pos, k) == (sum(expected), False)
+        if k >= 2:
+            assert 0 < sum(expected) < profiles  # both outcomes occur
+
+
 def test_kernel_on_extreme_uint64_keys():
-    """Impartial keys span all of uint64.  Keys at both ends and on either
+    """Keys judged again span all of uint64.  Keys at both ends and on either
     side of 2^63: a signed cast puts every key from 2^63 up ahead of the
     rest, a float cast merges neighbours such as 2^64 - 2 and 2^64 - 1, and
     the survivor update must return one of the two keys exactly although
@@ -225,17 +244,98 @@ def test_kernel_on_extreme_uint64_keys():
         [0, 1, 2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1],
         dtype=np.uint64,
     )
-    rng = np.random.default_rng(mix64(29, len(pool)))
-    for n, k in ((8, 2), (5, 3), (6, 1)):
-        profiles, voters = 300, 2 * k - 1
-        keys = rng.permuted(np.tile(pool, (profiles * voters, 1)), axis=1)[:, :n]
-        pos = np.ascontiguousarray(keys).reshape(profiles, voters, n)
+    assert_kernel_matches_oracle_on(pool, 29)
+
+
+def test_kernel_on_extreme_uint32_keys():
+    """Impartial keys are drawn as uint32.  Keys at both ends and on either
+    side of 2^31: a signed cast puts every key from 2^31 up ahead of the
+    rest, and the survivor update must return one of the two keys exactly
+    although left - right wraps modulo 2^32."""
+    pool = np.array(
+        [0, 1, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 2, 2 ** 32 - 1],
+        dtype=np.uint32,
+    )
+    assert_kernel_matches_oracle_on(pool, 43)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13, 17])
+def test_odd_widths_give_byes(n):
+    """An odd round width leaves its middle column a bye (17 -> 9 -> 5 ->
+    3 -> 2 -> 1).  Verdicts match the oracle on impartial keys and cyclic
+    ranks, and rank tensors report no tie: a column that met itself would
+    read as one."""
+    for culture, k in ((impartial_culture(n), 2), (impartial_culture(n), 3), (cyclic_culture(n), 2)):
+        rng = np.random.default_rng(mix64(37, n, k))
+        pos = _sample_positions(culture, k, 300, rng)
         expected = oracle_winners(pos, k)
-        got = [_count_winners_vectorized(pos[i:i + 1], k) for i in range(profiles)]
-        assert got == [int(e) for e in expected]
-        assert _count_winners_vectorized(pos, k) == sum(expected)
-        if k >= 2:
-            assert 0 < sum(expected) < profiles  # both outcomes occur
+        mask, tied = _winner_mask(pos, k)
+        assert mask.tolist() == expected and not tied
+        assert 0 < sum(expected) < len(pos)  # both outcomes occur
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (8, 2), (6, 3), (9, 1)])
+def test_untied_verdicts_hold_for_any_low_bits(n, k):
+    """High keys drawn from 40 values tie often.  Whenever the kernel
+    reports no tie on a profile's 32-bit high keys, its verdict is that of
+    the 64-bit kernel and of the oracle on (hi << 32) | lo, for random low
+    bits.  Among the profiles it reports tied are some whose verdict the
+    low bits change, so a tie left unreported would show."""
+    rng = np.random.default_rng(mix64(31, n, k))
+    profiles, voters = 400, 2 * k - 1
+    hi = rng.integers(0, 40, size=(profiles, voters, n), dtype=np.uint32)
+    lo = rng.integers(0, 2 ** 32, size=hi.shape, dtype=np.uint32)
+    full = hi.astype(np.uint64) << np.uint64(32) | lo
+    expected = oracle_winners(full, k)
+    flags, changed = [], 0
+    for i in range(profiles):
+        narrow, tied = _winner_mask(hi[i:i + 1], k)
+        wide, wide_tied = _winner_mask(full[i:i + 1], k)
+        assert wide[0] == expected[i] and not wide_tied
+        if not tied:
+            assert narrow[0] == wide[0]
+        flags.append(tied)
+        changed += bool(narrow[0] != wide[0])
+    assert 0 < sum(flags) < profiles  # both kinds of profile occur
+    assert changed > 0
+    # A block ties when one of its profiles does, and its mask is theirs.
+    mask, tied = _winner_mask(hi, k)
+    assert tied and mask.tolist() == [bool(_winner_mask(hi[i:i + 1], k)[0][0]) for i in range(profiles)]
+    untied = np.flatnonzero(~np.array(flags))
+    mask, tied = _winner_mask(hi[untied], k)
+    assert not tied and mask.tolist() == [expected[i] for i in untied]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tied_blocks_are_judged_on_64_bit_keys(monkeypatch, workers):
+    """A sampler keeping 4 bits of each 32-bit key makes every block tie,
+    so every block is judged again.  p_hat equals a replay that makes the
+    same generator calls, the block's high halves and then its low halves,
+    and judges each profile's 64-bit keys with the oracle.  Three chunks of
+    blocks of at most 45 profiles of 21 keys: every block takes an odd
+    number of keys, so each draw leaves half a word unused."""
+    n, k, samples, rows, chunk = 7, 2, 600, 45, 256
+    monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", chunk)
+    monkeypatch.setattr(montecarlo, "_BLOCK_KEYS", rows * (2 * k - 1) * n)
+    real = montecarlo._sample_positions
+    monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
+    est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=41, workers=workers)
+
+    def halves(rng, count):
+        return rng.bit_generator.random_raw((count + 1) // 2).view("<u4")[:count]
+
+    wins = blocks = 0
+    for index, size in _chunk_layout(samples, chunk):
+        rng = np.random.default_rng(mix64(41, n, k, index, STREAM_VERSION))
+        for lo in range(0, size, rows):
+            shape = (min(rows, size - lo), 2 * k - 1, n)
+            high = halves(rng, math.prod(shape)) & 0xF
+            keys = high.astype(np.uint64) << np.uint64(32) | halves(rng, math.prod(shape))
+            wins += sum(oracle_winners(keys.reshape(shape), k))
+            blocks += 1
+    assert blocks == 6 + 6 + 2
+    assert est.blocks == est.rejudged_blocks == blocks
+    assert est.p_hat == wins / samples
 
 
 def test_kernel_counts_more_than_255_votes():
@@ -243,17 +343,20 @@ def test_kernel_counts_more_than_255_votes():
     k = 129
     unanimous = culture_from_entries(3, [((2, 0, 1), "1")])
     pos = _sample_positions(unanimous, k, 4, np.random.default_rng(0))
-    assert _count_winners_vectorized(pos, k) == 4
+    assert _count_winners_vectorized(pos, k) == (4, False)
     assert estimate_condorcet_probability(unanimous, k, 4, seed=1).p_hat == 1.0
     pos = _sample_positions(impartial_culture(3), k, 12, np.random.default_rng(1))
-    assert _count_winners_vectorized(pos, k) == sum(oracle_winners(pos, k))
+    assert _count_winners_vectorized(pos, k) == (sum(oracle_winners(pos, k)), False)
 
 
 def test_kernel_temporaries_stay_small():
     """One impartial n = 800, k = 2 chunk is sampled and judged block by
-    block, so its traced peak stays below a quarter of the chunk's rank
-    tensor in int16, 16384 * 3 * 800 * 2 B; the chunk's uint64 keys drawn
-    whole would take 315 MB."""
+    block on 32-bit keys, so its traced peak stays below 3 MiB: a block's
+    keys take 1 MiB and the kernel's temporaries about as much again
+    (2.4 MiB measured).  The same blocks on 64-bit keys peak at 4.2 MiB, and
+    the chunk's uint64 keys drawn whole would take 315 MB.  A block whose
+    32-bit keys tie, about 1 in 8000 here, is judged again at the 64-bit
+    peak; this chunk has none."""
     n, k = 800, 2
     tracemalloc.start()
     try:
@@ -262,7 +365,8 @@ def test_kernel_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert est.samples == CHUNK_SAMPLES
-    assert peak < CHUNK_SAMPLES * (2 * k - 1) * n * 2 / 4
+    assert est.rejudged_blocks == 0
+    assert peak < 3 * 2 ** 20
 
 
 def test_estimate_within_four_sigma_of_exact():

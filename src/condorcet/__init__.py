@@ -17,7 +17,6 @@ from .model import (
     culture_from_json_obj,
     culture_to_json_obj,
     load_culture,
-    ranking_from_order,
     rotation_ranking,
     save_culture,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "mix64",
     "orthant_tail_bound",
     "poisson_binomial_tail",
-    "ranking_from_order",
     "rotation_ranking",
     "run_suites",
     "save_culture",

@@ -57,6 +57,8 @@ SUPPORTED_K = (1, 2, 3)
 DEFAULT_DEGREE = 8
 # Power of the mesh grading: cell edges at a * (i / cells)^MESH_GRADING.
 MESH_GRADING = 4.0
+# Point budget of every tensor rule, read by the quadrature functions when
+# they run.
 MAX_QUADRATURE_POINTS = 2 * 10 ** 8
 
 # Rounding allowance of a quadrature value, in units of eps relative to it.
@@ -237,14 +239,13 @@ def truncated_box_integral(
     a: float,
     cells: int = 32,
     degree: int = DEFAULT_DEGREE,
-    max_points: int = MAX_QUADRATURE_POINTS,
 ) -> float:
     """Quadrature value of the integral of exp(-sigma_ell) over [0, a]^m."""
     if not 1 <= ell <= m:
         raise ValueError("order out of range for the dimension")
     nodes, weights = _axis_rule(float(a), cells, degree)
-    if len(nodes) ** m > max_points:
-        raise CapExceededError("max_quadrature_points", len(nodes) ** m, max_points)
+    if len(nodes) ** m > MAX_QUADRATURE_POINTS:
+        raise CapExceededError("max_quadrature_points", len(nodes) ** m, MAX_QUADRATURE_POINTS)
     return _tensor_quad(ell, m, nodes, weights, reduced=False)
 
 
@@ -253,7 +254,6 @@ def _refine(
     dims: int,
     a: float,
     target: float,
-    max_points: int,
     reduced: bool,
 ) -> Tuple[Refinement, ...]:
     """Double the mesh until the reported error is within ``target``.
@@ -285,13 +285,13 @@ def _refine(
     while True:
         per_axis = cells * DEFAULT_DEGREE
         points = per_axis ** dims
-        if points > max_points:
-            raise CapExceededError("max_quadrature_points", points, max_points)
+        if points > MAX_QUADRATURE_POINTS:
+            raise CapExceededError("max_quadrature_points", points, MAX_QUADRATURE_POINTS)
         nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
         value = _tensor_quad(ell, dims, nodes, weights, reduced)
         allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
         if allowance > target:
-            raise CapExceededError("max_quadrature_points", math.inf, max_points)
+            raise CapExceededError("max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS)
         error = None
         if passes:
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
@@ -305,7 +305,6 @@ def _refine(
 def estimate_leading_constant(
     k: int,
     target_error: float = 0.1,
-    max_points: int = MAX_QUADRATURE_POINTS,
     reduced: bool = True,
 ) -> ConstantEstimate:
     """Estimate the orthant integral of exp(-sigma_k) in dimension 2k-1.
@@ -331,7 +330,7 @@ def estimate_leading_constant(
         a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
         tail = orthant_tail_bound(k, m, a)
     dims = m - 1 if reduced else m
-    passes = _refine(k, dims, a, target_error / 2.0, max_points, reduced)
+    passes = _refine(k, dims, a, target_error / 2.0, reduced)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 

@@ -30,7 +30,6 @@ from .asymptotic import (
     min_prob_large_k_rate,
     min_prob_large_n_leading_exact,
 )
-from .cultures import NAMED_CULTURES
 from .exact import (
     MAX_WINNER_CHECKS,
     condorcet_probability,
@@ -38,7 +37,7 @@ from .exact import (
     min_condorcet_probability,
     multiset_count,
 )
-from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture, load_culture
+from .model import MAX_EXPLICIT_SUPPORT, NAMED_KINDS, CapExceededError, Culture, load_culture
 from .montecarlo import estimate_condorcet_probability, sweep
 from .verify import SUITES, run_suites
 
@@ -85,19 +84,17 @@ def _add_culture_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--culture",
         required=True,
-        help="'impartial', 'cyclic' (with --n), or a path to a culture file",
+        help=f"a named kind, {' or '.join(NAMED_KINDS)} (with --n), or a path to a culture file",
     )
     sub.add_argument("--n", type=int, help="alternative count for named cultures")
 
 
 def _resolve_culture(args: argparse.Namespace) -> Culture:
     name = args.culture
-    if name in NAMED_CULTURES:
+    if name in NAMED_KINDS:
         if args.n is None:
             raise ValueError(f"--n is required with --culture {name}")
-        if args.n < 1:
-            raise ValueError("n must be at least 1")
-        return NAMED_CULTURES[name](args.n)
+        return Culture(args.n, name)
     culture = load_culture(name)
     if args.n is not None and args.n != culture.n:
         raise ValueError(f"--n {args.n} does not match culture file n={culture.n}")
@@ -311,7 +308,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subparsers.add_parser("sweep", help="estimates across n for a culture family")
-    sub.add_argument("--family", choices=tuple(NAMED_CULTURES), required=True)
+    sub.add_argument("--family", choices=NAMED_KINDS, required=True)
     _add_voter_args(sub)
     sub.add_argument("--n-values", required=True, help="comma-separated list, e.g. 200,800")
     sub.add_argument("--samples", type=int, required=True)

@@ -13,7 +13,7 @@ function instead of sharing one generator.  Profiles are sampled by
 
 from __future__ import annotations
 
-from .model import Culture, rotation_ranking
+from .model import Culture
 
 # Bumped whenever the sampling pipeline changes in a way that alters streams.
 # Version 2: impartial profiles are i.i.d. uint64 keys instead of shuffled
@@ -49,18 +49,6 @@ def impartial_culture(n: int) -> Culture:
 
 
 def cyclic_culture(n: int) -> Culture:
-    """The culture holding the n rotations of (0, ..., n-1), each weight 1/n.
-
-    This is the distribution that minimizes the Condorcet winner probability
-    among all cultures on n alternatives.
-    """
-    from fractions import Fraction
-
-    share = Fraction(1, n)
-    entries = tuple((rotation_ranking(n, s), share) for s in range(n))
-    return Culture(n, "cyclic", entries)
-
-
-# The cultures named on the command line, by name: each builds the culture
-# on n alternatives.
-NAMED_CULTURES = {"impartial": impartial_culture, "cyclic": cyclic_culture}
+    """The n rotations of (0, ..., n-1), each weight 1/n, kept symbolic: the
+    culture that minimizes the Condorcet winner probability on n alternatives."""
+    return Culture(n, "cyclic")

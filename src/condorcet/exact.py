@@ -10,11 +10,11 @@ one mask test.  Each alternative's winner mass comes from its own walk over
 multiplicity vectors, the multinomial weight built up as a product of
 binomials; the walk cuts every branch in which the alternative has already
 lost, so it judges, once each, only the multisets the alternative has not
-lost before their last voter, whatever the support size and voter count.  Impartial and cyclic cultures are symmetric,
-so one walk serves every alternative.  Weights are integer numerators over
-the lcm D of the weight denominators; the winner mass per alternative
-accumulates as an integer over D^(2k-1) and becomes a ``Fraction`` once, at
-the end.
+lost before their last voter, whatever the support size and voter count.
+The named kinds are symmetric, so one walk serves every alternative.
+Weights are integer numerators over the lcm D of the weight denominators;
+the winner mass per alternative accumulates as an integer over D^(2k-1) and
+becomes a ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .model import (
-    MAX_EXPLICIT_SUPPORT,
-    CapExceededError,
-    Culture,
-    SupportTooLargeError,
-)
+from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture
 from .special import _tail_numerator, majority_tail_exact
 
 # Caps the multiset count, checked before any walk; each walk judges at most
@@ -184,26 +179,23 @@ def condorcet_probability(
     orders the support by that alternative's position, worst first, and
     cuts every branch the alternative has already lost.  Each multiset the
     walk reaches costs one winner check; ``winner_checks`` counts them over
-    all walks.  Impartial and cyclic cultures are invariant under a
-    relabelling that sends 0 to any alternative (any permutation, or the
-    cyclic shift), so only alternative 0 is walked and its mass is every
-    alternative's; explicit cultures walk every alternative.  Each
-    multiset's pairwise tally is a sum of packed ints, one per voter, and a
-    win or a defeat one mask test (:func:`_pack`).  Weights enter as integer
+    all walks.  The named kinds (``model.NAMED_KINDS``) are invariant under
+    a relabelling that sends 0 to any alternative, so only alternative 0 is
+    walked and its mass is every alternative's; explicit cultures walk every
+    alternative.  Each multiset's pairwise tally is a sum of packed ints,
+    one per voter, and a win or a defeat one mask test (:func:`_pack`).  Weights enter as integer
     numerators over D, the lcm of their denominators, so the winner mass
     accumulates as integers over D^(2k-1) and is divided once at the end.
 
-    Raises :class:`SupportTooLargeError` when the explicit support would
-    exceed ``max_support`` and :class:`CapExceededError` when the multiset
-    count exceeds ``max_winner_checks``; no walk checks more multisets than
-    that count.
+    Raises :class:`SupportTooLargeError` when the support would exceed
+    ``max_support`` (checked by :meth:`Culture.expand`) and
+    :class:`CapExceededError` when the multiset count exceeds
+    ``max_winner_checks``; no walk checks more multisets than that count.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     explicit = culture.expand(max_support)
     support = len(explicit.entries)
-    if support > max_support:
-        raise SupportTooLargeError(support, max_support)
     multisets = multiset_count(support, k)
     if multisets > max_winner_checks:
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
@@ -213,7 +205,7 @@ def condorcet_probability(
     nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
     packed, rows, against, bias = _pack(explicit, k)
     rankings = [ranking for ranking, _ in explicit.entries]
-    symmetric = culture.kind in ("impartial", "cyclic")
+    symmetric = culture.kind != "explicit"
     mass, checks = [], 0
     for a in range(1 if symmetric else culture.n):
         order = sorted(range(support), key=lambda i: -rankings[i].positions[a])

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Optional, Sequence, Tuple
 
 # Default resource caps.  They are arguments with defaults, not constants
@@ -89,33 +90,26 @@ class Ranking:
             pos[alt] = rank
         return tuple(pos)
 
-    def prefers(self, a: int, b: int) -> bool:
-        """True if this ranking places ``a`` strictly above ``b``."""
-        return self.positions[a] < self.positions[b]
-
-
-def ranking_from_order(order: Sequence[int]) -> Ranking:
-    """Validate an index sequence and wrap it as a :class:`Ranking`."""
-    return Ranking(tuple(order))
-
 
 def rotation_ranking(n: int, start: int) -> Ranking:
     """The cyclic order (start, start+1, ..., n-1, 0, ..., start-1)."""
     return Ranking(tuple((start + i) % n for i in range(n)))
 
 
+# The named kinds.  Each is symbolic, keeping no entries (``expand`` builds
+# its support), and is invariant under a relabelling that sends alternative
+# 0 to any other: any permutation for "impartial", the uniform culture on
+# all n! rankings, and the cyclic shift for "cyclic", the n rotations of
+# (0, 1, ..., n-1) at weight 1/n each.
+NAMED_KINDS = ("impartial", "cyclic")
+
+
 @dataclass(frozen=True)
 class Culture:
     """A probability distribution over rankings of ``n`` alternatives.
 
-    ``kind`` is one of:
-
-    * ``"explicit"``: finite support given by ``entries``.
-    * ``"impartial"``: uniform over all n! rankings, kept symbolic (entries
-      is None); expand only when n! fits under a support cap.
-    * ``"cyclic"``: the n rotations of (0, 1, ..., n-1), each with weight
-      1/n.  Entries are materialized since the support is only n rankings.
-
+    ``kind`` is ``"explicit"``, a finite support given by ``entries``, or
+    one of the named kinds (:data:`NAMED_KINDS`), which keep no entries.
     Entries are (ranking, weight) pairs with exact rational weights summing
     to exactly 1.
     """
@@ -127,14 +121,14 @@ class Culture:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("culture needs at least one alternative")
-        if self.kind not in ("explicit", "impartial", "cyclic"):
-            raise ValueError(f"unknown culture kind {self.kind!r}")
-        if self.kind == "impartial":
+        if self.kind in NAMED_KINDS:
             if self.entries is not None:
-                raise ValueError("impartial culture keeps no explicit entries")
+                raise ValueError(f"{self.kind} culture keeps no explicit entries")
             return
+        if self.kind != "explicit":
+            raise ValueError(f"unknown culture kind {self.kind!r}")
         if not self.entries:
-            raise ValueError(f"{self.kind} culture requires entries")
+            raise ValueError("explicit culture requires entries")
         object.__setattr__(
             self,
             "entries",
@@ -155,41 +149,38 @@ class Culture:
             total += weight
         if total != 1:
             raise ValueError(f"weights sum to {total} != 1")
-        if self.kind == "cyclic":
-            expected = {rotation_ranking(self.n, s).order for s in range(self.n)}
-            got = {r.order for r, _ in self.entries}
-            share = Fraction(1, self.n)
-            if got != expected or any(w != share for _, w in self.entries):
-                raise ValueError("cyclic culture must hold exactly the n rotations, each 1/n")
 
     @property
     def support_size(self) -> int:
         if self.kind == "impartial":
             return math.factorial(self.n)
+        if self.kind == "cyclic":
+            return self.n
         return len(self.entries)
 
     def expand(self, max_support: int = MAX_EXPLICIT_SUPPORT) -> "Culture":
-        """Materialize the support as an explicit culture.
+        """Materialize the support as an explicit culture, refused when it
+        exceeds ``max_support``.
 
-        Impartial cultures expand to all n! rankings, which is refused when
-        n! exceeds ``max_support``.
+        Impartial cultures expand to all n! rankings in lexicographic order,
+        cyclic ones to the n rotations with rotation s at index s.
         """
+        size = self.support_size
+        if size > max_support:
+            raise SupportTooLargeError(size, max_support)
         if self.kind == "explicit":
             return self
         if self.kind == "cyclic":
-            return Culture(self.n, "explicit", self.entries)
-        size = math.factorial(self.n)
-        if size > max_support:
-            raise SupportTooLargeError(size, max_support)
-        from itertools import permutations
-
+            rankings = [rotation_ranking(self.n, s) for s in range(size)]
+        else:
+            rankings = [Ranking(p) for p in permutations(range(self.n))]
         w = Fraction(1, size)
-        entries = tuple((Ranking(p), w) for p in permutations(range(self.n)))
-        return Culture(self.n, "explicit", entries)
+        return Culture(self.n, "explicit", tuple((r, w) for r in rankings))
 
     def top_marginals(self) -> Tuple[Fraction, ...]:
-        """x_j = P(ranking places alternative j first), exact, summing to 1."""
-        if self.kind == "impartial":
+        """x_j = P(ranking places alternative j first), exact, summing to 1.
+        Uniform for the named kinds, by their symmetry."""
+        if self.kind != "explicit":
             return (Fraction(1, self.n),) * self.n
         marginals = [Fraction(0)] * self.n
         for ranking, weight in self.entries:
@@ -206,7 +197,7 @@ def culture_from_entries(
     exactly.  Weights must sum to exactly 1.
     """
     built = tuple(
-        (ranking_from_order(order), parse_probability(weight))
+        (Ranking(order), parse_probability(weight))
         for order, weight in entries
     )
     return Culture(n, "explicit", built)
@@ -226,6 +217,10 @@ def culture_to_json_obj(culture: Culture) -> dict:
 
 
 def culture_from_json_obj(obj: dict) -> Culture:
+    """Load a culture object: ``{"n": N, "entries": [...]}`` is explicit and
+    ``{"n": N, "kind": K}`` is the named kind K.  A named kind may also list
+    entries, as cyclic files once did; they must then be exactly its support
+    at uniform weight."""
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("culture object must have an 'n' field")
     try:
@@ -233,11 +228,13 @@ def culture_from_json_obj(obj: dict) -> Culture:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"culture 'n' must be an integer, got {obj['n']!r}") from exc
     kind = obj.get("kind", "explicit")
-    if kind == "impartial":
-        return Culture(n, "impartial")
+    if kind != "explicit" and kind not in NAMED_KINDS:
+        raise ValueError(f"unknown culture kind {kind!r}")
     raw = obj.get("entries")
-    if not raw:
-        raise ValueError("explicit culture object must have non-empty 'entries'")
+    if raw is None:
+        if kind == "explicit":
+            raise ValueError("explicit culture object must have non-empty 'entries'")
+        return Culture(n, kind)
     if not isinstance(raw, list):
         raise ValueError(f"culture 'entries' must be a list, got {raw!r}")
     entries = []
@@ -245,10 +242,18 @@ def culture_from_json_obj(obj: dict) -> Culture:
         if not (isinstance(e, dict) and isinstance(e.get("ranking"), list) and "p" in e):
             raise ValueError(f"culture entry {i} needs a 'ranking' list and a 'p': {e!r}")
         try:
-            entries.append((ranking_from_order(e["ranking"]), parse_probability(e["p"])))
+            entries.append((Ranking(e["ranking"]), parse_probability(e["p"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"culture entry {i} is invalid ({exc}): {e!r}") from exc
-    return Culture(n, kind, tuple(entries))
+    if kind == "explicit":
+        return Culture(n, "explicit", tuple(entries))
+    named = Culture(n, kind)
+    if len(entries) != named.support_size or set(entries) != set(named.expand().entries):
+        raise ValueError(
+            f"{kind} culture entries must be exactly its {named.support_size} "
+            f"rankings, each of weight 1/{named.support_size}"
+        )
+    return named
 
 
 def save_culture(culture: Culture, path: str) -> None:

@@ -48,8 +48,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Culture
-from .cultures import NAMED_CULTURES, STREAM_VERSION, mix64
+from .model import NAMED_KINDS, Culture
+from .cultures import STREAM_VERSION, mix64
 
 CHUNK_SAMPLES = 1 << 14
 # Keys per sampled block, 1 MiB of uint32 impartial keys: small enough for
@@ -100,8 +100,9 @@ def _position_dtype(n: int):
 
 def _support_ranks(culture: Culture) -> np.ndarray:
     """The (S, n) position table of a finite-support culture: row i holds
-    the ranks 0..n-1 of support ranking i (cyclic: rotation i, whose rank of
-    a is (a - i) mod n, built as a read-only strided view of O(n) memory)."""
+    the ranks 0..n-1 of support ranking i of :meth:`Culture.expand` (cyclic:
+    rotation i, whose rank of a is (a - i) mod n, built as a read-only
+    strided view of O(n) memory)."""
     n = culture.n
     dtype = _position_dtype(n)
     if culture.kind == "cyclic":
@@ -350,16 +351,15 @@ def sweep(
     Each cell runs with its own seed mix64(master, n, k), recorded in the
     cell's Estimate, so any cell can be reproduced in isolation.
     """
-    if family not in NAMED_CULTURES:
+    if family not in NAMED_KINDS:
         raise ValueError(f"unknown culture family {family!r}")
     if seed is None:
         seed = secrets.randbits(63)
-    build = NAMED_CULTURES[family]
     results = []
     for n in n_values:
         cell_seed = mix64(seed, n, k)
         estimate = estimate_condorcet_probability(
-            build(n), k, samples, seed=cell_seed, workers=workers
+            Culture(n, family), k, samples, seed=cell_seed, workers=workers
         )
         results.append((int(n), estimate))
     return results

@@ -85,12 +85,13 @@ def test_product_kernel_against_one_dimensional_reduction():
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
-def test_quadrature_point_budget():
+def test_quadrature_point_budget(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         truncated_box_integral(2, 4, 10.0, cells=48, degree=8)
     assert exc.value.cap_name == "max_quadrature_points"
+    monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 1_000)
     with pytest.raises(CapExceededError):
-        truncated_box_integral(2, 3, 10.0, cells=16, degree=8, max_points=1_000)
+        truncated_box_integral(2, 3, 10.0, cells=16, degree=8)
 
 
 def test_leading_constant_one_dimension():
@@ -261,7 +262,7 @@ def test_target_below_rounding_floor_fails_fast(monkeypatch):
 
 
 @pytest.mark.parametrize("target", [1e-7, 1e-10, 1e-14])
-def test_unresolved_mesh_is_never_accepted(target):
+def test_unresolved_mesh_is_never_accepted(monkeypatch, target):
     """For k = 2 below 1e-6 the box grows to 48/target, and the graded
     meshes the budget allows put their first node far from the axes, where
     the integrand has underflowed: every pass sees almost none of the
@@ -269,8 +270,9 @@ def test_unresolved_mesh_is_never_accepted(target):
     unit-cube bound is accepted, so the budget runs out instead of a
     near-zero value being reported as converged."""
     budget = 10 ** 6
+    monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", budget)
     with pytest.raises(CapExceededError) as exc:
-        estimate_leading_constant(2, target_error=target, max_points=budget)
+        estimate_leading_constant(2, target_error=target)
     assert exc.value.needed == (128 * DEFAULT_DEGREE) ** 2 > budget
 
 

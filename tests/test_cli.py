@@ -117,6 +117,22 @@ def test_lowerbound_with_culture_file(capsys, tmp_path):
     assert parse_human(out)["value"] == "1"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["exact"], ["lowerbound"], ["simulate", "--samples", "4096", "--seed", "9"]],
+    ids=["exact", "lowerbound", "simulate"],
+)
+def test_named_culture_file_matches_named_culture(capsys, tmp_path, command):
+    path = tmp_path / "cyclic6.json"
+    path.write_text(json.dumps({"n": 6, "kind": "cyclic"}))
+    tail = ["--k", "2", "--format", "json"]
+    code, from_file = run_capture(capsys, command + ["--culture", str(path)] + tail)
+    assert code == 0
+    code, named = run_capture(capsys, command + ["--culture", "cyclic", "--n", "6"] + tail)
+    assert code == 0
+    assert json.loads(from_file)["results"] == json.loads(named)["results"]
+
+
 def test_culture_file_n_cross_check(capsys, tmp_path):
     culture = culture_from_entries(2, [((0, 1), "1/2"), ((1, 0), "1/2")])
     path = tmp_path / "two.json"
@@ -351,10 +367,14 @@ def test_missing_culture_file_exit_one(capsys):
         ({"n": 2, "entries": [{"ranking": [0, 1], "p": None}]}, "culture entry 0"),
         ({"n": 2, "entries": [{"ranking": ["a", "b"], "p": "1"}]}, "culture entry 0"),
         ({"n": "x", "entries": [{"ranking": [0, 1], "p": "1"}]}, "culture 'n'"),
+        ({"n": 3, "kind": "urn"}, "unknown culture kind 'urn'"),
+        ({"n": 2, "kind": "cyclic", "entries": [{"ranking": [0, 1], "p": "1"}]},
+         "cyclic culture entries must be exactly its 2 rankings"),
     ],
     ids=[
         "missing_p", "list_entry", "ranking_not_list", "entries_not_list",
-        "null_p", "ranking_not_indices", "n_not_integer",
+        "null_p", "ranking_not_indices", "n_not_integer", "unknown_kind",
+        "named_kind_other_entries",
     ],
 )
 def test_malformed_culture_file_exit_one(capsys, tmp_path, obj, entry):

@@ -102,7 +102,7 @@ def test_sample_positions_shape_and_membership():
     culture = cyclic_culture(4)
     pos = _sample_positions(culture, 3, 7, stream(3))
     assert pos.shape == (7, 5, 4)  # profiles, 2k-1 voters, alternatives
-    allowed = {r.order for r, _ in culture.entries}
+    allowed = {r.order for r, _ in culture.expand().entries}
     assert set(orders(pos)) <= allowed
 
 
@@ -124,4 +124,4 @@ def test_stream_pairwise_independence_smoke():
 def test_cyclic_culture_minimal_n():
     c = cyclic_culture(1)
     assert c.support_size == 1
-    assert c.entries[0][1] == Fraction(1)
+    assert c.expand().entries[0][1] == Fraction(1)

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import condorcet
+from condorcet.cultures import cyclic_culture, impartial_culture
 from condorcet.model import (
+    NAMED_KINDS,
     Culture,
     Profile,
     Ranking,
@@ -15,7 +18,6 @@ from condorcet.model import (
     culture_to_json_obj,
     load_culture,
     parse_probability,
-    ranking_from_order,
     rotation_ranking,
     save_culture,
 )
@@ -35,12 +37,11 @@ def test_ranking_accessors():
     assert r.n == 3
     assert r.top == 2
     assert r.positions == (1, 2, 0)
-    assert r.prefers(2, 0) and r.prefers(0, 1) and not r.prefers(1, 2)
 
 
 @given(st.permutations(list(range(6))))
 def test_positions_is_inverse_permutation(order):
-    r = ranking_from_order(order)
+    r = Ranking(order)
     for rank, alt in enumerate(order):
         assert r.positions[alt] == rank
 
@@ -87,32 +88,37 @@ def test_culture_rejects_unknown_kind():
 
 
 def test_cyclic_culture_shape():
-    from condorcet.cultures import cyclic_culture
-
     c = cyclic_culture(4)
+    assert c.entries is None
+    assert c.support_size == 4
     expanded = c.expand()
     assert expanded.kind == "explicit"
     assert len(expanded.entries) == 4
     share = Fraction(1, 4)
-    for i, (r, w) in enumerate(c.entries):
+    for i, (r, w) in enumerate(expanded.entries):
         assert w == share
         assert r.order == rotation_ranking(4, i).order
 
 
 def test_cyclic_kind_validates_entries():
-    # right support but wrong weights
-    entries = (
-        (rotation_ranking(3, 0), Fraction(1, 2)),
-        (rotation_ranking(3, 1), Fraction(1, 4)),
-        (rotation_ranking(3, 2), Fraction(1, 4)),
-    )
-    with pytest.raises(ValueError, match="cyclic"):
-        Culture(3, "cyclic", entries)
+    # a named kind is symbolic: not even its own support is kept as entries
+    for kind in NAMED_KINDS:
+        entries = Culture(3, kind).expand().entries
+        with pytest.raises(ValueError, match=f"{kind} culture keeps no explicit entries"):
+            Culture(3, kind, entries)
+
+
+def test_expand_is_the_support_cap_for_every_kind():
+    with pytest.raises(SupportTooLargeError) as exc:
+        cyclic_culture(3).expand(max_support=2)
+    assert (exc.value.needed, exc.value.cap) == (3, 2)
+    two = culture_from_entries(2, [((0, 1), "1/2"), ((1, 0), "1/2")])
+    with pytest.raises(SupportTooLargeError):
+        two.expand(max_support=1)
+    assert two.expand(max_support=2) is two
 
 
 def test_impartial_expand_and_cap():
-    from condorcet.cultures import impartial_culture
-
     c = impartial_culture(3)
     assert c.support_size == 6
     expanded = c.expand()
@@ -134,9 +140,8 @@ def test_top_marginals_sum_to_one():
     assert marg == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
     assert sum(marg) == 1
 
-    from condorcet.cultures import impartial_culture
-
     assert impartial_culture(5).top_marginals() == (Fraction(1, 5),) * 5
+    assert cyclic_culture(5).top_marginals() == (Fraction(1, 5),) * 5
 
 
 @st.composite
@@ -190,6 +195,61 @@ def test_culture_from_json_obj_requires_fields():
         culture_from_json_obj({"entries": []})
     with pytest.raises(ValueError):
         culture_from_json_obj({"n": 3})
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+def test_named_kind_json_round_trip(kind):
+    culture = Culture(5, kind)
+    assert culture_to_json_obj(culture) == {"n": 5, "kind": kind}
+    assert culture_from_json_obj({"n": 5, "kind": kind}) == culture
+
+
+def test_unknown_kind_in_culture_object():
+    with pytest.raises(ValueError, match="unknown culture kind 'urn'"):
+        culture_from_json_obj({"n": 3, "kind": "urn"})
+
+
+def _listed(culture):
+    return [{"ranking": list(r.order), "p": str(w)} for r, w in culture.expand().entries]
+
+
+def test_named_kind_with_its_support_listed_loads():
+    # cyclic files used to list the n rotations; any order of them loads
+    obj = {"n": 4, "kind": "cyclic", "entries": _listed(cyclic_culture(4))[::-1]}
+    assert culture_from_json_obj(obj) == cyclic_culture(4)
+    obj = {"n": 3, "kind": "impartial", "entries": _listed(impartial_culture(3))}
+    assert culture_from_json_obj(obj) == impartial_culture(3)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 3, "kind": "cyclic", "entries": [
+            {"ranking": [0, 1, 2], "p": "1/2"},
+            {"ranking": [1, 2, 0], "p": "1/4"},
+            {"ranking": [2, 0, 1], "p": "1/4"},
+        ]},
+        {"n": 3, "kind": "cyclic", "entries": [
+            {"ranking": [0, 1, 2], "p": "1/3"},
+            {"ranking": [1, 2, 0], "p": "1/3"},
+            {"ranking": [2, 1, 0], "p": "1/3"},
+        ]},
+        {"n": 3, "kind": "impartial", "entries": [
+            {"ranking": [0, 1, 2], "p": "1/2"},
+            {"ranking": [2, 1, 0], "p": "1/2"},
+        ]},
+    ],
+    ids=["cyclic_weights", "cyclic_rankings", "impartial_two_rankings"],
+)
+def test_named_kind_with_other_entries_is_rejected(obj):
+    with pytest.raises(ValueError, match=f"{obj['kind']} culture entries must be exactly"):
+        culture_from_json_obj(obj)
+
+
+def test_public_names_exist_once():
+    names = condorcet.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(condorcet, name)] == []
 
 
 def test_profile_requires_odd_matching_count():

@@ -151,7 +151,7 @@ def test_winner_table_matches_oracle(culture, k, block_rows):
     """Entry sum_v i_v S^(m-1-v) of the winner table is the oracle's verdict
     on the profile whose voter v holds support ranking i_v, whether the
     table is built in many blocks or in one."""
-    support = [ranking for ranking, _ in culture.entries]
+    support = [ranking for ranking, _ in culture.expand().entries]
     table = _winner_table(culture, k, block_rows)
     tuples = list(itertools.product(range(len(support)), repeat=2 * k - 1))
     assert table.dtype == bool and len(table) == len(tuples)
@@ -167,7 +167,7 @@ def replay_key_path(culture, k, samples, seed):
     tensor as on the key path: the chunk generators and block sizes of
     :func:`estimate_condorcet_probability`, with every block of support
     indices turned into ranks and passed to the knockout kernel."""
-    ranks = np.array([ranking.positions for ranking, _ in culture.entries])
+    ranks = np.array([ranking.positions for ranking, _ in culture.expand().entries])
     rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
     wins = 0
     for index, size in _chunk_layout(samples, CHUNK_SAMPLES):

@@ -20,7 +20,10 @@ from .model import Culture
 # ranks, and each Monte Carlo chunk draws its profiles one block at a time.
 # Version 3: impartial keys are uint32, two per generator word; a block
 # whose keys tie draws their 32 low bits right after it.
-STREAM_VERSION = 3
+# Version 4: each block is drawn alternative-major, as a (voters, n, profiles)
+# array, so each seed puts its keys in other (profile, voter, alternative)
+# slots.
+STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,6 +56,14 @@ def parse_probability(text: str) -> Fraction:
     return value
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` as an int when it is one: an int or a numpy integer, not a
+    bool, float or str, so no conversion can change what a file says."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Ranking:
     """A strict preference order: ``order[0]`` is the most preferred alternative.
@@ -66,7 +75,9 @@ class Ranking:
     order: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(int(a) for a in self.order))
+        object.__setattr__(
+            self, "order", tuple(_exact_int(a, "ranking entry") for a in self.order)
+        )
         n = len(self.order)
         if n < 1:
             raise ValueError("ranking must cover at least one alternative")
@@ -223,10 +234,7 @@ def culture_from_json_obj(obj: dict) -> Culture:
     at uniform weight."""
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("culture object must have an 'n' field")
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"culture 'n' must be an integer, got {obj['n']!r}") from exc
+    n = _exact_int(obj["n"], "culture 'n'")
     kind = obj.get("kind", "explicit")
     if kind != "explicit" and kind not in NAMED_KINDS:
         raise ValueError(f"unknown culture kind {kind!r}")

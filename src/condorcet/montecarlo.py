@@ -6,19 +6,22 @@ A chunk is sampled and judged one block of profiles at a time, each block
 holding about ``_BLOCK_KEYS`` keys, so its working set stays in cache and
 no chunk-sized tensor is ever built.  :func:`_sample_positions` is the
 package's one profile sampler: it draws a block as a tensor of ranking
-keys, never as Ranking objects.  Workers only decide which thread
-evaluates a chunk, and the merge is an integer sum of winner counts, so
-p_hat depends on (seed, version) alone and is identical for any worker
-count.
+keys, never as Ranking objects, laid out alternative-major as a C-order
+(voters, n, profiles) array and handed over as its (profiles, voters, n)
+view.  Workers only decide which thread evaluates a chunk, and the merge
+is an integer sum of winner counts, so p_hat depends on (seed, version)
+alone and is identical for any worker count.
 
 The winner kernel, :func:`_count_winners_vectorized`, is a knockout
 tournament run on a key tensor: ceil(log2 n) rounds of paired majority
 contests, in which the odd column of an odd-width round has a bye, leave
 one survivor per profile, and one verification pass checks it against all
-n alternatives.  A Condorcet winner beats everyone, so it survives any
-bracket, and the count equals that of any candidate-elimination scan.  It
-only compares keys, so any keys whose order is the voter's ranking will
-do.  Its oracle is the all-pairs check
+n alternatives.  On the alternative-major layout each compare and select
+covers one contiguous (alternatives, profiles) array per voter, and the
+temporaries are (n, profiles) arrays.  A Condorcet winner beats everyone,
+so it survives any bracket, and the count equals that of any
+candidate-elimination scan.  It only compares keys, so any keys whose
+order is the voter's ranking will do.  Its oracle is the all-pairs check
 :func:`condorcet.engine.find_condorcet_winner`.
 
 Impartial keys are the 32-bit high halves of i.i.d. uniform 64-bit keys.
@@ -54,11 +57,12 @@ from .cultures import STREAM_VERSION, mix64
 CHUNK_SAMPLES = 1 << 14
 # Keys per sampled block, 1 MiB of uint32 impartial keys: small enough for
 # the block and the kernel's temporaries to stay in cache, large enough to
-# amortise numpy's per-call cost.  On 2 vCPUs with 2 MiB L2 per core, 2^18
-# was the best or within about 10% of the best of 2^16 to 2^21 uint64 keys
-# at impartial n = 800, 200 and 50 and cyclic n = 10.  On uint32 keys, 2^19
-# tied it at n = 800, k = 2 (0.33 s per 16384 profiles), lost at n = 50,
-# k = 5 (0.24-0.26 s against 0.19-0.23 s) and added 1.5 MB of peak RSS.
+# amortise numpy's per-call cost.  On 2 vCPUs with 2 MiB L2 per core and
+# alternative-major blocks, 2^19 ran impartial n = 800, k = 2 and n = 50,
+# k = 5 within noise of 2^18 in process (0.20-0.23 s and 0.08-0.09 s per
+# call), and 3-5% faster in paired benchmark runs, but added 1.5-1.7 MB of
+# peak RSS.  2^17 took 0.13 s at n = 50, k = 5, with 22 400 minor page
+# faults per warm call against none at 2^18.
 _BLOCK_KEYS = 1 << 18
 
 _Z95 = 1.96
@@ -126,12 +130,32 @@ def _sample_support(
     return np.clip(idx, 0, len(culture.entries) - 1, out=idx)
 
 
-def _random_keys32(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform uint32 keys of ``shape``, two per 64-bit generator word,
-    low half first on any host."""
-    count = math.prod(shape)
+def _random_keys32(shape: Tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform uint32 keys of ``shape`` = (size, voters, n), two per
+    64-bit generator word, low half first on any host.  They are drawn in
+    the kernel's alternative-major order: the result is the (size, voters,
+    n) view of a C-order (voters, n, size) array."""
+    size, voters, n = shape
+    count = size * voters * n
     words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return words.view("<u4")[:count].reshape(shape)
+    return words.view("<u4")[:count].reshape(voters, n, size).transpose(2, 0, 1)
+
+
+def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rank tensor of the profiles whose voter v holds support ranking
+    idx[b, v]: out[b, v] = ranks[idx[b, v]], in the kernel's
+    alternative-major order, as the (rows, voters, n) view of a C-order
+    (voters, n, rows) array.  Each voter's rows are gathered whole and
+    written transposed into the block.  In process, cyclic n = 800, k = 2
+    at 16384 profiles took 0.13 s this way, against 0.25 s with an
+    element-wise gather along the support axis and 0.19 s with every voter
+    gathered before one transposing copy, which holds two blocks at once
+    and took 33 600 minor page faults per call."""
+    rows, voters = idx.shape
+    out = np.empty((voters, ranks.shape[1], rows), dtype=ranks.dtype)
+    for v in range(voters):
+        out[v] = ranks[idx[:, v]].T
+    return out.transpose(2, 0, 1)
 
 
 def _sample_positions(
@@ -139,6 +163,10 @@ def _sample_positions(
 ) -> np.ndarray:
     """Key tensors for ``size`` profiles: voter v of profile b prefers
     alternative a to alternative c exactly when out[b, v, a] < out[b, v, c].
+
+    The tensor is the (size, voters, n) view of a C-order (voters, n, size)
+    array, so the kernel reads each voter's keys of one alternative as one
+    contiguous run over the profiles and copies nothing.
 
     The cyclic and explicit cultures give ranks 0..n-1 (the position of a in
     the voter's ranking), the rows of :func:`_support_ranks` picked by
@@ -153,16 +181,22 @@ def _sample_positions(
     """
     if culture.kind == "impartial":
         return _random_keys32((size, 2 * k - 1, culture.n), rng)
-    return _support_ranks(culture)[_sample_support(culture, k, size, rng)]
+    return _gather_ranks(_support_ranks(culture), _sample_support(culture, k, size, rng))
 
 
 def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     """Per-profile Condorcet winner indicators of the key tensor, and whether
     any comparison the kernel made was a tie.
 
+    The kernel runs on the alternative-major (voters, n, rows) layout, which
+    is the memory of every tensor :func:`_sample_positions` returns, so
+    ``np.ascontiguousarray`` copies only a tensor laid out otherwise.  Each
+    voter's keys of a run of alternatives are then one contiguous (run,
+    rows) array, and every compare and select below covers one such array.
+
     Knockout rounds: in a round of width w, let h = floor(w / 2); column
     i < h meets column i + (w - h) and the majority winner of each pair
-    survives.  Both halves are contiguous views.  With w odd the middle
+    survives.  Both halves are contiguous per voter.  With w odd the middle
     column has a bye: it passes to the next round without playing, so no
     column ever meets itself.  A column is dropped only when it loses, so a
     Condorcet winner beats every alternative and is the last survivor
@@ -178,44 +212,44 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     theirs too.
 
     Every vote count is accumulated one voter at a time in the smallest
-    unsigned type that holds 2k - 1, so the temporaries are a few (rows, n)
+    unsigned type that holds 2k - 1, so the temporaries are a few (n, rows)
     arrays beside half the tensor; the caller bounds them by passing one
     block at a time.
     """
     rows, voters, n = pos.shape
+    keys = np.ascontiguousarray(pos.transpose(1, 2, 0))
     count_dtype = np.min_scalar_type(voters)
     tied = False
-    survivors = pos
-    while survivors.shape[2] > 1:
-        width = survivors.shape[2]
+    survivors = keys
+    while survivors.shape[1] > 1:
+        width = survivors.shape[1]
         half = width // 2
-        left = survivors[:, :, :half]
-        right = survivors[:, :, width - half:]
-        votes = np.zeros((rows, half), dtype=count_dtype)
+        left = survivors[:, :half]
+        right = survivors[:, width - half:]
+        votes = np.zeros((half, rows), dtype=count_dtype)
         for v in range(voters):
-            votes += left[:, v] < right[:, v]
-        following = np.empty((rows, voters, width - half), dtype=pos.dtype)
-        won = following[:, :, :half]
+            votes += left[v] < right[v]
+        following = np.empty((voters, width - half, rows), dtype=keys.dtype)
+        won = following[:, :half]
         # right + (left - right) * [left won], written into one buffer.  On
         # unsigned keys the subtraction wraps, but every step is exact modulo
         # 2^bits, so the result is left or right exactly.
         np.subtract(left, right, out=won)
         tied = tied or not won.all()
-        won *= (votes >= k)[:, None, :]
+        won *= votes >= k
         won += right
         if width % 2:
-            following[:, :, half] = survivors[:, :, half]
+            following[:, half] = survivors[:, half]
         survivors = following
-    champion = survivors[:, :, 0]
-    votes = np.zeros((rows, n), dtype=count_dtype)
+    champion = survivors[:, 0]
+    votes = np.zeros((n, rows), dtype=count_dtype)
     equal = 0
     for v in range(voters):
-        keys = pos[:, v]
-        votes += champion[:, v, None] < keys
-        equal += np.count_nonzero(champion[:, v, None] == keys)
+        votes += champion[v] < keys[v]
+        equal += np.count_nonzero(champion[v] == keys[v])
     tied = tied or equal != rows * voters
     # The champion never beats itself, so a winner beats the other n - 1.
-    return np.count_nonzero(votes >= k, axis=1) == n - 1, tied
+    return np.count_nonzero(votes >= k, axis=0) == n - 1, tied
 
 
 def _count_winners_vectorized(pos: np.ndarray, k: int) -> Tuple[int, bool]:
@@ -242,7 +276,7 @@ def _winner_table(culture: Culture, k: int, block_rows: int) -> np.ndarray:
     weights = _digit_weights(culture, k)
     flat = np.arange(size ** (2 * k - 1))
     return np.concatenate([
-        _winner_mask(ranks[flat[lo:lo + block_rows, None] // weights % size], k)[0]
+        _winner_mask(_gather_ranks(ranks, flat[lo:lo + block_rows, None] // weights % size), k)[0]
         for lo in range(0, len(flat), block_rows)
     ])
 
@@ -288,7 +322,8 @@ def estimate_condorcet_probability(
         wins, tied = _count_winners_vectorized(keys, k)
         if not tied:
             return wins, 0
-        # Only 32-bit impartial keys tie.  Draw their low halves and judge
+        # Only 32-bit impartial keys tie.  Draw their low halves, in the
+        # block's alternative-major order, which the shift keeps, and judge
         # the block on the full 64-bit keys, whatever those tie.
         keys = np.left_shift(keys, 32, dtype=np.uint64)
         keys |= _random_keys32(keys.shape, rng)

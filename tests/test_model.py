@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,6 +196,32 @@ def test_culture_from_json_obj_requires_fields():
         culture_from_json_obj({"entries": []})
     with pytest.raises(ValueError):
         culture_from_json_obj({"n": 3})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 3, "entries": [{"ranking": [0.9, 1.2, 2.7], "p": "1"}]},
+         "culture entry 0 is invalid (ranking entry must be an integer, got 0.9)"),
+        ({"n": 3.5, "kind": "cyclic"}, "culture 'n' must be an integer, got 3.5"),
+        ({"n": True, "kind": "cyclic"}, "culture 'n' must be an integer, got True"),
+    ],
+    ids=["float_ranking", "float_n", "bool_n"],
+)
+def test_culture_object_rejects_lossy_integers(obj, message):
+    """A float or bool where an integer belongs is refused by name, not
+    truncated: these loaded as the ranking (0, 1, 2), n = 3 and n = 1."""
+    with pytest.raises(ValueError) as caught:
+        culture_from_json_obj(obj)
+    assert message in str(caught.value)
+
+
+def test_ranking_takes_ints_and_numpy_integers_only():
+    assert Ranking(np.array([2, 0, 1])).order == (2, 0, 1)
+    assert all(type(a) is int for a in Ranking(np.array([2, 0, 1])).order)
+    for order in ((0.0, 1.0), (False, True), ("0", "1")):
+        with pytest.raises(ValueError, match="ranking entry must be an integer"):
+            Ranking(order)
 
 
 @pytest.mark.parametrize("kind", NAMED_KINDS)

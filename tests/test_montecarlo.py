@@ -311,9 +311,10 @@ def test_tied_blocks_are_judged_on_64_bit_keys(monkeypatch, workers):
     """A sampler keeping 4 bits of each 32-bit key makes every block tie,
     so every block is judged again.  p_hat equals a replay that makes the
     same generator calls, the block's high halves and then its low halves,
-    and judges each profile's 64-bit keys with the oracle.  Three chunks of
-    blocks of at most 45 profiles of 21 keys: every block takes an odd
-    number of keys, so each draw leaves half a word unused."""
+    each laid out alternative-major as (voters, n, profiles), and judges
+    each profile's 64-bit keys with the oracle.  Three chunks of blocks of
+    at most 45 profiles of 21 keys: every block takes an odd number of
+    keys, so each draw leaves half a word unused."""
     n, k, samples, rows, chunk = 7, 2, 600, 45, 256
     monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", chunk)
     monkeypatch.setattr(montecarlo, "_BLOCK_KEYS", rows * (2 * k - 1) * n)
@@ -321,21 +322,87 @@ def test_tied_blocks_are_judged_on_64_bit_keys(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
     est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=41, workers=workers)
 
-    def halves(rng, count):
-        return rng.bit_generator.random_raw((count + 1) // 2).view("<u4")[:count]
+    def halves(rng, shape):
+        count = math.prod(shape)
+        words = rng.bit_generator.random_raw((count + 1) // 2).view("<u4")[:count]
+        return words.reshape(shape).transpose(2, 0, 1)
 
     wins = blocks = 0
     for index, size in _chunk_layout(samples, chunk):
         rng = np.random.default_rng(mix64(41, n, k, index, STREAM_VERSION))
         for lo in range(0, size, rows):
-            shape = (min(rows, size - lo), 2 * k - 1, n)
-            high = halves(rng, math.prod(shape)) & 0xF
-            keys = high.astype(np.uint64) << np.uint64(32) | halves(rng, math.prod(shape))
-            wins += sum(oracle_winners(keys.reshape(shape), k))
+            shape = (2 * k - 1, n, min(rows, size - lo))
+            high = halves(rng, shape) & 0xF
+            keys = high.astype(np.uint64) << np.uint64(32) | halves(rng, shape)
+            wins += sum(oracle_winners(keys, k))
             blocks += 1
     assert blocks == 6 + 6 + 2
     assert est.blocks == est.rejudged_blocks == blocks
     assert est.p_hat == wins / samples
+
+
+# Win counts at seed 2026 on STREAM_VERSION 4, where each block is drawn
+# alternative-major.  A change to the draw order or the block sizes moves
+# them; such a change must bump STREAM_VERSION and re-pin them here.
+STREAM_PINS = [
+    (impartial_culture(200), 2, 4_096, 1, 749),
+    (impartial_culture(50), 5, 20_000, 1, 4_061),
+    (impartial_culture(50), 5, 20_000, 2, 4_061),
+    (cyclic_culture(40), 3, 20_000, 1, 110),
+    (EXPLICIT_5, 3, 1_000, 1, 773),
+]
+
+
+@pytest.mark.parametrize(
+    "culture, k, samples, workers, wins", STREAM_PINS,
+    ids=["impartial200_k2", "impartial50_k5_w1", "impartial50_k5_w2", "cyclic40_k3",
+         "explicit_k3"],
+)
+def test_stream_is_pinned(culture, k, samples, workers, wins):
+    """Every pinned run is on the key path: no winner table, and no block
+    judged again."""
+    assert STREAM_VERSION == 4
+    est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
+    assert est.winner_table == 0 and est.rejudged_blocks == 0
+    assert est.p_hat == wins / samples
+
+
+@pytest.mark.parametrize(
+    "culture, k",
+    [(impartial_culture(50), 5), (impartial_culture(7), 2), (cyclic_culture(40), 3),
+     (EXPLICIT_5, 3)],
+    ids=["impartial50_k5", "impartial7_k2", "cyclic40_k3", "explicit_k3"],
+)
+def test_sampled_blocks_are_alternative_major(culture, k):
+    """The sampler's (size, voters, n) tensor is a view of a C-order
+    (voters, n, size) array, the layout the kernel runs on, so the
+    production path hands the kernel a block it need not copy."""
+    pos = _sample_positions(culture, k, 300, np.random.default_rng(mix64(53, culture.n, k)))
+    assert pos.shape == (300, 2 * k - 1, culture.n)
+    assert pos.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_kernel_gives_the_same_verdicts_on_any_layout():
+    """A C-order copy of a block, which the kernel must copy into its own
+    layout, gets the verdicts and tie flag of the block itself: on rank
+    tensors, on uint32 keys and on uint64 keys drawn from 12 values, which
+    tie."""
+    rng = np.random.default_rng(mix64(59))
+    tying = rng.integers(0, 12, size=(5, 6, 400), dtype=np.uint64) << np.uint64(40)
+    cases = [
+        (_sample_positions(cyclic_culture(9), 2, 400, rng), 2, False),
+        (_sample_positions(EXPLICIT_5, 3, 400, rng), 3, False),
+        (_sample_positions(impartial_culture(13), 3, 400, rng), 3, False),
+        (tying.transpose(2, 0, 1), 3, True),
+    ]
+    for block, k, tied in cases:
+        copy = np.ascontiguousarray(block)
+        assert copy.flags.c_contiguous and not block.flags.c_contiguous
+        mask, block_tied = _winner_mask(block, k)
+        assert block_tied == tied
+        copy_mask, copy_tied = _winner_mask(copy, k)
+        assert copy_mask.tolist() == mask.tolist() and copy_tied == tied
+        assert 0 < np.count_nonzero(mask) < len(mask)  # both outcomes occur
 
 
 def test_kernel_counts_more_than_255_votes():

@@ -5,9 +5,10 @@ profile.
 check: every alternative against every other, O(n^2 k) preference tests.
 No production path runs it.  It is the oracle the fast winner checks are
 tested against: the Monte Carlo knockout kernel
-(``montecarlo._count_winners_vectorized``) and the packed-tally tests of
-exact enumeration, which judge one alternative at a time: the win test
-``exact._multiset_winner`` at a leaf and the defeat mask that cuts a walk.
+(``montecarlo._count_winners_vectorized``) and the packed-tally test of
+exact enumeration, which judges one alternative at a time with one defeat
+mask: the mask cuts a walk's partial tallies, and on a full tally
+``exact._multiset_winner`` reads a miss as a win.
 """
 
 from __future__ import annotations

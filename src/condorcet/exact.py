@@ -5,16 +5,15 @@ bound.  Everything here is exact rational arithmetic.
 Enumeration runs on integers only.  Each support ranking's pairwise
 preferences are packed into one Python int, one small field per ordered
 pair of alternatives, so a voter multiset's pairwise tally is one int sum,
-and whether an alternative wins it, or has already lost it to some rival,
-one mask test.  Each alternative's winner mass comes from its own walk over
+and one mask test per alternative tells whether some rival has a majority
+over it: on a partial tally that cuts the branch, on a full one it decides
+the win.  Each alternative's winner mass comes from its own walk over
 multiplicity vectors, the multinomial weight built up as a product of
-binomials; the walk cuts every branch in which the alternative has already
-lost, so it judges, once each, only the multisets the alternative has not
-lost before their last voter, whatever the support size and voter count.
-The named kinds are symmetric, so one walk serves every alternative.
-Weights are integer numerators over the lcm D of the weight denominators;
-the winner mass per alternative accumulates as an integer over D^(2k-1) and
-becomes a ``Fraction`` once, at the end.
+binomials, that judges once each only the multisets the alternative has
+not lost before their last voter.  The named kinds are symmetric, so one
+walk serves every alternative.  Weights are integer numerators over the
+lcm D of the weight denominators; the winner mass accumulates as an
+integer over D^(2k-1) and becomes a ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture
 from .special import _tail_numerator, majority_tail_exact
@@ -62,61 +63,56 @@ def multiset_count(support: int, k: int) -> int:
     return math.comb(support + voters - 1, voters)
 
 
-def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], List[int], int]:
-    """Packed pairwise preferences of the support rankings, the winner row
-    masks, the defeat masks and the tally bias.
+def _fields(where: np.ndarray, value: int, width: int) -> int:
+    """The int holding ``value`` in the ``width``-bit field at bit
+    ``width * (a * n + b)`` of every pair with ``where[a, b]``, 0 elsewhere,
+    read off its bit array in time linear in its bits."""
+    digits = np.array([value >> j & 1 for j in range(width)], dtype=bool)
+    bits = np.zeros(where.shape + (width,), dtype=bool)
+    bits[:, :, digits] = where[:, :, None]
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
 
-    Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits at
-    bit ``w * (a * n + b)``; a ranking's packed int holds 1 there when it
-    puts a above b.  ``bias`` starts every off-diagonal field at
-    2^(w-1) - k, so after 2k-1 voters a field holds 2^(w-1) - k + votes,
-    which lies in [0, 2^(w-1) + k - 1] and, as k < 2^(w-1), below 2^w: no
-    carry crosses into the next field, and the field's top bit is set
-    exactly when at least k voters put a above b.  ``rows[a]`` masks the top
-    bits of the fields (a, b) for b != a, so a is the Condorcet winner iff
-    ``tally & rows[a] == rows[a]``.  ``against[a]`` masks the top bits of
-    the fields (b, a), so ``tally & against[a]`` is nonzero once some b has
-    k votes over a, on a partial tally as well as a full one.
+
+def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
+    """The support rankings' packed preferences, the defeat masks and the bias.
+
+    Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits
+    (see :func:`_fields`); a ranking's packed int holds 1 there when it puts
+    a above b.  ``bias`` starts every off-diagonal field at 2^(w-1) - k, so
+    after 2k-1 voters a field holds 2^(w-1) - k + votes < 2^w: no carry
+    crosses fields, and the top bit is set exactly when at least k voters
+    put a above b.  ``against[a]`` masks the top bits of the fields (b, a),
+    b != a, so ``tally & against[a]`` is nonzero once some b has k votes
+    over a.  Every pair has a strict majority among 2k-1 voters, so on a
+    full tally a wins exactly when that test is zero.
     """
     n = culture.n
     width = k.bit_length() + 1
     top = 1 << (width - 1)
-    bit = [[1 << (width * (a * n + b)) for b in range(n)] for a in range(n)]
-    packed = []
-    for ranking, _ in culture.entries:
-        order = ranking.order
-        packed.append(
-            sum(bit[a][b] for i, a in enumerate(order) for b in order[i + 1:])
-        )
-    rows = [sum(top * bit[a][b] for b in range(n) if b != a) for a in range(n)]
-    against = [sum(top * bit[b][a] for b in range(n) if b != a) for a in range(n)]
-    bias = (top - k) * sum(bit[a][b] for a in range(n) for b in range(n) if b != a)
-    return packed, rows, against, bias
+    others = ~np.eye(n, dtype=bool)
+    positions = np.array([ranking.positions for ranking, _ in culture.entries])
+    packed = [_fields(pos[:, None] < pos, 1, width) for pos in positions]
+    against = [_fields(others & (np.arange(n) == a), top, width) for a in range(n)]
+    return packed, against, _fields(others, top - k, width)
 
 
-def _multiset_winner(tally: int, row: int) -> bool:
-    """Whether the alternative with winner row mask ``row`` is the Condorcet
-    winner of a voter multiset, from its packed pairwise tally (see
-    :func:`_pack`)."""
-    return tally & row == row
+def _multiset_winner(tally: int, against: int) -> bool:
+    """Whether the alternative with defeat mask ``against`` is the Condorcet
+    winner of a voter multiset's packed full tally (see :func:`_pack`)."""
+    return not tally & against
 
 
 def _enumerate_range(
-    packed: Sequence[int],
-    row: int,
-    against: int,
-    bias: int,
-    nums: Sequence[int],
-    voters: int,
+    packed: Sequence[int], against: int, bias: int, nums: Sequence[int], voters: int
 ) -> Tuple[int, int]:
     """Winner mass of one alternative over the multisets of ``voters``
     support indices, as an integer numerator over D^voters, and the number
     of winner checks made.
 
     A multiset with multiplicities c_i adds ``voters! / prod(c_i!) *
-    prod(nums[i]^c_i)`` when the alternative with masks ``row`` and
-    ``against`` (see :func:`_pack`) wins it.  ``walk(start, left, tally,
-    coeff)`` places the ``left`` remaining voters on indices >= start: index
+    prod(nums[i]^c_i)`` when the alternative with defeat mask ``against``
+    (see :func:`_pack`) wins it.  ``walk(start, left, tally, coeff)``
+    places the ``left`` remaining voters on indices >= start: index
     i takes a run of r = 1..left voters, each step adding ``packed[i]`` to
     the tally and multiplying ``coeff`` by ``(left - r + 1) / r * nums[i]``,
     and the walk recurses on (i + 1, left - r).  The multinomial is the
@@ -140,7 +136,7 @@ def _enumerate_range(
         if left == 1:
             checks += last + 1 - start
             for q in range(start, last + 1):
-                if _multiset_winner(tally + packed[q], row):
+                if _multiset_winner(tally + packed[q], against):
                     mass += coeff * nums[q]
             return
         for i in range(start, last):
@@ -153,10 +149,10 @@ def _enumerate_range(
                 walk(i + 1, left - r, t, c)
             else:
                 checks += 1
-                if _multiset_winner(t + v, row):
+                if _multiset_winner(t + v, against):
                     mass += c // left * w
         checks += 1
-        if _multiset_winner(tally + left * packed[last], row):
+        if _multiset_winner(tally + left * packed[last], against):
             mass += coeff * nums[last] ** left
 
     walk(0, voters, bias, 1)
@@ -183,9 +179,11 @@ def condorcet_probability(
     a relabelling that sends 0 to any alternative, so only alternative 0 is
     walked and its mass is every alternative's; explicit cultures walk every
     alternative.  Each multiset's pairwise tally is a sum of packed ints,
-    one per voter, and a win or a defeat one mask test (:func:`_pack`).  Weights enter as integer
-    numerators over D, the lcm of their denominators, so the winner mass
-    accumulates as integers over D^(2k-1) and is divided once at the end.
+    one per voter, built in time linear in their bits, and one defeat mask
+    per alternative both cuts a lost branch and judges a full tally
+    (:func:`_pack`).  Weights enter as integer numerators over D, the lcm
+    of their denominators, so the winner mass accumulates as integers over
+    D^(2k-1) and is divided once at the end.
 
     Raises :class:`SupportTooLargeError` when the support would exceed
     ``max_support`` (checked by :meth:`Culture.expand`) and
@@ -203,14 +201,14 @@ def condorcet_probability(
     voters = 2 * k - 1
     scale = math.lcm(*(w.denominator for _, w in explicit.entries))
     nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
-    packed, rows, against, bias = _pack(explicit, k)
+    packed, against, bias = _pack(explicit, k)
     rankings = [ranking for ranking, _ in explicit.entries]
     symmetric = culture.kind != "explicit"
     mass, checks = [], 0
     for a in range(1 if symmetric else culture.n):
         order = sorted(range(support), key=lambda i: -rankings[i].positions[a])
         won, made = _enumerate_range(
-            [packed[i] for i in order], rows[a], against[a], bias,
+            [packed[i] for i in order], against[a], bias,
             [nums[i] for i in order], voters,
         )
         mass.append(won)

@@ -115,17 +115,33 @@ def _support_ranks(culture: Culture) -> np.ndarray:
     return np.array([r.positions for r, _ in culture.entries], dtype=dtype)
 
 
+def _cumulative_weights(culture: Culture) -> Optional[np.ndarray]:
+    """The cumulative support weights of a finite-support culture, the last
+    set to 1.0, which :func:`_sample_support` inverts (None for the cyclic
+    culture, which it draws uniformly)."""
+    if culture.kind == "cyclic":
+        return None
+    cum = np.cumsum([float(w) for _, w in culture.entries])
+    cum[-1] = 1.0
+    return cum
+
+
 def _sample_support(
-    culture: Culture, k: int, size: int, rng: np.random.Generator
+    culture: Culture,
+    k: int,
+    size: int,
+    rng: np.random.Generator,
+    cum: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Support indices for ``size`` profiles of a finite-support culture:
     out[b, v] is the ranking of voter v of profile b, drawn with its weight
-    (cyclic: uniform on the n rotations)."""
+    (cyclic: uniform on the n rotations) by inverting ``cum``, which
+    :func:`_cumulative_weights` builds if it is not given."""
     voters = 2 * k - 1
     if culture.kind == "cyclic":
         return rng.integers(0, culture.n, size=(size, voters), dtype=np.int32)
-    cum = np.cumsum([float(w) for _, w in culture.entries])
-    cum[-1] = 1.0
+    if cum is None:
+        cum = _cumulative_weights(culture)
     idx = np.searchsorted(cum, rng.random((size, voters)), side="right")
     return np.clip(idx, 0, len(culture.entries) - 1, out=idx)
 
@@ -159,7 +175,11 @@ def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _sample_positions(
-    culture: Culture, k: int, size: int, rng: np.random.Generator
+    culture: Culture,
+    k: int,
+    size: int,
+    rng: np.random.Generator,
+    tables: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
 ) -> np.ndarray:
     """Key tensors for ``size`` profiles: voter v of profile b prefers
     alternative a to alternative c exactly when out[b, v, a] < out[b, v, c].
@@ -170,18 +190,24 @@ def _sample_positions(
 
     The cyclic and explicit cultures give ranks 0..n-1 (the position of a in
     the voter's ranking), the rows of :func:`_support_ranks` picked by
-    :func:`_sample_support`.  The impartial culture gives i.i.d. uniform
-    uint32 keys, drawn in one call: the high halves of i.i.d. uniform uint64
-    keys, whose low halves are drawn only if the kernel meets a tie (see
-    :func:`estimate_condorcet_probability`).  Given distinct 64-bit keys,
-    the ranking they induce is exactly uniform on the n! orders.  A 64-bit
-    tie has probability at most C(n, 2) / 2^64 per voter, and it can only
-    change the indicator of the profile it sits in, so |E[p_hat] - P| <=
-    (2k - 1) C(n, 2) / 2^64, which is 5.2e-14 at n = 800, k = 2.
+    :func:`_sample_support`.  ``tables`` holds that table and the
+    :func:`_cumulative_weights`, which an estimate builds once for all its
+    blocks; they are built here if it is not given.  The impartial culture
+    gives i.i.d. uniform uint32 keys, drawn in one call: the high halves of
+    i.i.d. uniform uint64 keys, whose low halves are drawn only if the
+    kernel meets a tie (see :func:`estimate_condorcet_probability`).  Given
+    distinct 64-bit keys, the ranking they induce is exactly uniform on the
+    n! orders.  A 64-bit tie has probability at most C(n, 2) / 2^64 per
+    voter, and it can only change the indicator of the profile it sits in,
+    so |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64, which is 5.2e-14 at
+    n = 800, k = 2.
     """
     if culture.kind == "impartial":
         return _random_keys32((size, 2 * k - 1, culture.n), rng)
-    return _gather_ranks(_support_ranks(culture), _sample_support(culture, k, size, rng))
+    if tables is None:
+        tables = _support_ranks(culture), _cumulative_weights(culture)
+    ranks, cum = tables
+    return _gather_ranks(ranks, _sample_support(culture, k, size, rng, cum))
 
 
 def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
@@ -303,22 +329,27 @@ def estimate_condorcet_probability(
         raise ValueError("samples must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if seed is None:
         seed = secrets.randbits(63)
 
     voters = 2 * k - 1
     block_rows = max(1, _BLOCK_KEYS // (voters * culture.n))
-    table = None
-    if culture.kind != "impartial" and culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
-        table = _winner_table(culture, k, block_rows)
-        weights = _digit_weights(culture, k)
+    tables = table = None
+    if culture.kind != "impartial":
+        tables = _support_ranks(culture), _cumulative_weights(culture)
+        if culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
+            table = _winner_table(culture, k, block_rows)
+            weights = _digit_weights(culture, k)
 
     def run_block(size: int, rng: np.random.Generator) -> Tuple[int, int]:
         """Wins among ``size`` profiles, and 1 when the block was judged
         again on 64-bit keys."""
         if table is not None:
-            return int(np.count_nonzero(table[_sample_support(culture, k, size, rng) @ weights])), 0
-        keys = _sample_positions(culture, k, size, rng)
+            idx = _sample_support(culture, k, size, rng, tables[1])
+            return int(np.count_nonzero(table[idx @ weights])), 0
+        keys = _sample_positions(culture, k, size, rng, tables)
         wins, tied = _count_winners_vectorized(keys, k)
         if not tied:
             return wins, 0
@@ -338,7 +369,7 @@ def estimate_condorcet_probability(
         return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)
 
     tasks = _chunk_layout(samples, CHUNK_SAMPLES)
-    if workers <= 1 or len(tasks) == 1:
+    if workers == 1 or len(tasks) == 1:
         counts = [run_chunk(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -388,6 +419,8 @@ def sweep(
     """
     if family not in NAMED_KINDS:
         raise ValueError(f"unknown culture family {family!r}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if seed is None:
         seed = secrets.randbits(63)
     results = []

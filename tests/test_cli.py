@@ -104,6 +104,25 @@ def test_simulate_and_sweep_identical_across_workers(capsys):
     assert len({cell["p_hat"] for cell in cells}) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_one(capsys, workers):
+    commands = [
+        ["simulate", "--culture", "cyclic", "--n", "10", "--k", "2"],
+        ["sweep", "--family", "impartial", "--n-values", "5,7", "--k", "2"],
+    ]
+    for argv in commands:
+        code, out = run_capture(capsys, argv + ["--samples", "4096", "--workers", workers])
+        assert code == 1 and out == ""
+
+
+def test_exact_cyclic_matches_minprob_at_two_hundred(capsys):
+    code, exact_out = run_capture(capsys, ["exact", "--culture", "cyclic", "--n", "200", "--k", "2"])
+    assert code == 0
+    code, minprob_out = run_capture(capsys, ["minprob", "--n", "200", "--k", "2"])
+    assert code == 0
+    assert parse_human(exact_out)["value"] == parse_human(minprob_out)["value"]
+
+
 def test_lowerbound_with_culture_file(capsys, tmp_path):
     culture = culture_from_entries(
         3, [((0, 1, 2), "1/2"), ((1, 0, 2), "1/2")]

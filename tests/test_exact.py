@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,9 +111,9 @@ def test_winner_checks_count_the_checks_made(monkeypatch):
     calls = []
     check = exact._multiset_winner
 
-    def counted(tally, row):
+    def counted(tally, against):
         calls.append(tally)
-        return check(tally, row)
+        return check(tally, against)
 
     monkeypatch.setattr(exact, "_multiset_winner", counted)
     cases = (
@@ -168,6 +169,49 @@ def test_symmetric_shortcut_matches_every_walk(culture, k):
 def test_symmetric_cultures_match_ordered_tuple_oracle(culture, k):
     expected = _ordered_tuple_oracle(culture.expand(), k)
     assert list(condorcet_probability(culture, k).per_alternative) == expected
+
+
+def _sum_form_pack(culture, k):
+    """The naive packing: each int is a sum of one shifted int per field it
+    sets, O(n^4 w) bit work per ranking, kept as the oracle of the linear
+    packing.  Returns the packed rankings, the defeat masks and the bias."""
+    n = culture.n
+    width = k.bit_length() + 1
+    top = 1 << (width - 1)
+    bit = [[1 << (width * (a * n + b)) for b in range(n)] for a in range(n)]
+    packed = []
+    for ranking, _ in culture.entries:
+        order = ranking.order
+        packed.append(sum(bit[a][b] for i, a in enumerate(order) for b in order[i + 1:]))
+    against = [sum(top * bit[b][a] for b in range(n) if b != a) for a in range(n)]
+    bias = (top - k) * sum(bit[a][b] for a in range(n) for b in range(n) if b != a)
+    return packed, against, bias
+
+
+def _random_explicit_culture(n, seed):
+    """Up to four distinct rankings of n alternatives drawn from a seeded
+    generator, with weights of several denominators."""
+    orders = random.Random(seed).sample(list(itertools.permutations(range(n))),
+                                        min(4, math.factorial(n)))
+    raw = [6, 4, 1, 1][:len(orders)]
+    return culture_from_entries(n, [(o, Fraction(r, sum(raw))) for o, r in zip(orders, raw)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pack_matches_sum_form(n, k):
+    # k = 1, 2..3 and 5 give fields of 2, 3 and 4 bits
+    cultures = [impartial_culture(n).expand(), cyclic_culture(n).expand(),
+                _random_explicit_culture(n, 100 * n + k)]
+    for culture in cultures:
+        assert exact._pack(culture, k) == _sum_form_pack(culture, k), culture.kind
+
+
+def test_cyclic_minimiser_at_two_hundred_alternatives():
+    # linear packing puts n in the hundreds within reach of enumeration
+    result = condorcet_probability(cyclic_culture(200), 2)
+    assert result.value == min_condorcet_probability(200, 2)
+    assert result.winner_checks == 200
 
 
 def test_impartial_three_voter_paradox_at_six_alternatives():

@@ -508,6 +508,29 @@ def test_input_validation():
         estimate_condorcet_probability(impartial_culture(3), 0, 100, seed=1)
     with pytest.raises(ValueError):
         sweep("urn", 2, [3], 100, seed=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_condorcet_probability(impartial_culture(3), 2, 100, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep("cyclic", 2, [3], 100, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep("cyclic", 2, [], 100, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
+    """An explicit culture on the key path reads its rank table and its
+    cumulative weights in every block, but builds each once per estimate."""
+    built = []
+    for name in ("_support_ranks", "_cumulative_weights"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda culture, real=real, name=name: built.append(name) or real(culture))
+    samples = 3 * CHUNK_SAMPLES
+    est = estimate_condorcet_probability(EXPLICIT_5, 5, samples, seed=29, workers=workers)
+    assert est.winner_table == 0 and est.blocks > 3
+    assert sorted(built) == ["_cumulative_weights", "_support_ranks"]
+    assert est.p_hat == replay_key_path(EXPLICIT_5, 5, samples, 29) / samples
 
 
 def test_sweep_cells_reproduce_in_isolation():

@@ -1,11 +1,37 @@
 """Quadrature for the impartial-culture leading constant and evaluators for
 the closed-form asymptotic expressions.
 
-The constant for 2k-1 voters is the integral of exp(-sigma_k) over the
-positive orthant in dimension 2k-1, where sigma_k is the k-th elementary
-symmetric polynomial of the coordinates.  It is estimated on a truncated box
-[0, a]^m with two error terms that are always reported separately and then
-added:
+The constant C_k for 2k-1 voters is the integral of exp(-sigma_k) over the
+positive orthant in dimension m = 2k-1, where sigma_k is the k-th elementary
+symmetric polynomial of the coordinates.  For k >= 2 it comes from an
+identity with no truncation: split x = (y, s, t) with y of d = 2k-3
+coordinates, so sigma_k(x) = sigma_k(y) + (s+t) sigma_{k-1}(y) +
+st sigma_{k-2}(y); integrate s and t, put y = r u with u on the simplex
+sum(u) = 1 and integrate r.  That leaves
+
+    C_k = Gamma((k-1)/k) * integral over the simplex of
+          S_{k-2}^-1 (S_{k-2} / S_{k-1}^2)^((k-1)/k) J_k(c) du,
+    c = S_k S_{k-2} / S_{k-1}^2,   S_j = sigma_j(u),
+    J_k(c) = pi / (k sin(pi/k)) (1-c)^(-(k-1)/k)
+             - integral_0^(c^(1/k)) dw / (w^k + 1 - c),
+
+a (2k-4)-dimensional integral (du over the first d-1 coordinates).
+Newton's inequalities give c < 1, so J_k is smooth.  The integrand is
+symmetric, so the rule covers the fundamental domain u_1 >= ... >= u_d,
+one of d! copies, Duffy-mapped from its vertex e_1 onto the unit cube; the
+map's volume factor 1/d! cancels the d! copies.  The vertex singularity and
+the kink of c^(1/k) on the face u_d = 0 are absorbed by grading every cube
+axis as x = t^k, after which a Gauss-Legendre rule of N nodes per axis (and
+N nodes for J_k's inner integral) converges spectrally.  At k = 2 the
+simplex is one point and the rule one evaluation, pi^(3/2)/2.  Passes with
+N = 8, 12, 16, 24, 32, ... run until |Q_N - Q_N'| against the pass before,
+plus a rounding allowance of ``ROUNDING_ULPS`` eps |value|, rounded up, is
+within the target; that is the reported error, and there is no truncation
+part.
+
+The box path (k = 1, and ``box=True``, which ``ck --full`` selects) is the
+naive oracle.  It integrates over a truncated box [0, a]^m with two error
+terms that are always reported separately and then added:
 
 * a rigorous tail bound for the mass outside the box,
   m (m-1) ((m-1)!)^2 a^(-(m-l)/(l-1)) for the order-l polynomial in m
@@ -20,22 +46,15 @@ covers the rounding of the tensor sum and of the final ``quadrature_error +
 truncation_bound`` addition.  The reported value then lies within
 ``total_error`` of the truth whenever the mesh-doubling estimate holds.
 
-The integrand does not decay along the coordinate axes (sigma_k vanishes
-there), so the mesh is graded toward zero by a power law and each cell gets
-a Gauss-Legendre rule.  Since sigma_k is linear in any single coordinate,
-the last coordinate can be integrated out analytically,
-
-    integral_0^inf exp(-sigma_k(x', t)) dt = exp(-sigma_k(x')) / sigma_{k-1}(x'),
-
-dropping the dimension by one; the reduced and full integrators are
-cross-checked against each other in the tests.
-
-Every axis carries the same rule and the integrand is symmetric in its
-coordinates, so the tensor sum visits each orbit of the grid under
-permutation of the axes once, a non-decreasing index tuple weighted by the
-number of grid points it stands for: C(P+d-1, d) integrand values for P
-nodes per axis in d dimensions instead of P^d, about d! times fewer.  The
-point cap and the reported ``points`` still count tensor points, P^d.
+The box integrand does not decay along the coordinate axes (sigma_k
+vanishes there), so the mesh is graded toward zero by a power law and each
+cell gets a Gauss-Legendre rule.  Every axis carries the same rule and the
+integrand is symmetric in its coordinates, so the tensor sum visits each
+orbit of the grid under permutation of the axes once, a non-decreasing
+index tuple weighted by the number of grid points it stands for:
+C(P+d-1, d) integrand values for P nodes per axis in d dimensions instead
+of P^d, about d! times fewer.  The point cap and the reported ``points``
+still count tensor points, P^d.
 """
 
 from __future__ import annotations
@@ -44,7 +63,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,7 +71,7 @@ from numpy.polynomial.legendre import leggauss
 from .model import CapExceededError
 from .special import _symmetric_polynomials
 
-SUPPORTED_K = (1, 2, 3)
+SUPPORTED_K = (1, 2, 3, 4)
 
 DEFAULT_DEGREE = 8
 # Power of the mesh grading: cell edges at a * (i / cells)^MESH_GRADING.
@@ -68,11 +87,16 @@ MAX_QUADRATURE_POINTS = 2 * 10 ** 8
 # k = 2 sit within 4 eps of their exact-arithmetic sums.
 ROUNDING_ULPS = 64
 
-# Integrand values per block of the orbit sum in _tensor_quad, so a block's
-# temporaries stay in cache.  Blocks of 2^12 to 2^17 terms were timed
-# (2 vCPUs, 2 MiB L2 per core) on ck --k 2 at 1e-4, ck --k 2 --full at 0.01
-# and the truncated_integral suite; 2^14 was the best or within 5% of it.
+# Integrand values per block of the orbit sum in _tensor_quad (and inner
+# rule terms per block of _simplex_quad), so a block's temporaries stay in
+# cache.  Blocks of 2^12 to 2^17 terms were timed (2 vCPUs, 2 MiB L2 per
+# core) on k = 2 box passes (2-D at 1e-4, 3-D at 0.01) and the
+# truncated_integral suite; 2^14 was the best or within 5% of it.
 _BLOCK_TERMS = 1 << 14
+
+# Nodes per axis of the first simplex pass; each later pass takes 3/2 or
+# 4/3 as many (8, 12, 16, 24, 32, ...).
+_SIMPLEX_FIRST_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -92,23 +116,38 @@ class Refinement:
 
 
 @dataclass(frozen=True)
+class SimplexRefinement:
+    """One pass of the simplex rule: ``nodes`` Gauss-Legendre nodes per
+    cube axis and for J_k's inner integral, ``evaluations`` of the simplex
+    integrand (nodes^(2k-4), one at k = 2), the quadrature ``value`` and the
+    error reported against the previous pass (None on the first pass)."""
+
+    nodes: int
+    evaluations: int
+    value: float
+    error: Optional[float]
+
+
+@dataclass(frozen=True)
 class ConstantEstimate:
     """Estimated orthant integral with its two labeled error parts.
 
     ``truncation_bound`` is rigorous and rounded up; ``quadrature_error`` is
-    the empirical mesh-doubling estimate plus a rounding allowance, rounded
-    up and never zero.  The honest total is their plain float sum; the
-    allowance already covers the rounding of that addition.
-    ``refinements`` lists every pass of the mesh refinement in order; the
-    last one holds ``value`` and ``quadrature_error``.
+    the empirical difference from the previous pass plus a rounding
+    allowance, rounded up and never zero.  The honest total is their plain
+    float sum; the allowance already covers the rounding of that addition.
+    The simplex rule has no box: its ``truncation_bound`` is 0.0 and its
+    ``truncation_a`` None.  ``refinements`` lists every pass in order (box
+    :class:`Refinement` or :class:`SimplexRefinement`); the last one holds
+    ``value`` and ``quadrature_error``.
     """
 
     k: int
     value: float
     quadrature_error: float
     truncation_bound: float
-    truncation_a: float
-    refinements: Tuple[Refinement, ...]
+    truncation_a: Optional[float]
+    refinements: Tuple[Union[Refinement, SimplexRefinement], ...]
 
     @property
     def total_error(self) -> float:
@@ -168,16 +207,9 @@ def _orbits(points: int, dims: int) -> Tuple[np.ndarray, np.ndarray]:
     return tuples, mult
 
 
-def _tensor_quad(
-    ell: int,
-    dims: int,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    reduced: bool,
-) -> float:
-    """Tensor quadrature of exp(-e_ell) (or exp(-e_ell)/e_{ell-1} when
-    ``reduced``) over the grid, where e_j is the j-th elementary symmetric
-    polynomial of the coordinates.
+def _tensor_quad(ell: int, dims: int, nodes: np.ndarray, weights: np.ndarray) -> float:
+    """Tensor quadrature of exp(-e_ell) over the grid, where e_j is the j-th
+    elementary symmetric polynomial of the coordinates.
 
     Every axis carries the same rule and the integrand is symmetric, so the
     sum runs over the orbits of the grid, its non-decreasing index tuples
@@ -196,11 +228,7 @@ def _tensor_quad(
     """
     points = len(nodes)
     if dims == 1:
-        if reduced:
-            raise ValueError("reduced integrand needs at least two dimensions")
         return float(np.dot(weights, np.exp(-nodes)))
-    if reduced and ell < 2:
-        raise ValueError("reduced integrand needs order at least 2")
 
     tail, mult = _orbits(points, dims - 1)
     lead = tail[:, 0]
@@ -209,10 +237,7 @@ def _tensor_quad(
     column_weights = dims * mult * np.prod(weights[tail], axis=1)
 
     def integrand(x, cols):
-        values = np.exp(-(e[ell][cols] + x * e[ell - 1][cols]))
-        if reduced:
-            values = values / (e[ell - 1][cols] + x * e[ell - 2][cols])
-        return values
+        return np.exp(-(e[ell][cols] + x * e[ell - 1][cols]))
 
     count = len(tail)
     total = float(
@@ -246,16 +271,20 @@ def truncated_box_integral(
     nodes, weights = _axis_rule(float(a), cells, degree)
     if len(nodes) ** m > MAX_QUADRATURE_POINTS:
         raise CapExceededError("max_quadrature_points", len(nodes) ** m, MAX_QUADRATURE_POINTS)
-    return _tensor_quad(ell, m, nodes, weights, reduced=False)
+    return _tensor_quad(ell, m, nodes, weights)
 
 
-def _refine(
-    ell: int,
-    dims: int,
-    a: float,
-    target: float,
-    reduced: bool,
-) -> Tuple[Refinement, ...]:
+def _rounding_allowance(scale: float, target: float) -> float:
+    """``ROUNDING_ULPS`` eps times ``scale``: the rounding allowance of a
+    pass.  Raises at once when it alone exceeds ``target``, since no finer
+    rule can then meet it."""
+    allowance = ROUNDING_ULPS * sys.float_info.epsilon * scale
+    if allowance > target:
+        raise CapExceededError("max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS)
+    return allowance
+
+
+def _refine(ell: int, dims: int, a: float, target: float) -> Tuple[Refinement, ...]:
     """Double the mesh until the reported error is within ``target``.
 
     The reported error is the mesh-doubling difference plus a rounding
@@ -267,10 +296,10 @@ def _refine(
 
     A pass is accepted only if its value also clears ``cube_bound``, a lower
     bound on the integral over the unit cube, which the box [0, a]^dims
-    (a >= 1) contains: there e_ell <= C(dims, ell) and e_{ell-1} <=
-    C(dims, ell-1).  A mesh too coarse to resolve the integrand near the
-    axes can see almost none of its mass; two such passes agree and would
-    otherwise report a near-zero value as converged.
+    (a >= 1) contains: there e_ell <= C(dims, ell).  A mesh too coarse to
+    resolve the integrand near the axes can see almost none of its mass;
+    two such passes agree and would otherwise report a near-zero value as
+    converged.
 
     Returns every pass in order; the last one carries the value and its
     reported error.  Raises when the next refinement would blow the point
@@ -278,8 +307,6 @@ def _refine(
     alone exceeds the target, since no finer mesh can then meet it.
     """
     cube_bound = math.exp(-math.comb(dims, ell))
-    if reduced:
-        cube_bound /= math.comb(dims, ell - 1)
     passes: List[Refinement] = []
     cells = 16
     while True:
@@ -288,10 +315,8 @@ def _refine(
         if points > MAX_QUADRATURE_POINTS:
             raise CapExceededError("max_quadrature_points", points, MAX_QUADRATURE_POINTS)
         nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
-        value = _tensor_quad(ell, dims, nodes, weights, reduced)
-        allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
-        if allowance > target:
-            raise CapExceededError("max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS)
+        value = _tensor_quad(ell, dims, nodes, weights)
+        allowance = _rounding_allowance(max(abs(value), target), target)
         error = None
         if passes:
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
@@ -302,35 +327,118 @@ def _refine(
         cells *= 2
 
 
+def _simplex_quad(k: int, nodes: int, grading: float) -> float:
+    """The simplex rule for C_k, k >= 2 (see the module docstring), with
+    ``nodes`` Gauss-Legendre nodes per cube axis and for J_k's inner
+    integral, each cube axis graded as x = t^grading.
+
+    The d = 2k-3 vertices of the fundamental domain u_1 >= ... >= u_d are
+    v_j = (1/j, ..., 1/j, 0, ...).  The Duffy map sends x in [0, 1]^(d-1) to
+    the barycentric weights 1 - x_1, x_1 (1 - x_2), ..., x_1 ... x_(d-1) of
+    v_1, ..., v_d, with Jacobian prod x_i^(d-1-i) / d!, and the 1/d! cancels
+    the d! copies of the domain; the grading adds grading * t_i^(grading-1).  J_k's inner integral is taken as
+    c^(1/k) * integral_0^1 ds / (c s^k + 1 - c).  The grid is walked in
+    blocks of about ``_BLOCK_TERMS`` inner-rule terms.
+    """
+    d = 2 * k - 3
+    ref_x, ref_w = leggauss(nodes)
+    t = 0.5 * (ref_x + 1.0)
+    half_w = 0.5 * ref_w
+    x = t ** grading
+    axis_weights = [half_w * grading * t ** (grading * (d - i) - 1) for i in range(1, d)]
+    inner_s = t ** k
+    power = (k - 1) / k
+    whole = math.pi / (k * math.sin(math.pi / k))
+    points = nodes ** (d - 1)
+    block = max(1, _BLOCK_TERMS // nodes)
+    total = 0.0
+    for lo in range(0, points, block):
+        index = np.arange(lo, min(points, lo + block))
+        digits = []
+        for _ in range(d - 1):
+            index, digit = np.divmod(index, nodes)
+            digits.append(digit)
+        reach = np.ones(len(index))
+        weight = np.ones(len(index))
+        bary = []
+        for axis, digit in enumerate(reversed(digits)):
+            bary.append(reach * (1.0 - x[digit]))
+            reach = reach * x[digit]
+            weight = weight * axis_weights[axis][digit]
+        bary.append(reach)
+        # u_i = sum over j >= i of bary_j / j
+        u = [bary[-1] / d]
+        for j in range(d - 1, 0, -1):
+            u.append(u[-1] + bary[j - 1] / j)
+        e = _symmetric_polynomials(k, u)
+        c = e[k] * e[k - 2] / e[k - 1] ** 2
+        inner = (1.0 / (c[:, None] * inner_s + (1.0 - c)[:, None])) @ half_w
+        j_k = whole * (1.0 - c) ** -power - c ** (1.0 / k) * inner
+        values = (e[k - 2] / e[k - 1] ** 2) ** power / e[k - 2] * j_k
+        total += float(weight @ values)
+    return math.gamma(power) * total
+
+
+def _simplex_refine(k: int, target: float) -> Tuple[SimplexRefinement, ...]:
+    """Run the simplex rule (graded as t^k) on more nodes each pass until
+    the reported error is within ``target``.
+
+    The reported error is the difference from the previous pass plus a
+    rounding allowance of ``ROUNDING_ULPS`` eps |value|, rounded up, so it
+    is never zero.  Returns every pass in order; the last one carries the
+    value and its reported error.  Raises when a pass's nodes^(2k-3)
+    inner-rule terms would exceed the point budget, or at once when a
+    pass's allowance alone exceeds the target.
+    """
+    dims = 2 * k - 3
+    passes: List[SimplexRefinement] = []
+    nodes = _SIMPLEX_FIRST_NODES
+    while True:
+        terms = nodes ** dims
+        if terms > MAX_QUADRATURE_POINTS:
+            raise CapExceededError("max_quadrature_points", terms, MAX_QUADRATURE_POINTS)
+        value = _simplex_quad(k, nodes, grading=k)
+        allowance = _rounding_allowance(abs(value), target)
+        error = None
+        if passes:
+            error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
+        passes.append(SimplexRefinement(nodes, nodes ** (dims - 1), value, error))
+        if error is not None and error <= target:
+            return tuple(passes)
+        nodes = nodes * 3 // 2 if nodes & (nodes - 1) == 0 else nodes * 4 // 3
+
+
 def estimate_leading_constant(
     k: int,
     target_error: float = 0.1,
-    reduced: bool = True,
+    box: bool = False,
 ) -> ConstantEstimate:
     """Estimate the orthant integral of exp(-sigma_k) in dimension 2k-1.
 
-    The box size is chosen so the rigorous tail bound stays below half the
-    target, then the mesh refines until the empirical quadrature error
-    covers the other half.  When the point budget cannot reach the target
-    the estimator raises instead of under-reporting the error.
+    For k >= 2 the simplex rule refines until its error meets the target,
+    with no truncation part.  For k = 1, or with ``box``, the box size is
+    chosen so the rigorous tail bound stays below half the target, then the
+    mesh refines until the empirical quadrature error covers the other
+    half.  When the point budget cannot reach the target the estimator
+    raises instead of under-reporting the error.
     """
     if k not in SUPPORTED_K:
         raise ValueError(f"k={k} outside supported range {SUPPORTED_K}")
     if not target_error > 0:
         raise ValueError("target_error must be positive")
+    if k >= 2 and not box:
+        passes = _simplex_refine(k, target_error)
+        return ConstantEstimate(k, passes[-1].value, passes[-1].error, 0.0, None, passes)
     m = 2 * k - 1
     if k == 1:
-        # One dimension, nothing to reduce: the tail beyond a is exactly
-        # exp(-a), rounded up.
+        # the tail beyond a is exactly exp(-a), rounded up
         a = max(1.0, -math.log(min(0.5, target_error / 2.0)))
         tail = math.nextafter(math.exp(-a), math.inf)
-        reduced = False
     else:
         # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1.
         a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
         tail = orthant_tail_bound(k, m, a)
-    dims = m - 1 if reduced else m
-    passes = _refine(k, dims, a, target_error / 2.0, reduced)
+    passes = _refine(k, m, a, target_error / 2.0)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 

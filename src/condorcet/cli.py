@@ -25,6 +25,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import __version__
 from .asymptotic import (
+    SUPPORTED_K,
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_large_k_rate,
@@ -40,6 +41,11 @@ from .exact import (
 from .model import MAX_EXPLICIT_SUPPORT, NAMED_KINDS, CapExceededError, Culture, load_culture
 from .montecarlo import estimate_condorcet_probability, sweep
 from .verify import SUITES, run_suites
+
+
+# Target error of the leading constant that ``asymptote --mode impartial``
+# computes when --constant is omitted.
+IMPARTIAL_CONSTANT_TARGET = 1e-12
 
 
 @dataclass
@@ -190,9 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
 
 
 def _cmd_ck(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
-    estimate = estimate_leading_constant(
-        args.k, target_error=args.target_error, reduced=not args.full
-    )
+    estimate = estimate_leading_constant(args.k, target_error=args.target_error, box=args.full)
     return {
         "k": estimate.k,
         "value": estimate.value,
@@ -240,14 +244,21 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
             "empirical_rate": empirical,
             "relative_deviation": abs(empirical - rate) / rate,
         }, None
-    if args.constant is None:
-        raise ValueError("--constant is required with --mode impartial")
+    constant, constant_error = args.constant, None
+    if constant is None:
+        if k not in SUPPORTED_K:
+            raise ValueError(
+                f"--constant is required with --mode impartial for k outside {SUPPORTED_K}"
+            )
+        estimate = estimate_leading_constant(k, target_error=IMPARTIAL_CONSTANT_TARGET)
+        constant, constant_error = estimate.value, estimate.total_error
     return {
         "mode": "impartial",
         "n": n,
         "k": k,
-        "constant": args.constant,
-        "leading_term": impartial_leading_term(n, k, args.constant),
+        "constant": constant,
+        "constant_error": constant_error,
+        "leading_term": impartial_leading_term(n, k, constant),
     }, None
 
 
@@ -320,7 +331,10 @@ def build_parser() -> _Parser:
     sub = subparsers.add_parser("ck", help="orthant-integral constant with error bounds")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--target-error", type=float, default=0.1)
-    sub.add_argument("--full", action="store_true", help="skip the dimension reduction")
+    sub.add_argument(
+        "--full", action="store_true",
+        help="use the truncated-box oracle: tensor quadrature plus a tail bound",
+    )
     _add_common_output_args(sub)
     sub.set_defaults(handler=_cmd_ck)
 
@@ -328,7 +342,10 @@ def build_parser() -> _Parser:
     sub.add_argument("--mode", choices=("large-n", "large-k", "impartial"), required=True)
     sub.add_argument("--n", type=int, required=True)
     _add_voter_args(sub)
-    sub.add_argument("--constant", type=float, help="leading constant for --mode impartial")
+    sub.add_argument(
+        "--constant", type=float,
+        help=f"leading constant for --mode impartial (computed if omitted, k in {SUPPORTED_K})",
+    )
     _add_common_output_args(sub)
     sub.set_defaults(handler=_cmd_asymptote)
 

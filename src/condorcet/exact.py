@@ -73,8 +73,11 @@ def _fields(where: np.ndarray, value: int, width: int) -> int:
     return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
 
 
-def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
-    """The support rankings' packed preferences, the defeat masks and the bias.
+def _pack(
+    culture: Culture, k: int, walked: Sequence[int]
+) -> Tuple[List[int], List[int], int]:
+    """The support rankings' packed preferences, the defeat masks of the
+    ``walked`` alternatives, in that order, and the bias.
 
     Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits
     (see :func:`_fields`); a ranking's packed int holds 1 there when it puts
@@ -92,7 +95,7 @@ def _pack(culture: Culture, k: int) -> Tuple[List[int], List[int], int]:
     others = ~np.eye(n, dtype=bool)
     positions = np.array([ranking.positions for ranking, _ in culture.entries])
     packed = [_fields(pos[:, None] < pos, 1, width) for pos in positions]
-    against = [_fields(others & (np.arange(n) == a), top, width) for a in range(n)]
+    against = [_fields(others & (np.arange(n) == a), top, width) for a in walked]
     return packed, against, _fields(others, top - k, width)
 
 
@@ -180,10 +183,10 @@ def condorcet_probability(
     walked and its mass is every alternative's; explicit cultures walk every
     alternative.  Each multiset's pairwise tally is a sum of packed ints,
     one per voter, built in time linear in their bits, and one defeat mask
-    per alternative both cuts a lost branch and judges a full tally
-    (:func:`_pack`).  Weights enter as integer numerators over D, the lcm
-    of their denominators, so the winner mass accumulates as integers over
-    D^(2k-1) and is divided once at the end.
+    per walked alternative, built for those alone, both cuts a lost branch
+    and judges a full tally (:func:`_pack`).  Weights enter as integer
+    numerators over D, the lcm of their denominators, so the winner mass
+    accumulates as integers over D^(2k-1) and is divided once at the end.
 
     Raises :class:`SupportTooLargeError` when the support would exceed
     ``max_support`` (checked by :meth:`Culture.expand`) and
@@ -201,14 +204,15 @@ def condorcet_probability(
     voters = 2 * k - 1
     scale = math.lcm(*(w.denominator for _, w in explicit.entries))
     nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
-    packed, against, bias = _pack(explicit, k)
-    rankings = [ranking for ranking, _ in explicit.entries]
     symmetric = culture.kind != "explicit"
+    walked = range(1 if symmetric else culture.n)
+    packed, against, bias = _pack(explicit, k, walked)
+    rankings = [ranking for ranking, _ in explicit.entries]
     mass, checks = [], 0
-    for a in range(1 if symmetric else culture.n):
+    for a, mask in zip(walked, against):
         order = sorted(range(support), key=lambda i: -rankings[i].positions[a])
         won, made = _enumerate_range(
-            [packed[i] for i in order], against[a], bias,
+            [packed[i] for i in order], mask, bias,
             [nums[i] for i in order], voters,
         )
         mass.append(won)

@@ -14,6 +14,7 @@ from condorcet.asymptotic import (
     ROUNDING_ULPS,
     _axis_rule,
     _orbits,
+    _simplex_quad,
     _tensor_quad,
     estimate_leading_constant,
     impartial_leading_term,
@@ -26,6 +27,11 @@ from condorcet.asymptotic import (
 import condorcet.asymptotic as asymptotic
 from condorcet.exact import min_condorcet_probability
 from condorcet.model import CapExceededError
+
+# C_3, the orthant integral of exp(-sigma_3) in five dimensions, from the
+# simplex identity in mpmath; an independent scipy dblquad of the same
+# formula gave 4.284122826932564 with an error estimate of 6e-11.
+C3 = 4.284122826932527
 
 
 def test_tail_bound_validation():
@@ -120,13 +126,74 @@ def test_leading_constant_k2_brackets_reference():
     assert est.value < float(math.factorial(3) ** 2)
 
 
-def test_reduced_and_full_integrators_agree():
-    reduced = estimate_leading_constant(2, target_error=0.1, reduced=True)
-    full = estimate_leading_constant(2, target_error=0.5, reduced=False)
-    assert abs(reduced.value - full.value) <= reduced.total_error + full.total_error
+def test_leading_constant_k3_meets_a_tight_target():
+    est = estimate_leading_constant(3, target_error=1e-12)
+    assert abs(est.value - C3) <= est.total_error <= 1e-12
+    assert (est.truncation_bound, est.truncation_a) == (0.0, None)
+    assert est.total_error == est.quadrature_error
 
 
-def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
+def test_leading_constant_k2_near_the_rounding_floor():
+    """At k = 2 the simplex is one point: each pass is one evaluation and
+    the passes agree exactly, so only the rounding allowance is left."""
+    reference = math.pi ** 1.5 / 2.0
+    est = estimate_leading_constant(2, target_error=1e-13)
+    assert abs(est.value - reference) <= est.total_error <= 1e-13
+    assert [step.evaluations for step in est.refinements] == [1, 1]
+
+
+def test_simplex_history_records_every_pass():
+    """Each pass of the k = 3 simplex refinement is the rule, graded as
+    t^3, at its node count, and each reported error compares it with the
+    pass before."""
+    target = 1e-12
+    est = estimate_leading_constant(3, target_error=target)
+    passes = est.refinements
+    assert [step.nodes for step in passes] == [8, 12, 16, 24, 32]
+    assert (passes[-1].value, passes[-1].error) == (est.value, est.quadrature_error)
+    assert passes[0].error is None
+    for i, step in enumerate(passes):
+        assert step.evaluations == step.nodes ** 2
+        assert step.value == _simplex_quad(3, step.nodes, 3)
+        if i > 0:
+            assert step.error > abs(step.value - passes[i - 1].value)
+            assert (step.error <= target) == (i == len(passes) - 1)
+
+
+@pytest.mark.parametrize("k, nodes", [(3, 32), (4, 24)])
+def test_simplex_gradings_agree(k, nodes):
+    """Grading the cube axes as t^(k+2) instead of t^k changes how the
+    nodes crowd toward the vertex and the faces, not the integral: the two
+    rules agree to 1e-10 relative (2.4e-11 and 2.2e-11 measured)."""
+    graded = _simplex_quad(k, nodes, k)
+    steeper = _simplex_quad(k, nodes, k + 2)
+    assert abs(graded - steeper) <= 1e-10 * graded
+
+
+def test_leading_constant_k4_covers_the_other_grading():
+    est = estimate_leading_constant(4, target_error=1e-6)
+    assert abs(est.value - _simplex_quad(4, 24, 6)) <= est.total_error <= 1e-6
+
+
+def test_simplex_value_inside_the_box_bracket(monkeypatch):
+    """The box oracle's value, widened by its error and the simplex error,
+    holds the simplex value.  At k = 2 that is the box path's own estimate;
+    at k = 3 no box pass fits the point budget, so the bracket is two box
+    meshes on [0, 10^4]^5, their difference plus the tail bound."""
+    simplex = estimate_leading_constant(2, target_error=0.1)
+    box = estimate_leading_constant(2, target_error=0.5, box=True)
+    assert abs(simplex.value - box.value) <= box.total_error + simplex.total_error
+
+    monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 10 ** 10)
+    a = 1e4
+    coarse = truncated_box_integral(3, 5, a, cells=8, degree=4)
+    fine = truncated_box_integral(3, 5, a, cells=16, degree=4)
+    box_error = abs(fine - coarse) + orthant_tail_bound(3, 5, a)
+    simplex = estimate_leading_constant(3, target_error=0.1)
+    assert abs(simplex.value - fine) <= box_error + simplex.total_error
+
+
+def broadcasting_tensor_quad(ell, dims, nodes, weights):
     """Naive reference tensor quadrature: every point of the full grid, with
     its own symmetric-polynomial recurrence absorbing one broadcast axis at
     a time."""
@@ -145,8 +212,6 @@ def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
             for j in range(min(axis + 1, ell), 0, -1):
                 e[j] = e[j] + xa * e[j - 1]
         values = np.exp(-e[ell])
-        if reduced:
-            values = values / e[ell - 1]
         for axis in range(1, dims):
             shape = (1,) * axis + (points,) + (1,) * (dims - 1 - axis)
             values = values * weights.reshape(shape)
@@ -154,17 +219,16 @@ def broadcasting_tensor_quad(ell, dims, nodes, weights, reduced):
     return total
 
 
-@pytest.mark.parametrize(
-    "ell, dims, reduced", [(2, 2, True), (2, 3, False), (3, 4, True), (2, 4, False)]
-)
+# the False in each id marks the unreduced integrand exp(-e_ell)
+@pytest.mark.parametrize("ell, dims", [(2, 3), (2, 4)], ids=["2-3-False", "2-4-False"])
 @pytest.mark.parametrize("a, cells, degree", [(12.0, 3, 4), (40.0, 2, 6)])
-def test_tensor_quad_matches_full_grid(ell, dims, reduced, a, cells, degree):
+def test_tensor_quad_matches_full_grid(ell, dims, a, cells, degree):
     """The orbit sum adds the same positive terms as the full grid in
     another order, so the two agree up to rounding: within a quarter of the
     rounding allowance the refinement reports."""
     nodes, weights = _axis_rule(a, cells, degree)
-    got = _tensor_quad(ell, dims, nodes, weights, reduced)
-    naive = broadcasting_tensor_quad(ell, dims, nodes, weights, reduced)
+    got = _tensor_quad(ell, dims, nodes, weights)
+    naive = broadcasting_tensor_quad(ell, dims, nodes, weights)
     assert abs(got - naive) <= ROUNDING_ULPS / 4 * sys.float_info.epsilon * naive
 
 
@@ -192,18 +256,16 @@ def test_orbits_are_the_sorted_grid_tuples(points, dims):
 
 
 @pytest.mark.parametrize(
-    "ell, dims, a, cells, reduced",
-    [(2, 3, 4800.0, 32, False), (2, 2, 480000.0, 256, True)],
-    ids=["k2_full", "k2_reduced"],
+    "ell, dims, a, cells", [(2, 3, 4800.0, 32)], ids=["k2_full"]
 )
-def test_tensor_quad_temporaries_stay_small(ell, dims, a, cells, reduced):
-    """One k = 2 pass (full at target 0.01, reduced at 1e-4) works block by
-    block on the orbits, so its traced peak stays under 16 MB; the full-grid
-    slabs of the broadcasting sum took 153 MB and 122 MB."""
+def test_tensor_quad_temporaries_stay_small(ell, dims, a, cells):
+    """One k = 2 box pass (at target 0.01) works block by block on the
+    orbits, so its traced peak stays under 16 MB; the full-grid slabs of
+    the broadcasting sum took 153 MB."""
     nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
     tracemalloc.start()
     try:
-        _tensor_quad(ell, dims, nodes, weights, reduced)
+        _tensor_quad(ell, dims, nodes, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,20 +273,20 @@ def test_tensor_quad_temporaries_stay_small(ell, dims, a, cells, reduced):
 
 
 def test_refinement_history_records_every_pass():
-    """Each pass of the reduced k = 2 refinement is the tensor quadrature at
-    its mesh, and each reported error compares it with the pass before."""
-    target = 0.001
-    est = estimate_leading_constant(2, target_error=target)
+    """Each pass of the k = 2 box refinement is the tensor quadrature at its
+    mesh, and each reported error compares it with the pass before."""
+    target = 0.002
+    est = estimate_leading_constant(2, target_error=target, box=True)
     passes = est.refinements
-    assert len(passes) == 4
+    assert len(passes) == 3
     assert (passes[-1].value, passes[-1].error) == (est.value, est.quadrature_error)
     assert passes[0].error is None
     for i, step in enumerate(passes):
         assert step.cells == 16 * 2 ** i
-        assert step.points == (step.cells * DEFAULT_DEGREE) ** 2
-        assert step.orbits == math.comb(step.cells * DEFAULT_DEGREE + 1, 2)
+        assert step.points == (step.cells * DEFAULT_DEGREE) ** 3
+        assert step.orbits == math.comb(step.cells * DEFAULT_DEGREE + 2, 3)
         nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE)
-        assert step.value == _tensor_quad(2, 2, nodes, weights, reduced=True)
+        assert step.value == _tensor_quad(2, 3, nodes, weights)
         if i > 0:
             assert step.error > abs(step.value - passes[i - 1].value)
             assert (step.error <= target / 2) == (i == len(passes) - 1)
@@ -232,7 +294,7 @@ def test_refinement_history_records_every_pass():
 
 def test_leading_constant_rejects_unsupported_k():
     with pytest.raises(ValueError):
-        estimate_leading_constant(4)
+        estimate_leading_constant(5)
     with pytest.raises(ValueError):
         estimate_leading_constant(2, target_error=0.0)
     with pytest.raises(ValueError):
@@ -261,24 +323,41 @@ def test_target_below_rounding_floor_fails_fast(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_simplex_target_below_rounding_floor_fails_fast(monkeypatch):
+    """The simplex rule's allowance, 64 eps |value|, exceeds 1e-14 at
+    k = 2 and 3, so the first pass raises without a second one."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _simplex_quad(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotic, "_simplex_quad", counted)
+    for k in (2, 3):
+        with pytest.raises(CapExceededError) as exc:
+            estimate_leading_constant(k, target_error=1e-14)
+        assert exc.value.needed == math.inf
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("target", [1e-7, 1e-10, 1e-14])
 def test_unresolved_mesh_is_never_accepted(monkeypatch, target):
-    """For k = 2 below 1e-6 the box grows to 48/target, and the graded
-    meshes the budget allows put their first node far from the axes, where
-    the integrand has underflowed: every pass sees almost none of the
-    mass (0.0 at 1e-14) and two such passes agree.  No pass below the
-    unit-cube bound is accepted, so the budget runs out instead of a
-    near-zero value being reported as converged."""
-    budget = 10 ** 6
+    """For the k = 2 box below 1e-6 the box grows to 48/target, and the
+    graded meshes the budget allows put their first node far from the axes,
+    where the integrand has underflowed: every pass sees almost none of the
+    mass and two such passes agree.  No pass below the unit-cube bound is
+    accepted, so the budget runs out instead of a near-zero value being
+    reported as converged."""
+    budget = 2 * 10 ** 7
     monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", budget)
     with pytest.raises(CapExceededError) as exc:
-        estimate_leading_constant(2, target_error=target)
-    assert exc.value.needed == (128 * DEFAULT_DEGREE) ** 2 > budget
+        estimate_leading_constant(2, target_error=target, box=True)
+    assert exc.value.needed == (64 * DEFAULT_DEGREE) ** 3 > budget
 
 
 def test_unreachable_target_raises_instead_of_lying():
     with pytest.raises(CapExceededError) as exc:
-        estimate_leading_constant(3, target_error=1e-9)
+        estimate_leading_constant(3, target_error=1e-9, box=True)
     assert exc.value.cap_name == "max_quadrature_points"
     assert exc.value.cap == MAX_QUADRATURE_POINTS
 

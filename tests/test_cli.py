@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,10 +200,9 @@ def test_ck_refinement_history_in_every_format(capsys):
     history = results["refinements"]
     assert json.loads(dict(csv.reader(io.StringIO(as_csv)))["refinements"]) == history
     assert json.loads(parse_human(human)["refinements"]) == history
-    assert len(history) >= 2
-    assert [step["cells"] for step in history] == [16 * 2 ** i for i in range(len(history))]
-    assert all(step["points"] == (step["cells"] * 8) ** 2 for step in history)
-    assert all(step["orbits"] == math.comb(step["cells"] * 8 + 1, 2) for step in history)
+    # the k = 2 simplex is one point: one evaluation per pass
+    assert [step["nodes"] for step in history] == [8, 12]
+    assert all(step["evaluations"] == 1 for step in history)
     assert history[0]["error"] is None
     assert history[-1]["value"] == results["value"]
     assert history[-1]["error"] == results["quadrature_error"]
@@ -299,8 +302,9 @@ def test_simulate_reports_rejudged_blocks(capsys, monkeypatch):
 
 
 def test_asymptote_impartial_needs_constant(capsys):
+    # no constant is computed outside asymptotic.SUPPORTED_K
     code, _ = run_capture(
-        capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--voters", "3"]
+        capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--k", "5"]
     )
     assert code == 1
     code, out = run_capture(
@@ -310,6 +314,39 @@ def test_asymptote_impartial_needs_constant(capsys):
     )
     assert code == 0
     assert float(parse_human(out)["leading_term"]) == pytest.approx(0.27842)
+
+
+def test_asymptote_impartial_computes_constant(capsys):
+    argv = ["asymptote", "--mode", "impartial", "--n", "1000", "--k", "3", "--format", "json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    c3 = 4.284122826932527
+    assert abs(results["constant"] - c3) <= results["constant_error"] <= 1e-12
+    assert results["leading_term"] == pytest.approx(c3 / 100.0, rel=1e-12)
+    # an explicit constant wins and carries no error
+    code, out = run_capture(capsys, argv + ["--constant", "4.0"])
+    results = json.loads(out)["results"]
+    assert (results["constant"], results["constant_error"]) == (4.0, None)
+    assert results["leading_term"] == pytest.approx(0.04)
+
+
+def test_ck_imports_no_undeclared_dependency():
+    """scipy and mpmath are not declared dependencies: a ck run at k = 3
+    in a fresh interpreter loads neither."""
+    script = (
+        "import sys\n"
+        "import condorcet.cli as cli\n"
+        "assert cli.run(['ck', '--k', '3', '--target-error', '1e-12', '--format', 'json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_suite_exit_zero(capsys):
@@ -421,10 +458,13 @@ def test_cap_exceeded_exit_three(capsys):
          "--max-winner-checks", "10"],
     )
     assert code == 3
-    code, _ = run_capture(capsys, ["ck", "--k", "3", "--target-error", "1e-9"])
+    code, _ = run_capture(capsys, ["ck", "--k", "3", "--full", "--target-error", "1e-9"])
     assert code == 3
     # below 1e-6 no k = 2 mesh within the budget resolves the box
-    code, _ = run_capture(capsys, ["ck", "--k", "2", "--target-error", "1e-7"])
+    code, _ = run_capture(capsys, ["ck", "--k", "2", "--full", "--target-error", "1e-7"])
+    assert code == 3
+    # no simplex rule meets a target below its rounding allowance
+    code, _ = run_capture(capsys, ["ck", "--k", "2", "--target-error", "1e-14"])
     assert code == 3
 
 

@@ -204,7 +204,11 @@ def test_pack_matches_sum_form(n, k):
     cultures = [impartial_culture(n).expand(), cyclic_culture(n).expand(),
                 _random_explicit_culture(n, 100 * n + k)]
     for culture in cultures:
-        assert exact._pack(culture, k) == _sum_form_pack(culture, k), culture.kind
+        packed, against, bias = _sum_form_pack(culture, k)
+        assert exact._pack(culture, k, range(n)) == (packed, against, bias), culture.kind
+        # the masks of the walked alternatives only, in the walk's order
+        walked = [n - 1, 0]
+        assert exact._pack(culture, k, walked)[1] == [against[a] for a in walked]
 
 
 def test_cyclic_minimiser_at_two_hundred_alternatives():

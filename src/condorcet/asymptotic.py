@@ -276,11 +276,17 @@ def truncated_box_integral(
 
 def _rounding_allowance(scale: float, target: float) -> float:
     """``ROUNDING_ULPS`` eps times ``scale``: the rounding allowance of a
-    pass.  Raises at once when it alone exceeds ``target``, since no finer
-    rule can then meet it."""
+    pass.  Raises at once when it alone exceeds ``target``, the quadrature's
+    share of the target error, since no finer rule can then meet it; then
+    ``scale`` is |value|, as a larger target would clear the allowance."""
     allowance = ROUNDING_ULPS * sys.float_info.epsilon * scale
     if allowance > target:
-        raise CapExceededError("max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS)
+        raise CapExceededError(
+            "max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS,
+            f"quadrature target {target:g} is below the rounding floor: the rounding "
+            f"allowance of a pass, {ROUNDING_ULPS} eps |value|, is {allowance:.3g}, "
+            f"so the smallest reachable quadrature target lies just above {allowance:.3g}",
+        )
     return allowance
 
 
@@ -419,7 +425,8 @@ def estimate_leading_constant(
     with no truncation part.  For k = 1, or with ``box``, the box size is
     chosen so the rigorous tail bound stays below half the target, then the
     mesh refines until the empirical quadrature error covers the other
-    half.  When the point budget cannot reach the target the estimator
+    half.  When the point budget cannot reach the target, or the
+    quadrature's target is below its rounding allowance, the estimator
     raises instead of under-reporting the error.
     """
     if k not in SUPPORTED_K:

@@ -29,11 +29,11 @@ class CapExceededError(RuntimeError):
     can report it without parsing the message.
     """
 
-    def __init__(self, cap_name: str, needed, cap) -> None:
+    def __init__(self, cap_name: str, needed, cap, message: Optional[str] = None) -> None:
         self.cap_name = cap_name
         self.needed = needed
         self.cap = cap
-        super().__init__(f"cap '{cap_name}' exceeded: needed {needed}, cap {cap}")
+        super().__init__(message or f"cap '{cap_name}' exceeded: needed {needed}, cap {cap}")
 
 
 class SupportTooLargeError(CapExceededError):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -463,9 +464,15 @@ def test_cap_exceeded_exit_three(capsys):
     # below 1e-6 no k = 2 mesh within the budget resolves the box
     code, _ = run_capture(capsys, ["ck", "--k", "2", "--full", "--target-error", "1e-7"])
     assert code == 3
-    # no simplex rule meets a target below its rounding allowance
-    code, _ = run_capture(capsys, ["ck", "--k", "2", "--target-error", "1e-14"])
-    assert code == 3
+    # no simplex rule meets a target below its rounding allowance, and the
+    # message says so rather than naming a point count
+    for k, allowance in ((2, "3.96e-14"), (3, "6.09e-14")):
+        code = cli.run(["ck", "--k", str(k), "--target-error", "1e-14"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "below the rounding floor" in err
+        assert f"64 eps |value|, is {allowance}" in err
+        assert f"smallest reachable quadrature target lies just above {allowance}" in err
 
 
 def test_out_writes_same_text(capsys, tmp_path):
@@ -493,3 +500,78 @@ def test_exact_reports_winner_checks(capsys, culture, n, k, multisets):
     assert results["winner_checks"] == int(csv_fields["winner_checks"]) == checks
     assert int(human["winner_checks"]) == checks
     assert 0 < checks < multisets
+
+
+def parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parsing ``argv``; a parse that
+    succeeds reports its namespace on stdout and exit code None."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            out.write(repr(sorted(vars(parser.parse_args(argv)).items())))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "extra", [["-h"], [], ["--bogus", "1"], ["--format", "xml"]],
+    ids=["help", "bare", "unknown-option", "bad-format"],
+)
+def test_one_subparser_parses_as_the_full_parser(name, extra):
+    """The parser ``run`` builds for one subcommand gives the same exit
+    code, stdout and stderr as the parser holding all of them, including
+    the top-level usage line printed for unrecognised arguments."""
+    argv = [name] + extra
+    assert parse_outcome(cli.build_parser(name), argv) == parse_outcome(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv, stream, message",
+    [
+        (["--help"], "out", "run inequality suites"),
+        (["no-such-command"], "err", "argument command: invalid choice: 'no-such-command'"),
+        ([], "err", "the following arguments are required: command"),
+    ],
+)
+def test_top_level_lists_every_command(capsys, argv, stream, message):
+    with pytest.raises(SystemExit):
+        cli.run(argv)
+    captured = capsys.readouterr()
+    text = captured.out if stream == "out" else captured.err
+    assert "{" + ",".join(cli._COMMANDS) + "}" in text
+    assert message in text
+
+
+def test_parsers_built_per_call(capsys, monkeypatch):
+    """A call naming its subcommand builds the top-level parser and that
+    subparser only; anything else builds all of them."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert cli.run(["ck", "--k", "2", "--format", "json"]) == 0
+    assert len(built) == 2
+    for argv in (["no-such-command"], ["--version"], ["-h"], []):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.run(argv)
+        assert len(built) == 1 + len(cli._COMMANDS) == 9
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m condorcet`` reads its arguments from ``sys.argv``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "condorcet", "minprob", "--n", "3", "--k", "2", "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["value"] == "7/9"

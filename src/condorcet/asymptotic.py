@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -274,24 +275,35 @@ def truncated_box_integral(
     return _tensor_quad(ell, m, nodes, weights)
 
 
-def _rounding_allowance(scale: float, target: float) -> float:
+def _rounding_allowance(scale: float, target: float, target_error: float) -> float:
     """``ROUNDING_ULPS`` eps times ``scale``: the rounding allowance of a
-    pass.  Raises at once when it alone exceeds ``target``, the quadrature's
-    share of the target error, since no finer rule can then meet it; then
-    ``scale`` is |value|, as a larger target would clear the allowance."""
+    pass.  ``target`` is the quadrature's share of the caller's
+    ``target_error``.  Raises at once when the allowance alone exceeds
+    ``target``, since no finer rule can then meet it; then ``scale`` is
+    |value|, as a larger target would clear the allowance, and the message
+    names the smallest target error whose share clears it, rounded up."""
     allowance = ROUNDING_ULPS * sys.float_info.epsilon * scale
     if allowance > target:
+        floor = allowance * (target_error / target)
+        share = "" if target == target_error else f", of which the quadrature gets {target:g},"
         raise CapExceededError(
             "max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS,
-            f"quadrature target {target:g} is below the rounding floor: the rounding "
-            f"allowance of a pass, {ROUNDING_ULPS} eps |value|, is {allowance:.3g}, "
-            f"so the smallest reachable quadrature target lies just above {allowance:.3g}",
+            f"target error {target_error:g}{share} is below the rounding floor: the "
+            f"rounding allowance of a pass, {ROUNDING_ULPS} eps |value|, is {allowance:.3g}, "
+            f"so the smallest target error that clears it, rounded up, is {_round_up(floor)}",
         )
     return allowance
 
 
-def _refine(ell: int, dims: int, a: float, target: float) -> Tuple[Refinement, ...]:
-    """Double the mesh until the reported error is within ``target``.
+def _round_up(x: float) -> str:
+    """``x`` rounded up to three significant digits, as text."""
+    exact = Decimal(x)
+    return f"{exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING):.3g}"
+
+
+def _refine(ell: int, dims: int, a: float, target_error: float) -> Tuple[Refinement, ...]:
+    """Double the mesh until the reported error is within ``target``, half
+    of ``target_error``; the caller's tail bound takes the other half.
 
     The reported error is the mesh-doubling difference plus a rounding
     allowance of ``ROUNDING_ULPS`` eps times max(|value|, target), rounded
@@ -312,6 +324,7 @@ def _refine(ell: int, dims: int, a: float, target: float) -> Tuple[Refinement, .
     budget before the target is met, or at once when a pass's allowance
     alone exceeds the target, since no finer mesh can then meet it.
     """
+    target = target_error / 2.0
     cube_bound = math.exp(-math.comb(dims, ell))
     passes: List[Refinement] = []
     cells = 16
@@ -322,7 +335,7 @@ def _refine(ell: int, dims: int, a: float, target: float) -> Tuple[Refinement, .
             raise CapExceededError("max_quadrature_points", points, MAX_QUADRATURE_POINTS)
         nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
         value = _tensor_quad(ell, dims, nodes, weights)
-        allowance = _rounding_allowance(max(abs(value), target), target)
+        allowance = _rounding_allowance(max(abs(value), target), target, target_error)
         error = None
         if passes:
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
@@ -404,7 +417,7 @@ def _simplex_refine(k: int, target: float) -> Tuple[SimplexRefinement, ...]:
         if terms > MAX_QUADRATURE_POINTS:
             raise CapExceededError("max_quadrature_points", terms, MAX_QUADRATURE_POINTS)
         value = _simplex_quad(k, nodes, grading=k)
-        allowance = _rounding_allowance(abs(value), target)
+        allowance = _rounding_allowance(abs(value), target, target)
         error = None
         if passes:
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
@@ -445,7 +458,7 @@ def estimate_leading_constant(
         # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1.
         a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
         tail = orthant_tail_bound(k, m, a)
-    passes = _refine(k, m, a, target_error / 2.0)
+    passes = _refine(k, m, a, target_error)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 

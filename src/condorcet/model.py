@@ -84,6 +84,14 @@ class Ranking:
         if sorted(self.order) != list(range(n)):
             raise ValueError(f"order {self.order} is not a permutation of 0..{n - 1}")
 
+    @classmethod
+    def _trusted(cls, order: Tuple[int, ...]) -> "Ranking":
+        """A ranking of ``order``, a tuple of ints already known to be a
+        permutation of ``range(n)``, built without the per-entry check."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "order", order)
+        return ranking
+
     @property
     def n(self) -> int:
         return len(self.order)
@@ -182,9 +190,11 @@ class Culture:
         if self.kind == "explicit":
             return self
         if self.kind == "cyclic":
-            rankings = [rotation_ranking(self.n, s) for s in range(size)]
+            # rotation s is the slice [s, s + n) of the identity order twice over
+            doubled = tuple(range(self.n)) * 2
+            rankings = [Ranking._trusted(doubled[s:s + self.n]) for s in range(size)]
         else:
-            rankings = [Ranking(p) for p in permutations(range(self.n))]
+            rankings = [Ranking._trusted(p) for p in permutations(range(self.n))]
         w = Fraction(1, size)
         return Culture(self.n, "explicit", tuple((r, w) for r in rankings))
 

@@ -123,9 +123,22 @@ def majority_tail(k: int, x):
 
 def _tail_numerator(k: int, p: int, q: int) -> int:
     """sum_{l<k} C(2k-1, l) p^(2k-1-l) (q-p)^l: the majority tail at
-    x = p/q times q^(2k-1), an integer."""
+    x = p/q times q^(2k-1), an integer.
+
+    Every term carries p^k, so the sum is p^k times
+    sum_{l<k} C(2k-1, l) p^(k-1-l) d^l with d = q - p, evaluated by Horner
+    in d from l = k-1 down while the power of p grows by one factor a step.
+    ``p`` and ``q`` may also be numpy object arrays of Python ints, summed
+    elementwise and still exactly.
+    """
     m = 2 * k - 1
-    return sum(math.comb(m, l) * p ** (m - l) * (q - p) ** l for l in range(k))
+    d = q - p
+    total = 0
+    power = 1
+    for l in range(k - 1, -1, -1):
+        total = total * d + math.comb(m, l) * power
+        power *= p
+    return total * p ** k
 
 
 def majority_tail_exact(k: int, x: Number) -> Fraction:

@@ -4,10 +4,12 @@ Each check sweeps a grid or a seeded random cloud through one family of
 inequalities and returns a :class:`CheckReport` counting violations beyond
 tolerance, together with the worst witness seen.  The tolerances separate
 rounding noise from genuine violations: 1e-12 for algebraic identities,
-1e-9 for optimizer claims, 1e-6 for derivative checks.  The tail checks
-evaluate each grid or cloud in one array call per k; their reports count
+1e-9 for optimizer claims, 1e-6 for derivative checks.  The float checks
+evaluate each grid or cloud as arrays, one call per k; their reports count
 trials and violations and pick the worst witness exactly as a
-point-by-point sweep would.
+point-by-point sweep would.  The exact checks (tail symmetry, the scaled
+tail) compare integer tail numerators and build no rational, and the
+minimizer suite runs one batched descent per k over all its n.
 
 A report with zero violations is reproducible from (name, seed, trials):
 every random draw goes through mix64 with a per-check tag.
@@ -52,6 +54,9 @@ _DERIVATIVE_STEP = 1e-6
 _CONVEXITY_POINTS = 401
 _CONVEXITY_PAIRS = 2000
 _MINIMIZER_STEPS = 2000
+# Value of the minimizer's unused columns before a projection: finite, so
+# no NaN or warning appears, and far below any real coordinate.
+_PAD = -1e300
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,18 @@ class _Tracker:
 
 
 def check_taylor_bounds() -> CheckReport:
-    """exp(-t - t^2) <= 1 - t <= exp(-t) pointwise on a grid of [0, 1/3]."""
-    points = [float(t) for t in np.linspace(0.0, 1.0 / 3.0, 10_000)]
+    """exp(-t - t^2) <= 1 - t <= exp(-t) pointwise on a grid of [0, 1/3].
+
+    The grid goes through ``np.exp`` as one array, which may differ from
+    ``math.exp`` in the last bit at some points; away from t = 0, where
+    both sides are exact, every margin exceeds 5e-10, so the report is the
+    same either way.
+    """
+    t = np.linspace(0.0, 1.0 / 3.0, 10_000)
     tracker = _Tracker("taylor_bounds", 1e-15)
     tracker.record_array(
-        [((1.0 - t) - math.exp(-t - t * t), math.exp(-t) - (1.0 - t)) for t in points],
-        lambda row, _: points[row],
+        np.column_stack([(1.0 - t) - np.exp(-t - t * t), np.exp(-t) - (1.0 - t)]),
+        lambda row, _: float(t[row]),
         ("exp(-t-t^2) <= 1-t", "1-t <= exp(-t)"),
     )
     return tracker.report()
@@ -200,23 +211,30 @@ def check_tail_sandwich(k: int, trials: int = 10_000, seed: int = 0) -> CheckRep
 
 
 def check_tail_symmetry() -> CheckReport:
-    """majority_tail(x) + majority_tail(1-x) = 1: exact for rational x,
-    within 1e-12 in floating point, on a grid of ``_SYMMETRY_POINTS``."""
+    """majority_tail(x) + majority_tail(1-x) = 1 on the grid x = i/q,
+    q = ``_SYMMETRY_POINTS`` - 1: exactly, and within 1e-12 in floating
+    point.
+
+    The exact half compares N(i) + N(q-i) with q^(2k-1) in integers, N the
+    tail numerator at x = i/q (:func:`~condorcet.special._tail_numerator`);
+    its drift, |N(i) + N(q-i) - q^(2k-1)| / q^(2k-1), is rounded once by
+    int true division, as ``float`` of the exact rational would be.
+    """
     tracker = _Tracker("tail_symmetry", TOL_ALGEBRA)
-    points = _SYMMETRY_POINTS
-    exact_grid = [Fraction(i, points - 1) for i in range(points)]
-    grid = np.arange(points) / (points - 1)
+    q = _SYMMETRY_POINTS - 1
+    grid = np.arange(q + 1) / q
     for k in range(1, _TAIL_K_MAX + 1):
+        scale = q ** (2 * k - 1)
         exact_drift = [
-            abs(float(majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x) - 1))
-            for x in exact_grid
+            abs(_tail_numerator(k, i, q) + _tail_numerator(k, q - i, q) - scale) / scale
+            for i in range(q + 1)
         ]
         float_drift = np.abs(majority_tail(k, grid) + majority_tail(k, 1.0 - grid) - 1.0)
         tracker.record_array(
             -np.column_stack([exact_drift, float_drift]),
             lambda row, column, k=k: {
                 "k": k,
-                "x": str(exact_grid[row]) if column == 0 else float(grid[row]),
+                "x": str(Fraction(row, q)) if column == 0 else float(grid[row]),
             },
             ("exact symmetry", "float symmetry"),
         )
@@ -280,18 +298,17 @@ def check_tail_convexity(seed: int = 0) -> CheckReport:
     return tracker.report()
 
 
-def _scaled_tail_margins(k: int, n_max: int) -> List[float]:
+def _scaled_tail_margins(k: int, n_max: int) -> np.ndarray:
     """1 - n * majority_tail(k, 1/n) for n = 1..n_max, each correctly rounded.
 
     n * T(1/n) = N / n^(2k-2) for the integer N = ``_tail_numerator(k, 1,
     n)``, so the margin is (n^(2k-2) - N) / n^(2k-2), and Python's int true
-    division rounds that quotient correctly, as float(Fraction) would.
+    division rounds that quotient correctly, as float(Fraction) would.  The
+    n run as one object array of Python ints, so every step stays exact.
     """
-    margins = []
-    for n in range(1, n_max + 1):
-        scale = n ** (2 * k - 2)
-        margins.append((scale - _tail_numerator(k, 1, n)) / scale)
-    return margins
+    n = np.arange(1, n_max + 1, dtype=object)
+    scale = n ** (2 * k - 2)
+    return ((scale - _tail_numerator(k, 1, n)) / scale).astype(float)
 
 
 def check_scaled_tail_bound(n_max: int = 1000, k_max: int = 10) -> CheckReport:
@@ -369,16 +386,38 @@ def minimize_marginal_bound(n: int, k: int, starts: int = 100, seed: int = 0) ->
     vectorized across starts.  It stops once no point moves more than 1e-13
     in a step (``converged``) or after ``_MINIMIZER_STEPS`` steps.  The true
     minimum is n * majority_tail(k, 1/n), attained at the uniform point; the
-    minimizer suite checks the returned value against it.
+    minimizer suite checks the returned value against it.  This is the
+    one-problem call of :func:`_minimize_batch`.
     """
-    if n < 1 or k < 1:
+    return _minimize_batch((n,), k, starts, seed)[0]
+
+
+def _minimize_batch(
+    sizes: Sequence[int], k: int, starts: int, seed: int
+) -> List[MinimizeResult]:
+    """:func:`minimize_marginal_bound` for every n in ``sizes`` at one k,
+    run as one descent over all their starts.
+
+    Each problem draws its own seeded starts and fills the first n columns
+    of its rows; the other columns are set to ``_PAD`` before each
+    projection, so they sort last and project to 0, and every real column
+    goes through the operations a problem alone would see.  A problem
+    freezes at the step where it converges, and its final values sum its
+    own n columns only, so each result equals the one-problem run.
+    """
+    if k < 1 or min(sizes) < 1:
         raise ValueError("n and k must be at least 1")
-    rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, STREAM_VERSION))
-    points = rng.dirichlet(np.ones(n), size=starts)
-    points[0] = 1.0 / n
-    if starts > 1:
-        points[1] = 0.0
-        points[1, 0] = 1.0
+    width = max(sizes)
+    points = np.zeros((len(sizes) * starts, width))
+    for i, n in enumerate(sizes):
+        rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, STREAM_VERSION))
+        block = points[i * starts:(i + 1) * starts, :n]
+        block[:] = rng.dirichlet(np.ones(n), size=starts)
+        block[0] = 1.0 / n
+        if starts > 1:
+            block[1] = 0.0
+            block[1, 0] = 1.0
+    padding = np.arange(width) >= np.repeat(sizes, starts)[:, None]
 
     if k == 1:
         step = 0.5
@@ -386,21 +425,30 @@ def minimize_marginal_bound(n: int, k: int, starts: int = 100, seed: int = 0) ->
         lipschitz = _derivative_coefficient(k) * (k - 1) * 0.25 ** (k - 2)
         step = 1.0 / (lipschitz + 1.0)
 
-    converged = False
+    converged = np.zeros(len(sizes), dtype=bool)
+    live = np.arange(len(sizes))
     for _ in range(_MINIMIZER_STEPS):
-        gradient = majority_tail_derivative(k, points)
-        moved = _project_simplex(points - step * gradient)
-        shift = np.abs(moved - points).max()
-        points = moved
-        if shift <= 1e-13:
-            converged = True
+        rows = (live[:, None] * starts + np.arange(starts)).reshape(-1)
+        current = points[rows]
+        gradient = majority_tail_derivative(k, current)
+        moved = _project_simplex(np.where(padding[rows], _PAD, current - step * gradient))
+        points[rows] = moved
+        done = np.abs(moved - current).reshape(len(live), -1).max(axis=1) <= 1e-13
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
             break
 
-    values = majority_tail(k, points).sum(axis=1)
-    best = int(np.argmin(values))
-    return MinimizeResult(
-        float(values[best]), tuple(float(v) for v in points[best]), converged
-    )
+    tails = majority_tail(k, points)
+    results = []
+    for i, n in enumerate(sizes):
+        values = tails[i * starts:(i + 1) * starts, :n].sum(axis=1)
+        best = int(np.argmin(values))
+        point = points[i * starts + best, :n]
+        results.append(
+            MinimizeResult(float(values[best]), tuple(float(v) for v in point), bool(converged[i]))
+        )
+    return results
 
 
 def _suite_taylor(seed: int) -> List[CheckReport]:
@@ -436,11 +484,13 @@ def _suite_truncated_integral(seed: int) -> List[CheckReport]:
 
 
 def _suite_minimizer(seed: int) -> List[CheckReport]:
+    sizes = range(1, 9)
+    batches = {k: _minimize_batch(sizes, k, starts=20, seed=seed) for k in range(1, 5)}
     margins, inputs = [], []
-    for n in range(1, 9):
+    for n in sizes:
         for k in range(1, 5):
             floor = float(n * majority_tail_exact(k, Fraction(1, n)))
-            result = minimize_marginal_bound(n, k, starts=20, seed=seed)
+            result = batches[k][n - 1]
             margins.append(result.value - floor)
             inputs.append({"n": n, "k": k, "point": result.point})
     tracker = _Tracker("minimizer_attains_bound", TOL_OPTIMIZER)

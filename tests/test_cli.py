@@ -472,7 +472,27 @@ def test_cap_exceeded_exit_three(capsys):
         assert code == 3
         assert "below the rounding floor" in err
         assert f"64 eps |value|, is {allowance}" in err
-        assert f"smallest reachable quadrature target lies just above {allowance}" in err
+        assert f"smallest target error that clears it, rounded up, is {allowance}" in err
+
+
+def test_ck_rounding_floor_names_the_flag_value(capsys):
+    """ck --k 1 gives the quadrature half of --target-error, so the floor
+    the message names is twice the allowance, in the flag's units: a
+    target just above it runs to the end, one just below still exits 3."""
+    code = cli.run(["ck", "--k", "1", "--target-error", "1e-14"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "target error 1e-14, of which the quadrature gets 5e-15," in err
+    assert "64 eps |value|, is 1.42e-14" in err
+    named = err.rsplit("rounded up, is ", 1)[1].strip()
+    assert named == "2.85e-14"
+    code, out = run_capture(capsys, ["ck", "--k", "1", "--target-error", named, "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert abs(results["value"] - 1.0) <= results["total_error"] <= float(named)
+    code = cli.run(["ck", "--k", "1", "--target-error", "2.8e-14"])
+    assert code == 3
+    assert "rounded up, is 2.85e-14" in capsys.readouterr().err
 
 
 def test_out_writes_same_text(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -99,6 +100,24 @@ def test_cyclic_culture_shape():
     for i, (r, w) in enumerate(expanded.entries):
         assert w == share
         assert r.order == rotation_ranking(4, i).order
+
+
+def test_cyclic_expand_equals_validated_rotations():
+    """The unchecked rotations equal the validated ones, hash alike and
+    carry the same positions."""
+    for n in (1, 2, 3, 7, 50, 301):
+        expanded = cyclic_culture(n).expand()
+        rankings = [r for r, _ in expanded.entries]
+        assert rankings == [rotation_ranking(n, s) for s in range(n)]
+        assert {hash(r) for r in rankings} == {hash(rotation_ranking(n, s)) for s in range(n)}
+        assert all(type(r.order) is tuple and r.order == Ranking(r.order).order for r in rankings)
+        assert rankings[-1].positions == rotation_ranking(n, n - 1).positions
+
+
+def test_impartial_expand_equals_validated_permutations():
+    for n in (1, 3, 5):
+        rankings = [r for r, _ in impartial_culture(n).expand().entries]
+        assert rankings == [Ranking(p) for p in itertools.permutations(range(n))]
 
 
 def test_cyclic_kind_validates_entries():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from condorcet.special import (
     _derivative_coefficient,
+    _tail_numerator,
     elementary_symmetric,
     majority_tail,
     majority_tail_derivative,
@@ -145,6 +146,26 @@ def test_majority_tail_exact_matches_fraction_loop():
             assert n * majority_tail_exact(k, Fraction(1, n)) == n * fraction_loop_tail(
                 k, Fraction(1, n)
             )
+
+
+def test_tail_numerator_horner_matches_term_sum():
+    """The Horner form equals the term-by-term sum, on pairs that include
+    both ends p = 0 and p = q."""
+    pairs = [(p, q) for q in (1, 2, 3, 7, 200) for p in sorted({0, 1, q // 2, q - 1, q})]
+    pairs += [(123456789, 987654321), (3, 10**30)]
+    for k in range(1, 13):
+        m = 2 * k - 1
+        for p, q in pairs:
+            terms = sum(math.comb(m, l) * p ** (m - l) * (q - p) ** l for l in range(k))
+            assert _tail_numerator(k, p, q) == terms, (k, p, q)
+        assert _tail_numerator(k, 0, 5) == 0
+        assert _tail_numerator(k, 5, 5) == 5 ** m
+        # object arrays of Python ints run elementwise, exactly
+        p = np.array([p for p, _ in pairs], dtype=object)
+        q = np.array([q for _, q in pairs], dtype=object)
+        assert list(_tail_numerator(k, p, q)) == [_tail_numerator(k, *pair) for pair in pairs]
+        n = np.arange(1, 60, dtype=object)
+        assert list(_tail_numerator(k, 1, n)) == [_tail_numerator(k, 1, int(v)) for v in n]
 
 
 def test_equal_coordinate_identity():

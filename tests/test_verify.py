@@ -7,7 +7,9 @@ import pytest
 import condorcet.verify as verify
 from condorcet.cultures import STREAM_VERSION, mix64
 from condorcet.special import (
+    _derivative_coefficient,
     elementary_symmetric,
+    majority_tail,
     majority_tail_derivative,
     majority_tail_exact,
     poisson_binomial_tail,
@@ -16,11 +18,16 @@ from condorcet.verify import (
     SUITES,
     TOL_ALGEBRA,
     TOL_OPTIMIZER,
+    _MINIMIZER_STEPS,
+    _TAG_MINIMIZER,
+    MinimizeResult,
+    _minimize_batch,
     _project_simplex,
     _sandwich_corner_cases,
     _Tracker,
     check_scaled_tail_bound,
     check_tail_sandwich,
+    check_tail_symmetry,
     check_taylor_bounds,
     check_truncated_integral_bounds,
     minimize_marginal_bound,
@@ -75,6 +82,43 @@ def test_taylor_worst_witness_reproduces():
     else:
         margin = math.exp(-t) - (1.0 - t)
     assert margin == pytest.approx(witness["margin"], abs=1e-15)
+
+
+def test_taylor_array_matches_math_exp_loop():
+    """np.exp may differ from math.exp in the last bit at some grid points;
+    the report, trials and worst witness included, is the scalar loop's."""
+    points = [float(t) for t in np.linspace(0.0, 1.0 / 3.0, 10_000)]
+    loop = _Tracker("taylor_bounds", 1e-15)
+    loop.record_array(
+        [((1.0 - t) - math.exp(-t - t * t), math.exp(-t) - (1.0 - t)) for t in points],
+        lambda row, _: points[row],
+        ("exp(-t-t^2) <= 1-t", "1-t <= exp(-t)"),
+    )
+    assert repr(check_taylor_bounds()) == repr(loop.report())
+
+
+def test_tail_symmetry_drift_matches_fraction_loop():
+    """The integer drift of the exact half equals the old Fraction loop,
+    sum of the two exact tails minus 1 rounded once, witness text included."""
+    points = verify._SYMMETRY_POINTS
+    exact_grid = [Fraction(i, points - 1) for i in range(points)]
+    grid = np.arange(points) / (points - 1)
+    loop = _Tracker("tail_symmetry", TOL_ALGEBRA)
+    for k in range(1, verify._TAIL_K_MAX + 1):
+        exact_drift = [
+            abs(float(majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x) - 1))
+            for x in exact_grid
+        ]
+        float_drift = np.abs(majority_tail(k, grid) + majority_tail(k, 1.0 - grid) - 1.0)
+        loop.record_array(
+            -np.column_stack([exact_drift, float_drift]),
+            lambda row, column, k=k: {
+                "k": k,
+                "x": str(exact_grid[row]) if column == 0 else float(grid[row]),
+            },
+            ("exact symmetry", "float symmetry"),
+        )
+    assert repr(check_tail_symmetry()) == repr(loop.report())
 
 
 def test_sandwich_report_is_seed_reproducible():
@@ -264,6 +308,57 @@ def test_minimizer_finds_uniform_point():
 def test_minimizer_validates_input():
     with pytest.raises(ValueError):
         minimize_marginal_bound(0, 2)
+    with pytest.raises(ValueError):
+        minimize_marginal_bound(2, 0)
+
+
+def single_descent(n, k, starts, seed):
+    """The minimizer as one problem at a time: the loop the batched descent
+    replaced, kept as its oracle."""
+    rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, STREAM_VERSION))
+    points = rng.dirichlet(np.ones(n), size=starts)
+    points[0] = 1.0 / n
+    if starts > 1:
+        points[1] = 0.0
+        points[1, 0] = 1.0
+    if k == 1:
+        step = 0.5
+    else:
+        step = 1.0 / (_derivative_coefficient(k) * (k - 1) * 0.25 ** (k - 2) + 1.0)
+    converged = False
+    for _ in range(_MINIMIZER_STEPS):
+        moved = _project_simplex(points - step * majority_tail_derivative(k, points))
+        shift = np.abs(moved - points).max()
+        points = moved
+        if shift <= 1e-13:
+            converged = True
+            break
+    values = majority_tail(k, points).sum(axis=1)
+    best = int(np.argmin(values))
+    return MinimizeResult(float(values[best]), tuple(float(v) for v in points[best]), converged)
+
+
+@pytest.mark.parametrize("seed", [0, 20240817])
+def test_batched_minimizer_matches_single_descents(seed):
+    """One descent per k over the suite's n = 1..8 gives, problem by
+    problem, the result of running each problem alone, bit for bit."""
+    sizes = range(1, 9)
+    for k in range(1, 5):
+        batch = _minimize_batch(sizes, k, starts=20, seed=seed)
+        for n, result in zip(sizes, batch):
+            single = single_descent(n, k, 20, seed)
+            assert repr(result) == repr(single), (n, k)
+            assert result == minimize_marginal_bound(n, k, starts=20, seed=seed)
+
+
+def test_batched_minimizer_matches_single_descents_one_start():
+    """With one start there is no vertex start, and the batch still holds
+    problems of every width."""
+    sizes = (3, 1, 8, 5)
+    for k in (1, 2, 4):
+        batch = _minimize_batch(sizes, k, starts=1, seed=9)
+        assert [repr(r) for r in batch] == [repr(single_descent(n, k, 1, 9)) for n in sizes]
+
 
 
 def test_interior_coordinates_share_gradient_at_optimum():

@@ -287,7 +287,11 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
 def _exact_args(sub: argparse.ArgumentParser) -> None:
     _add_culture_args(sub)
     _add_voter_args(sub)
-    sub.add_argument("--max-winner-checks", type=int, default=MAX_WINNER_CHECKS)
+    sub.add_argument(
+        "--max-winner-checks", type=int, default=MAX_WINNER_CHECKS,
+        help="cap on the multiset count C(S+2k-2, 2k-1) over a support of S "
+        "rankings, checked before the support is expanded",
+    )
     sub.add_argument("--max-support", type=int, default=MAX_EXPLICIT_SUPPORT)
 
 

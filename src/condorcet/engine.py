@@ -6,9 +6,11 @@ check: every alternative against every other, O(n^2 k) preference tests.
 No production path runs it.  It is the oracle the fast winner checks are
 tested against: the Monte Carlo knockout kernel
 (``montecarlo._count_winners_vectorized``) and the packed-tally test of
-exact enumeration, which judges one alternative at a time with one defeat
-mask: the mask cuts a walk's partial tallies, and on a full tally
-``exact._multiset_winner`` reads a miss as a win.
+exact enumeration, which judges one alternative a at a time from a's
+column, each voter's "b above a" bits packed into one int, with one
+defeat mask shared by every alternative: the mask cuts a walk's partial
+tallies, and on a full tally ``exact._multiset_winner`` reads a miss as a
+win.
 """
 
 from __future__ import annotations

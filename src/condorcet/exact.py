@@ -2,17 +2,18 @@
 support, the closed-form minimum over all cultures, and the marginal lower
 bound.  Everything here is exact rational arithmetic.
 
-Enumeration runs on integers only.  Each support ranking's pairwise
-preferences are packed into one Python int, one small field per ordered
-pair of alternatives, so a voter multiset's pairwise tally is one int sum,
-and one mask test per alternative tells whether some rival has a majority
-over it: on a partial tally that cuts the branch, on a full one it decides
-the win.  Each alternative's winner mass comes from its own walk over
-multiplicity vectors, the multinomial weight built up as a product of
-binomials, that judges once each only the multisets the alternative has
-not lost before their last voter.  The named kinds are symmetric, so one
-walk serves every alternative.  Weights are integer numerators over the
-lcm D of the weight denominators; the winner mass accumulates as an
+Enumeration runs on integers only.  Each alternative's winner mass comes
+from its own walk over multiplicity vectors, the multinomial weight built
+up as a product of binomials, that judges once each only the multisets the
+alternative has not lost before their last voter.  The walk for a reads
+only a's column: each support ranking packs into one Python int with one
+small field per rival b, counting whether the ranking puts b above a, so a
+voter multiset's tally against a is one int sum, and one mask test tells
+whether some rival has a majority over a: on a partial tally that cuts the
+branch, on a full one it decides the win.  Field a never gains a vote, so
+one mask and one bias serve every walk.  The named kinds are symmetric, so
+one walk serves every alternative.  Weights are integer numerators over
+the lcm D of the weight denominators; the winner mass accumulates as an
 integer over D^(2k-1) and becomes a ``Fraction`` once, at the end.
 """
 
@@ -63,45 +64,38 @@ def multiset_count(support: int, k: int) -> int:
     return math.comb(support + voters - 1, voters)
 
 
-def _fields(where: np.ndarray, value: int, width: int) -> int:
-    """The int holding ``value`` in the ``width``-bit field at bit
-    ``width * (a * n + b)`` of every pair with ``where[a, b]``, 0 elsewhere,
-    read off its bit array in time linear in its bits."""
-    digits = np.array([value >> j & 1 for j in range(width)], dtype=bool)
-    bits = np.zeros(where.shape + (width,), dtype=bool)
-    bits[:, :, digits] = where[:, :, None]
-    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
+def _fields(where: np.ndarray, width: int) -> List[int]:
+    """One int per row of the (rows, n) boolean array ``where``, holding 1 in
+    the ``width``-bit field at bit ``width * b`` for every column b the row
+    sets, 0 elsewhere, read off one bit array in time linear in its bits."""
+    rows, n = where.shape
+    bits = np.zeros((rows, n, width), dtype=bool)
+    bits[:, :, 0] = where
+    packed = np.packbits(bits.reshape(rows, n * width), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _pack(
-    culture: Culture, k: int, walked: Sequence[int]
-) -> Tuple[List[int], List[int], int]:
-    """The support rankings' packed preferences, the defeat masks of the
-    ``walked`` alternatives, in that order, and the bias.
+def _pack(positions: np.ndarray, k: int, a: int) -> List[int]:
+    """Column ``a`` of each support ranking, packed: one int per row of
+    ``positions`` (row i gives ranking i's position of every alternative).
 
-    Ordered pair (a, b) owns the field of ``w = k.bit_length() + 1`` bits
-    (see :func:`_fields`); a ranking's packed int holds 1 there when it puts
-    a above b.  ``bias`` starts every off-diagonal field at 2^(w-1) - k, so
-    after 2k-1 voters a field holds 2^(w-1) - k + votes < 2^w: no carry
-    crosses fields, and the top bit is set exactly when at least k voters
-    put a above b.  ``against[a]`` masks the top bits of the fields (b, a),
-    b != a, so ``tally & against[a]`` is nonzero once some b has k votes
-    over a.  Every pair has a strict majority among 2k-1 voters, so on a
-    full tally a wins exactly when that test is zero.
+    Rival b owns the field of ``w = k.bit_length() + 1`` bits at bit w*b
+    (see :func:`_fields`); it holds 1 when the ranking puts b above a.  A
+    walk starts every field at 2^(w-1) - k, so after 2k-1 voters a field
+    holds 2^(w-1) - k + votes < 2^w: no carry crosses fields, and the top
+    bit is set exactly when at least k voters put b above a.  Field a never
+    gains a vote, so its top bit stays clear, and ``tally & against``, with
+    ``against`` the top bit of every field, is nonzero once some b has k
+    votes over a.  Every pair has a strict majority among 2k-1 voters, so
+    on a full tally a wins exactly when that test is zero.
     """
-    n = culture.n
-    width = k.bit_length() + 1
-    top = 1 << (width - 1)
-    others = ~np.eye(n, dtype=bool)
-    positions = np.array([ranking.positions for ranking, _ in culture.entries])
-    packed = [_fields(pos[:, None] < pos, 1, width) for pos in positions]
-    against = [_fields(others & (np.arange(n) == a), top, width) for a in walked]
-    return packed, against, _fields(others, top - k, width)
+    return _fields(positions < positions[:, a:a + 1], k.bit_length() + 1)
 
 
 def _multiset_winner(tally: int, against: int) -> bool:
-    """Whether the alternative with defeat mask ``against`` is the Condorcet
-    winner of a voter multiset's packed full tally (see :func:`_pack`)."""
+    """Whether the walked alternative is the Condorcet winner of a voter
+    multiset's packed full tally of its column, ``against`` being the defeat
+    mask (see :func:`_pack`)."""
     return not tally & against
 
 
@@ -181,9 +175,9 @@ def condorcet_probability(
     all walks.  The named kinds (``model.NAMED_KINDS``) are invariant under
     a relabelling that sends 0 to any alternative, so only alternative 0 is
     walked and its mass is every alternative's; explicit cultures walk every
-    alternative.  Each multiset's pairwise tally is a sum of packed ints,
-    one per voter, built in time linear in their bits, and one defeat mask
-    per walked alternative, built for those alone, both cuts a lost branch
+    alternative.  A walk's tally is a sum of packed ints of the walked
+    alternative's column, one per voter, built in time linear in their bits,
+    and one defeat mask, the same for every walk, both cuts a lost branch
     and judges a full tally (:func:`_pack`).  Weights enter as integer
     numerators over D, the lcm of their denominators, so the winner mass
     accumulates as integers over D^(2k-1) and is divided once at the end.
@@ -191,28 +185,31 @@ def condorcet_probability(
     Raises :class:`SupportTooLargeError` when the support would exceed
     ``max_support`` (checked by :meth:`Culture.expand`) and
     :class:`CapExceededError` when the multiset count exceeds
-    ``max_winner_checks``; no walk checks more multisets than that count.
+    ``max_winner_checks``; both are checked before the support is expanded,
+    and the support cap is the one reported when both are exceeded.  No
+    walk checks more multisets than that count.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    explicit = culture.expand(max_support)
-    support = len(explicit.entries)
+    support = culture.support_size
     multisets = multiset_count(support, k)
-    if multisets > max_winner_checks:
+    if multisets > max_winner_checks and support <= max_support:
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
+    explicit = culture.expand(max_support)
 
     voters = 2 * k - 1
     scale = math.lcm(*(w.denominator for _, w in explicit.entries))
     nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
+    positions = np.argsort([ranking.order for ranking, _ in explicit.entries], axis=1)
+    width = k.bit_length() + 1
+    ones = _fields(np.ones((1, culture.n), dtype=bool), width)[0]
+    against, bias = ones << (width - 1), ones * ((1 << (width - 1)) - k)
     symmetric = culture.kind != "explicit"
-    walked = range(1 if symmetric else culture.n)
-    packed, against, bias = _pack(explicit, k, walked)
-    rankings = [ranking for ranking, _ in explicit.entries]
     mass, checks = [], 0
-    for a, mask in zip(walked, against):
-        order = sorted(range(support), key=lambda i: -rankings[i].positions[a])
+    for a in range(1 if symmetric else culture.n):
+        order = np.argsort(-positions[:, a], kind="stable")
         won, made = _enumerate_range(
-            [packed[i] for i in order], mask, bias,
+            _pack(positions[order], k, a), against, bias,
             [nums[i] for i in order], voters,
         )
         mass.append(won)

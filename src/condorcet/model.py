@@ -169,6 +169,19 @@ class Culture:
         if total != 1:
             raise ValueError(f"weights sum to {total} != 1")
 
+    @classmethod
+    def _trusted(
+        cls, n: int, entries: Tuple[Tuple[Ranking, Fraction], ...]
+    ) -> "Culture":
+        """An explicit culture of ``entries``, distinct rankings of ``n``
+        alternatives with ``Fraction`` weights already known to sum to 1,
+        built without the weight sum and duplicate check."""
+        culture = object.__new__(cls)
+        object.__setattr__(culture, "n", n)
+        object.__setattr__(culture, "kind", "explicit")
+        object.__setattr__(culture, "entries", entries)
+        return culture
+
     @property
     def support_size(self) -> int:
         if self.kind == "impartial":
@@ -196,7 +209,7 @@ class Culture:
         else:
             rankings = [Ranking._trusted(p) for p in permutations(range(self.n))]
         w = Fraction(1, size)
-        return Culture(self.n, "explicit", tuple((r, w) for r in rankings))
+        return Culture._trusted(self.n, tuple((r, w) for r in rankings))
 
     def top_marginals(self) -> Tuple[Fraction, ...]:
         """x_j = P(ranking places alternative j first), exact, summing to 1.

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from condorcet import exact
@@ -16,6 +17,7 @@ from condorcet.exact import (
 )
 from condorcet.model import (
     CapExceededError,
+    Culture,
     Profile,
     SupportTooLargeError,
     culture_from_entries,
@@ -172,20 +174,25 @@ def test_symmetric_cultures_match_ordered_tuple_oracle(culture, k):
 
 
 def _sum_form_pack(culture, k):
-    """The naive packing: each int is a sum of one shifted int per field it
-    sets, O(n^4 w) bit work per ranking, kept as the oracle of the linear
-    packing.  Returns the packed rankings, the defeat masks and the bias."""
+    """The naive full-pair packing: ordered pair (a, b) owns the field at
+    bit w * (a * n + b), set when a ranking puts a above b.  Each int is a
+    sum of one shifted int per field it sets, O(n^4 w) bit work per ranking,
+    kept as the oracle of the linear column packing."""
     n = culture.n
     width = k.bit_length() + 1
-    top = 1 << (width - 1)
     bit = [[1 << (width * (a * n + b)) for b in range(n)] for a in range(n)]
     packed = []
     for ranking, _ in culture.entries:
         order = ranking.order
         packed.append(sum(bit[a][b] for i, a in enumerate(order) for b in order[i + 1:]))
-    against = [sum(top * bit[b][a] for b in range(n) if b != a) for a in range(n)]
-    bias = (top - k) * sum(bit[a][b] for a in range(n) for b in range(n) if b != a)
-    return packed, against, bias
+    return packed
+
+
+def _column(full, n, k, a):
+    """Column a of a full-pair packing: field (b, a) moved to field b."""
+    width = k.bit_length() + 1
+    field = (1 << width) - 1
+    return sum((full >> width * (b * n + a) & field) << width * b for b in range(n))
 
 
 def _random_explicit_culture(n, seed):
@@ -204,11 +211,11 @@ def test_pack_matches_sum_form(n, k):
     cultures = [impartial_culture(n).expand(), cyclic_culture(n).expand(),
                 _random_explicit_culture(n, 100 * n + k)]
     for culture in cultures:
-        packed, against, bias = _sum_form_pack(culture, k)
-        assert exact._pack(culture, k, range(n)) == (packed, against, bias), culture.kind
-        # the masks of the walked alternatives only, in the walk's order
-        walked = [n - 1, 0]
-        assert exact._pack(culture, k, walked)[1] == [against[a] for a in walked]
+        full = _sum_form_pack(culture, k)
+        positions = np.array([ranking.positions for ranking, _ in culture.entries])
+        for a in range(n):
+            columns = [_column(packed, n, k, a) for packed in full]
+            assert exact._pack(positions, k, a) == columns, (culture.kind, a)
 
 
 def test_cyclic_minimiser_at_two_hundred_alternatives():
@@ -216,6 +223,15 @@ def test_cyclic_minimiser_at_two_hundred_alternatives():
     result = condorcet_probability(cyclic_culture(200), 2)
     assert result.value == min_condorcet_probability(200, 2)
     assert result.winner_checks == 200
+
+
+@pytest.mark.parametrize("n, k, checks", [(1000, 2, 1000), (200, 3, 20100)])
+def test_cyclic_minimiser_at_hundreds_of_alternatives(n, k, checks):
+    # column packing puts n in the thousands within reach of enumeration; the
+    # multiset counts, 1.7e8 and 2.8e9, exceed the default winner-check cap
+    result = condorcet_probability(cyclic_culture(n), k, max_winner_checks=10 ** 10)
+    assert result.value == min_condorcet_probability(n, k)
+    assert result.winner_checks == checks
 
 
 def test_impartial_three_voter_paradox_at_six_alternatives():
@@ -230,6 +246,19 @@ def test_winner_check_cap():
         condorcet_probability(impartial_culture(4), 2, max_winner_checks=100)
     assert exc.value.cap_name == "max_winner_checks"
     assert exc.value.needed == math.comb(24 + 2, 3)
+
+
+def test_winner_check_cap_refuses_before_expanding(monkeypatch):
+    # 9! rankings fit the support cap, but their multisets exceed the
+    # winner-check cap, so the support is never built
+    def expand(self, max_support):
+        raise AssertionError("expanded a culture the winner-check cap refuses")
+
+    monkeypatch.setattr(Culture, "expand", expand)
+    with pytest.raises(CapExceededError) as exc:
+        condorcet_probability(impartial_culture(9), 2)
+    assert exc.value.cap_name == "max_winner_checks"
+    assert exc.value.needed == multiset_count(math.factorial(9), 2)
 
 
 def test_support_cap():

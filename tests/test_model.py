@@ -120,6 +120,17 @@ def test_impartial_expand_equals_validated_permutations():
         assert rankings == [Ranking(p) for p in itertools.permutations(range(n))]
 
 
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_expanded_culture_equals_validated_explicit_culture(kind, n):
+    # expand skips the weight sum and duplicate check; the check still passes
+    expanded = Culture(n, kind).expand()
+    validated = Culture(n, "explicit", expanded.entries)
+    assert expanded == validated
+    assert hash(expanded) == hash(validated)
+    assert expanded.support_size == validated.support_size == Culture(n, kind).support_size
+
+
 def test_cyclic_kind_validates_entries():
     # a named kind is symbolic: not even its own support is kept as entries
     for kind in NAMED_KINDS:

@@ -406,8 +406,9 @@ def _simplex_refine(k: int, target: float) -> Tuple[SimplexRefinement, ...]:
     rounding allowance of ``ROUNDING_ULPS`` eps |value|, rounded up, so it
     is never zero.  Returns every pass in order; the last one carries the
     value and its reported error.  Raises when a pass's nodes^(2k-3)
-    inner-rule terms would exceed the point budget, or at once when a
-    pass's allowance alone exceeds the target.
+    inner-rule terms would exceed the point budget, naming the error the
+    last pass within it reached, or at once when a pass's allowance alone
+    exceeds the target.
     """
     dims = 2 * k - 3
     passes: List[SimplexRefinement] = []
@@ -415,7 +416,17 @@ def _simplex_refine(k: int, target: float) -> Tuple[SimplexRefinement, ...]:
     while True:
         terms = nodes ** dims
         if terms > MAX_QUADRATURE_POINTS:
-            raise CapExceededError("max_quadrature_points", terms, MAX_QUADRATURE_POINTS)
+            last = passes[-1] if passes else None
+            if last is None or last.error is None:
+                reached = "no two passes fit within it, so no error was reached"
+            else:
+                reached = (f"the last pass within it, on {last.nodes} nodes, reached error "
+                           f"{last.error:.3g} against the target {target:g}")
+            raise CapExceededError(
+                "max_quadrature_points", terms, MAX_QUADRATURE_POINTS,
+                f"cap 'max_quadrature_points' exceeded: needed {terms}, "
+                f"cap {MAX_QUADRATURE_POINTS}; {reached}",
+            )
         value = _simplex_quad(k, nodes, grading=k)
         allowance = _rounding_allowance(abs(value), target, target)
         error = None

@@ -31,6 +31,7 @@ from .asymptotic import (
     min_prob_large_k_rate,
     min_prob_large_n_leading_exact,
 )
+from .cultures import STREAM_VERSION
 from .exact import (
     MAX_WINNER_CHECKS,
     condorcet_probability,
@@ -168,7 +169,8 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     estimate = estimate_condorcet_probability(
         culture, k, args.samples, seed=seed, workers=args.workers
     )
-    return {**asdict(estimate), "n": culture.n, "k": k}, seed
+    # A seeded p_hat reproduces from (seed, stream version), so both are kept.
+    return {**asdict(estimate), "n": culture.n, "k": k, "stream_version": STREAM_VERSION}, seed
 
 
 # Columns of a sweep cell, in output order: every Estimate field but samples

@@ -3,12 +3,13 @@
 Reproducibility contract: every random stream in the package comes from
 numpy's default PCG64 generator, seeded through :func:`mix64` from the
 master seed, words naming the stream (for a Monte Carlo chunk: n, k and the
-chunk index; for a verify check: its tag) and STREAM_VERSION.  Identical
-words give bit-identical streams on the same package version; the contract
-is per (seed, version), not across versions.  Parallel callers derive
-independent substreams by varying the words through the same mixing
-function instead of sharing one generator.  Profiles are sampled by
-:mod:`condorcet.montecarlo`.
+chunk index; for a verify check: its tag) and a version word:
+STREAM_VERSION for Monte Carlo, ``verify.VERIFY_STREAM_VERSION`` for the
+verify checks.  Identical words give bit-identical streams on the same
+package version; the contract is per (seed, version), not across
+versions.  Parallel callers derive independent substreams by varying the
+words through the same mixing function instead of sharing one generator.
+Profiles are sampled by :mod:`condorcet.montecarlo`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from .model import Culture
 # Version 4: each block is drawn alternative-major, as a (voters, n, profiles)
 # array, so each seed puts its keys in other (profile, voter, alternative)
 # slots.
-STREAM_VERSION = 4
+# Version 5: voter 0 of an impartial profile holds the identity ranking and
+# only voters 1..2k-2 are drawn (low halves too); a block is judged again
+# only when its knockout ties or a profile called a winner holds a key equal
+# to its champion's.
+STREAM_VERSION = 5
 
 _MASK64 = (1 << 64) - 1
 

@@ -18,18 +18,27 @@ contests, in which the odd column of an odd-width round has a bye, leave
 one survivor per profile, and one verification pass checks it against all
 n alternatives.  On the alternative-major layout each compare and select
 covers one contiguous (alternatives, profiles) array per voter, and the
-temporaries are (n, profiles) arrays.  A Condorcet winner beats everyone,
+temporaries are at most half a block.  A Condorcet winner beats everyone,
 so it survives any bracket, and the count equals that of any
 candidate-elimination scan.  It only compares keys, so any keys whose
 order is the voter's ranking will do.  Its oracle is the all-pairs check
 :func:`condorcet.engine.find_condorcet_winner`.
 
-Impartial keys are the 32-bit high halves of i.i.d. uniform 64-bit keys.
-The kernel reports whether any comparison it made was a tie; if none was,
+Relabelling the alternatives does not change whether a profile has a
+Condorcet winner, so under the impartial culture voter 0's ranking can be
+fixed (the conditioning of Gehrlein, *Condorcet's Paradox*, 2006): voter 0
+holds the identity ranking, key a for alternative a, and only voters 1 to
+2k - 2 are drawn.  Their keys are the 32-bit high halves of i.i.d. uniform
+64-bit keys, 2k - 2 keys per alternative and profile, so k = 2 draws two
+generator words in three of a full profile.  Each chunk lays voter 0 out
+once in one block buffer and copies every block's drawn keys into it.
+The kernel reports whether any comparison it made was a tie, or whether a
+profile it calls a winner holds a key equal to its champion's; if neither,
 its verdicts are those it would give on the 64-bit keys, whatever their
-low halves.  A block with a tie, about 1 in 8000 at n = 800, k = 2, draws
-its low halves from the chunk's generator right after the block and is
-judged again on the 64-bit keys, so p_hat is the 64-bit estimator's.
+low halves.  A block with a tie, about 1 in 17 000 at n = 800, k = 2,
+draws the drawn voters' low halves from the chunk's generator right after
+the block and is judged again on the 64-bit keys, so p_hat is the 64-bit
+estimator's.
 
 A culture with finite support of S rankings (cyclic or explicit) gives a
 profile of m = 2k - 1 voters as one of S^m tuples of support indices.  When
@@ -79,8 +88,8 @@ class Estimate:
     ``winner_table`` is the number of entries of the winner table the
     profiles were judged by, 0 when the knockout kernel judged each one.
     ``blocks`` counts the blocks the chunks were sampled in, and
-    ``rejudged_blocks`` those of them whose 32-bit keys tied, so the kernel
-    judged them again on 64-bit keys.
+    ``rejudged_blocks`` those of them in whose 32-bit keys the kernel met a
+    tie, so it judged them again on 64-bit keys.
     """
 
     p_hat: float
@@ -148,13 +157,14 @@ def _sample_support(
 
 def _random_keys32(shape: Tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform uint32 keys of ``shape`` = (size, voters, n), two per
-    64-bit generator word, low half first on any host.  They are drawn in
-    the kernel's alternative-major order: the result is the (size, voters,
-    n) view of a C-order (voters, n, size) array."""
+    64-bit generator word, low half first on any host.  ``voters`` is even,
+    the 2k - 2 drawn voters of an impartial profile, so the keys fill whole
+    words.  They are drawn in the kernel's alternative-major order: the
+    result is the (size, voters, n) view of a C-order (voters, n, size)
+    array."""
     size, voters, n = shape
-    count = size * voters * n
-    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return words.view("<u4")[:count].reshape(voters, n, size).transpose(2, 0, 1)
+    words = rng.bit_generator.random_raw(size * voters * n // 2).astype("<u8", copy=False)
+    return words.view("<u4").reshape(voters, n, size).transpose(2, 0, 1)
 
 
 def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -174,6 +184,15 @@ def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
+def _impartial_block(n: int, k: int, rows: int) -> np.ndarray:
+    """A C-order (2k - 1, n, rows) uint32 block whose voter-0 slice holds key
+    a for alternative a in every profile, voter 0's identity ranking; the
+    drawn voters' slices are left unset."""
+    block = np.empty((2 * k - 1, n, rows), dtype=np.uint32)
+    block[0] = np.arange(n, dtype=np.uint32)[:, None]
+    return block
+
+
 def _sample_positions(
     culture: Culture,
     k: int,
@@ -188,22 +207,40 @@ def _sample_positions(
     array, so the kernel reads each voter's keys of one alternative as one
     contiguous run over the profiles and copies nothing.
 
-    The cyclic and explicit cultures give ranks 0..n-1 (the position of a in
-    the voter's ranking), the rows of :func:`_support_ranks` picked by
-    :func:`_sample_support`.  ``tables`` holds that table and the
-    :func:`_cumulative_weights`, which an estimate builds once for all its
-    blocks; they are built here if it is not given.  The impartial culture
-    gives i.i.d. uniform uint32 keys, drawn in one call: the high halves of
-    i.i.d. uniform uint64 keys, whose low halves are drawn only if the
-    kernel meets a tie (see :func:`estimate_condorcet_probability`).  Given
-    distinct 64-bit keys, the ranking they induce is exactly uniform on the
-    n! orders.  A 64-bit tie has probability at most C(n, 2) / 2^64 per
+    ``tables`` holds what the caller builds once and reuses for every block
+    it draws; it is built here if it is not given.  The cyclic and explicit
+    cultures give ranks 0..n-1 (the position of a in the voter's ranking),
+    the rows of :func:`_support_ranks` picked by :func:`_sample_support`;
+    their ``tables`` are that table and the :func:`_cumulative_weights`,
+    which an estimate builds once for all its blocks.
+
+    The impartial culture's ``tables`` is (block, None), a chunk's
+    :func:`_impartial_block` buffer of as many profiles as its blocks hold.
+    Voter 0 keeps the buffer's identity ranking, and voters 1..2k-2 get
+    i.i.d. uniform uint32 keys, drawn in one call and copied into the
+    buffer, whose contents the next block overwrites.  The keys are the high
+    halves of i.i.d. uniform uint64 keys, whose low halves are drawn only if
+    the kernel meets a tie (see :func:`estimate_condorcet_probability`).
+    Given distinct 64-bit keys, each drawn voter's ranking is exactly
+    uniform on the n! orders, and fixing voter 0 leaves the probability of
+    a Condorcet winner unchanged, since relabelling the alternatives maps
+    the profiles with voter 0 on any one ranking onto those with it on the
+    identity.  A 64-bit tie has probability at most C(n, 2) / 2^64 per drawn
     voter, and it can only change the indicator of the profile it sits in,
-    so |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64, which is 5.2e-14 at
+    so |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64, which is 3.5e-14 at
     n = 800, k = 2.
     """
     if culture.kind == "impartial":
-        return _random_keys32((size, 2 * k - 1, culture.n), rng)
+        n, voters = culture.n, 2 * k - 1
+        block = _impartial_block(n, k, size) if tables is None else tables[0]
+        if block.shape[2] != size:
+            # A chunk's short last block: a contiguous prefix of the buffer,
+            # with voter 0 laid out again for ``size`` profiles.  That breaks
+            # the full-size layout, so no block of the chunk may follow it.
+            block = block.reshape(-1)[:voters * n * size].reshape(voters, n, size)
+            block[0] = np.arange(n, dtype=np.uint32)[:, None]
+        block[1:] = _random_keys32((size, voters - 1, n), rng).transpose(1, 2, 0)
+        return block.transpose(2, 0, 1)
     if tables is None:
         tables = _support_ranks(culture), _cumulative_weights(culture)
     ranks, cum = tables
@@ -218,7 +255,8 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     is the memory of every tensor :func:`_sample_positions` returns, so
     ``np.ascontiguousarray`` copies only a tensor laid out otherwise.  Each
     voter's keys of a run of alternatives are then one contiguous (run,
-    rows) array, and every compare and select below covers one such array.
+    rows) array, and every compare and select below covers one such array
+    per voter.
 
     Knockout rounds: in a round of width w, let h = floor(w / 2); column
     i < h meets column i + (w - h) and the majority winner of each pair
@@ -229,18 +267,28 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     whenever it exists.  One verification pass against all n alternatives
     then decides each profile.
 
-    A tie is two equal keys of one voter.  The knockout sees one as a
-    difference left - right of 0, the verification pass as a key equal to
-    the champion's other than the champion's own, which makes the count of
-    champion == key differ from rows x voters.  Rank tensors never tie.
-    When no comparison tied, every comparison made had the result it would
-    have on any keys extending these in the low bits, so the verdicts are
-    theirs too.
+    The verification pass counts, for each alternative, the voters whose
+    champion key is at most the alternative's, and a profile has a winner
+    when the least count reaches k; the champion's own column counts every
+    voter, so only a rival can hold the least count.
 
-    Every vote count is accumulated one voter at a time in the smallest
-    unsigned type that holds 2k - 1, so the temporaries are a few (n, rows)
-    arrays beside half the tensor; the caller bounds them by passing one
-    block at a time.
+    A tie is two equal keys of one voter.  The knockout sees one as a
+    difference left - right of 0.  If none occurs, every knockout comparison
+    had the result it would have on any keys extending these in the low
+    bits, so the champion is the one those keys give.  A champion with
+    fewer than k such votes against some rival loses to it on any low bits,
+    and one with at least k against every rival wins on any low bits unless
+    one of those votes is a key equal to the champion's.  So the pass checks
+    equality only on the profiles it calls winners, where a key equal to the
+    champion's other than the champion's own is a tie.  Rank tensors never
+    tie.  When no tie is reported, the verdicts are those of any keys
+    extending these in the low bits.
+
+    Every vote count is one boolean comparison of all voters at once,
+    summed over voters in the smallest unsigned type that holds 2k - 1, so
+    the temporaries are half the tensor and a boolean array of at most a
+    quarter of its bytes; the caller bounds them by passing one block at a
+    time.
     """
     rows, voters, n = pos.shape
     keys = np.ascontiguousarray(pos.transpose(1, 2, 0))
@@ -252,30 +300,27 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
         half = width // 2
         left = survivors[:, :half]
         right = survivors[:, width - half:]
-        votes = np.zeros((half, rows), dtype=count_dtype)
-        for v in range(voters):
-            votes += left[v] < right[v]
+        votes = np.add.reduce(left < right, axis=0, dtype=count_dtype)
         following = np.empty((voters, width - half, rows), dtype=keys.dtype)
         won = following[:, :half]
         # right + (left - right) * [left won], written into one buffer.  On
         # unsigned keys the subtraction wraps, but every step is exact modulo
         # 2^bits, so the result is left or right exactly.
         np.subtract(left, right, out=won)
-        tied = tied or not won.all()
+        tied = tied or np.count_nonzero(won) != won.size
         won *= votes >= k
         won += right
         if width % 2:
             following[:, half] = survivors[:, half]
         survivors = following
     champion = survivors[:, 0]
-    votes = np.zeros((n, rows), dtype=count_dtype)
-    equal = 0
-    for v in range(voters):
-        votes += champion[v] < keys[v]
-        equal += np.count_nonzero(champion[v] == keys[v])
-    tied = tied or equal != rows * voters
-    # The champion never beats itself, so a winner beats the other n - 1.
-    return np.count_nonzero(votes >= k, axis=0) == n - 1, tied
+    votes = np.add.reduce(champion[:, None] <= keys, axis=0, dtype=count_dtype)
+    winner = np.minimum.reduce(votes, axis=0) >= k
+    if not tied:
+        winners = np.flatnonzero(winner)
+        picked = keys.reshape(voters * n, rows)[:, winners].reshape(voters, n, len(winners))
+        tied = np.count_nonzero(picked == champion[:, None, winners]) != voters * len(winners)
+    return winner, tied
 
 
 def _count_winners_vectorized(pos: np.ndarray, k: int) -> Tuple[int, bool]:
@@ -323,7 +368,7 @@ def estimate_condorcet_probability(
     The indicator mean; deterministic for a fixed (seed, version)
     regardless of ``workers``.  It is unbiased for the cyclic and explicit
     cultures; for the impartial culture, whose sampler draws i.i.d. keys,
-    |E[p_hat] - P| <= (2k - 1) C(n, 2) / 2^64 (see :func:`_sample_positions`).
+    |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64 (see :func:`_sample_positions`).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -343,9 +388,10 @@ def estimate_condorcet_probability(
             table = _winner_table(culture, k, block_rows)
             weights = _digit_weights(culture, k)
 
-    def run_block(size: int, rng: np.random.Generator) -> Tuple[int, int]:
-        """Wins among ``size`` profiles, and 1 when the block was judged
-        again on 64-bit keys."""
+    def run_block(size: int, rng: np.random.Generator, tables: tuple) -> Tuple[int, int]:
+        """Wins among ``size`` profiles drawn with ``tables`` (see
+        :func:`_sample_positions`), and 1 when the block was judged again on
+        64-bit keys."""
         if table is not None:
             idx = _sample_support(culture, k, size, rng, tables[1])
             return int(np.count_nonzero(table[idx @ weights])), 0
@@ -353,18 +399,24 @@ def estimate_condorcet_probability(
         wins, tied = _count_winners_vectorized(keys, k)
         if not tied:
             return wins, 0
-        # Only 32-bit impartial keys tie.  Draw their low halves, in the
-        # block's alternative-major order, which the shift keeps, and judge
-        # the block on the full 64-bit keys, whatever those tie.
+        # Only 32-bit impartial keys tie.  Draw the drawn voters' low halves,
+        # in the block's alternative-major order, which the shift keeps, and
+        # judge the block on the full 64-bit keys, whatever those tie.
         keys = np.left_shift(keys, 32, dtype=np.uint64)
-        keys |= _random_keys32(keys.shape, rng)
+        keys[:, 1:] |= _random_keys32(keys[:, 1:].shape, rng)
         return _count_winners_vectorized(keys, k)[0], 1
 
     def run_chunk(task: Tuple[int, int]) -> Tuple[int, int, int]:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
+        # An impartial chunk reuses a block buffer of its own, as chunks may
+        # run at once on several threads.
+        chunk_tables = tables
+        if tables is None:
+            chunk_tables = _impartial_block(culture.n, k, min(block_rows, size)), None
         judged = [
-            run_block(min(block_rows, size - lo), rng) for lo in range(0, size, block_rows)
+            run_block(min(block_rows, size - lo), rng, chunk_tables)
+            for lo in range(0, size, block_rows)
         ]
         return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)
 

@@ -340,6 +340,27 @@ def test_simplex_target_below_rounding_floor_fails_fast(monkeypatch):
     assert len(calls) == 2
 
 
+def test_simplex_point_cap_names_the_error_reached(monkeypatch):
+    """With the budget cut to 24^3 terms, k = 3 runs its 8, 12, 16 and 24
+    node passes and stops before the 32-node pass; the message names the
+    error the 24-node pass reached, the one the full budget reports for it.
+    With room for the first pass only, no error was reached."""
+    reached = asymptotic._simplex_refine(3, 1e-11)[-1]
+    assert reached.nodes == 24
+    monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 24 ** 3)
+    with pytest.raises(CapExceededError) as exc:
+        estimate_leading_constant(3, target_error=1e-13)
+    assert exc.value.needed == 32 ** 3 and exc.value.cap == 24 ** 3
+    assert str(exc.value) == (
+        f"cap 'max_quadrature_points' exceeded: needed 32768, cap 13824; the last pass "
+        f"within it, on 24 nodes, reached error {reached.error:.3g} against the target 1e-13"
+    )
+    monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 8 ** 3)
+    with pytest.raises(CapExceededError) as exc:
+        estimate_leading_constant(3, target_error=1e-13)
+    assert str(exc.value).endswith("; no two passes fit within it, so no error was reached")
+
+
 @pytest.mark.parametrize("target", [1e-7, 1e-10, 1e-14])
 def test_unresolved_mesh_is_never_accepted(monkeypatch, target):
     """For the k = 2 box below 1e-6 the box grows to 48/target, and the

@@ -13,7 +13,7 @@ import pytest
 
 import condorcet.cli as cli
 from condorcet import montecarlo
-from condorcet.cultures import cyclic_culture, impartial_culture
+from condorcet.cultures import STREAM_VERSION, cyclic_culture, impartial_culture
 from condorcet.exact import condorcet_probability
 from condorcet.model import culture_from_entries, save_culture
 from condorcet.verify import CheckReport
@@ -279,14 +279,16 @@ def test_simulate_reports_winner_table(capsys, culture, n, entries):
     """Cyclic (10, 2) judges its profiles by lookup in a table of 10^3
     entries; the impartial culture has no finite support to tabulate.
     4096 profiles make one block of cyclic (10, 2) and three of impartial
-    (50, 2), at most 2^18 // (3 n) profiles each, and none is judged again."""
+    (50, 2), at most 2^18 // (3 n) profiles each, and none is judged again.
+    Every format also names the stream version the seed's p_hat belongs to."""
     argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
     assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
     assert int(human["winner_table"]) == entries
     blocks = {"cyclic": 1, "impartial": 3}[culture]
-    for field, value in (("blocks", blocks), ("rejudged_blocks", 0)):
+    for field, value in (("blocks", blocks), ("rejudged_blocks", 0),
+                         ("stream_version", STREAM_VERSION)):
         assert results[field] == int(csv_fields[field]) == int(human[field]) == value
 
 

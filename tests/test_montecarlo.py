@@ -93,6 +93,21 @@ EXPLICIT_5 = culture_from_entries(
 )
 
 
+def record_blocks(monkeypatch):
+    """The list of every block the production path draws from here on.  The
+    impartial sampler hands each block over in a buffer that the chunk's
+    next block overwrites, so each is kept as a copy."""
+    drawn = []
+
+    def record(*args):
+        block = _sample_positions(*args)
+        drawn.append(block.copy())
+        return block
+
+    monkeypatch.setattr(montecarlo, "_sample_positions", record)
+    return drawn
+
+
 # Rows of one sampled block at impartial n = 40, k = 2.
 ROWS_N40_K2 = _BLOCK_KEYS // (3 * 40)
 
@@ -120,13 +135,7 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
     draws.  Odd widths give byes in several rounds (7 -> 4 -> 2 -> 1 and
     13 -> 7 -> 4 -> 2 -> 1); a chunk of one block plus one profile ends on
     a partial block."""
-    drawn = []
-
-    def record(*args):
-        drawn.append(_sample_positions(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(montecarlo, "_sample_positions", record)
+    drawn = record_blocks(monkeypatch)
     assert profiles <= CHUNK_SAMPLES  # one chunk, so one generator draws every block
     est = estimate_condorcet_probability(culture, k, profiles, seed=17)
     rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
@@ -199,13 +208,7 @@ def test_table_path_equals_key_path(culture, k, samples, workers):
 def test_table_needs_no_more_entries_than_samples(monkeypatch):
     """Cyclic (5, 2) has 125 support tuples: 125 samples build the table,
     124 stay on the key path and sample rank tensors."""
-    drawn = []
-
-    def record(*args):
-        drawn.append(_sample_positions(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(montecarlo, "_sample_positions", record)
+    drawn = record_blocks(monkeypatch)
     culture = cyclic_culture(5)
     on_keys = estimate_condorcet_probability(culture, 2, 124, seed=4)
     assert on_keys.winner_table == 0
@@ -278,26 +281,30 @@ def test_odd_widths_give_byes(n):
 def test_untied_verdicts_hold_for_any_low_bits(n, k):
     """High keys drawn from 40 values tie often.  Whenever the kernel
     reports no tie on a profile's 32-bit high keys, its verdict is that of
-    the 64-bit kernel and of the oracle on (hi << 32) | lo, for random low
-    bits.  Among the profiles it reports tied are some whose verdict the
-    low bits change, so a tie left unreported would show."""
+    the 64-bit kernel and of the oracle on (hi << 32) | lo, for two draws of
+    random low bits.  For k >= 2 the oracle's verdicts on the two draws
+    differ on some profiles, so a tie left unreported would show; at k = 1
+    the one voter's top alternative wins on any low bits."""
     rng = np.random.default_rng(mix64(31, n, k))
     profiles, voters = 400, 2 * k - 1
     hi = rng.integers(0, 40, size=(profiles, voters, n), dtype=np.uint32)
-    lo = rng.integers(0, 2 ** 32, size=hi.shape, dtype=np.uint32)
-    full = hi.astype(np.uint64) << np.uint64(32) | lo
-    expected = oracle_winners(full, k)
-    flags, changed = [], 0
+    full, other = (
+        hi.astype(np.uint64) << np.uint64(32)
+        | rng.integers(0, 2 ** 32, size=hi.shape, dtype=np.uint32)
+        for _ in range(2)
+    )
+    expected, also = oracle_winners(full, k), oracle_winners(other, k)
+    flags = []
     for i in range(profiles):
         narrow, tied = _winner_mask(hi[i:i + 1], k)
         wide, wide_tied = _winner_mask(full[i:i + 1], k)
         assert wide[0] == expected[i] and not wide_tied
         if not tied:
-            assert narrow[0] == wide[0]
+            assert narrow[0] == wide[0] == also[i]
         flags.append(tied)
-        changed += bool(narrow[0] != wide[0])
     assert 0 < sum(flags) < profiles  # both kinds of profile occur
-    assert changed > 0
+    if k >= 2:
+        assert expected != also
     # A block ties when one of its profiles does, and its mask is theirs.
     mask, tied = _winner_mask(hi, k)
     assert tied and mask.tolist() == [bool(_winner_mask(hi[i:i + 1], k)[0][0]) for i in range(profiles)]
@@ -306,34 +313,72 @@ def test_untied_verdicts_hold_for_any_low_bits(n, k):
     assert not tied and mask.tolist() == [expected[i] for i in untied]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_at_most_votes_judge_tied_keys_soundly(k):
+    """High keys drawn from 5n values put equal keys in most profiles.  The
+    verification pass counts a voter whose champion key is at most a
+    rival's as a vote for the champion, and looks for equal keys only in
+    the profiles it calls winners.  On every profile it reports untied, its
+    verdict is the oracle's on the 64-bit keys for two draws of random low
+    bits, although many of those profiles hold equal keys; for k >= 2 both
+    verdicts occur among them, and the two draws' verdicts differ on some
+    profile, so the data can tell a verdict that depends on the low bits."""
+    rng = np.random.default_rng(mix64(47, k))
+    profiles, voters = 600, 2 * k - 1
+    for n in (9, 12):
+        hi = rng.integers(0, 5 * n, size=(profiles, voters, n), dtype=np.uint32)
+        first, second = (
+            oracle_winners(
+                hi.astype(np.uint64) << np.uint64(32)
+                | rng.integers(0, 2 ** 32, size=hi.shape, dtype=np.uint32),
+                k,
+            )
+            for _ in range(2)
+        )
+        untied, equal_keys = [], 0
+        for i in range(profiles):
+            mask, tied = _winner_mask(hi[i:i + 1], k)
+            if not tied:
+                assert mask[0] == first[i] == second[i]
+                untied.append(bool(mask[0]))
+                equal_keys += any(len(np.unique(row)) < n for row in hi[i])
+        assert 4 * equal_keys > len(untied) > 0
+        if k >= 2:
+            assert 0 < sum(untied) < len(untied) and first != second
+        else:
+            assert all(untied)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tied_blocks_are_judged_on_64_bit_keys(monkeypatch, workers):
-    """A sampler keeping 4 bits of each 32-bit key makes every block tie,
-    so every block is judged again.  p_hat equals a replay that makes the
-    same generator calls, the block's high halves and then its low halves,
-    each laid out alternative-major as (voters, n, profiles), and judges
-    each profile's 64-bit keys with the oracle.  Three chunks of blocks of
-    at most 45 profiles of 21 keys: every block takes an odd number of
-    keys, so each draw leaves half a word unused."""
+    """A sampler keeping 4 bits of each drawn voter's 32-bit keys makes
+    every block tie, so every block is judged again; voter 0's identity
+    ranking is left whole, so it never ties.  p_hat equals a replay that
+    makes the same generator calls, the drawn voters' high halves and then
+    their low halves, each laid out alternative-major as (2k - 2, n,
+    profiles), and judges each profile with the oracle, voter 0 holding
+    the identity ranking.  Three chunks of blocks of at most 45 profiles,
+    the last block of each chunk short."""
     n, k, samples, rows, chunk = 7, 2, 600, 45, 256
     monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", chunk)
     monkeypatch.setattr(montecarlo, "_BLOCK_KEYS", rows * (2 * k - 1) * n)
     real = montecarlo._sample_positions
-    monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
+    keep = np.array([2 ** 32 - 1] + [0xF] * (2 * k - 2), dtype=np.uint32)[:, None]
+    monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & keep)
     est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=41, workers=workers)
 
     def halves(rng, shape):
-        count = math.prod(shape)
-        words = rng.bit_generator.random_raw((count + 1) // 2).view("<u4")[:count]
-        return words.reshape(shape).transpose(2, 0, 1)
+        return rng.bit_generator.random_raw(math.prod(shape) // 2).view("<u4").reshape(shape)
 
     wins = blocks = 0
     for index, size in _chunk_layout(samples, chunk):
         rng = np.random.default_rng(mix64(41, n, k, index, STREAM_VERSION))
         for lo in range(0, size, rows):
-            shape = (2 * k - 1, n, min(rows, size - lo))
+            shape = (2 * k - 2, n, min(rows, size - lo))
             high = halves(rng, shape) & 0xF
-            keys = high.astype(np.uint64) << np.uint64(32) | halves(rng, shape)
+            drawn = high.astype(np.uint64) << np.uint64(32) | halves(rng, shape)
+            identity = np.broadcast_to(np.arange(n, dtype=np.uint64)[:, None], (1, n, shape[2]))
+            keys = np.concatenate([identity, drawn]).transpose(2, 0, 1)
             wins += sum(oracle_winners(keys, k))
             blocks += 1
     assert blocks == 6 + 6 + 2
@@ -341,15 +386,16 @@ def test_tied_blocks_are_judged_on_64_bit_keys(monkeypatch, workers):
     assert est.p_hat == wins / samples
 
 
-# Win counts at seed 2026 on STREAM_VERSION 4, where each block is drawn
-# alternative-major.  A change to the draw order or the block sizes moves
-# them; such a change must bump STREAM_VERSION and re-pin them here.
+# Win counts at seed 2026 on STREAM_VERSION 5, where each block is drawn
+# alternative-major and an impartial profile's voter 0 holds the identity
+# ranking.  A change to the draw order or the block sizes moves them; such a
+# change must bump STREAM_VERSION and re-pin them here.
 STREAM_PINS = [
-    (impartial_culture(200), 2, 4_096, 1, 749),
-    (impartial_culture(50), 5, 20_000, 1, 4_061),
-    (impartial_culture(50), 5, 20_000, 2, 4_061),
-    (cyclic_culture(40), 3, 20_000, 1, 110),
-    (EXPLICIT_5, 3, 1_000, 1, 773),
+    (impartial_culture(200), 2, 4_096, 1, 759),
+    (impartial_culture(50), 5, 20_000, 1, 4_220),
+    (impartial_culture(50), 5, 20_000, 2, 4_220),
+    (cyclic_culture(40), 3, 20_000, 1, 105),
+    (EXPLICIT_5, 3, 1_000, 1, 797),
 ]
 
 
@@ -361,7 +407,7 @@ STREAM_PINS = [
 def test_stream_is_pinned(culture, k, samples, workers, wins):
     """Every pinned run is on the key path: no winner table, and no block
     judged again."""
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
     assert est.winner_table == 0 and est.rejudged_blocks == 0
     assert est.p_hat == wins / samples
@@ -380,6 +426,23 @@ def test_sampled_blocks_are_alternative_major(culture, k):
     pos = _sample_positions(culture, k, 300, np.random.default_rng(mix64(53, culture.n, k)))
     assert pos.shape == (300, 2 * k - 1, culture.n)
     assert pos.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_impartial_voter_zero_holds_the_identity_ranking(monkeypatch):
+    """Voter 0 of every impartial profile has key a for alternative a, on a
+    block drawn alone and on every block of a chunk, its short last block
+    included, while the drawn voters' keys vary."""
+    rng = np.random.default_rng(mix64(61))
+    for n, k in ((1, 2), (7, 2), (50, 5), (6, 1)):
+        pos = _sample_positions(impartial_culture(n), k, 300, rng)
+        assert pos.dtype == np.uint32 and pos.shape == (300, 2 * k - 1, n)
+        assert (pos[:, 0] == np.arange(n)).all()
+    drawn = record_blocks(monkeypatch)
+    estimate_condorcet_probability(impartial_culture(40), 2, 2 * ROWS_N40_K2 + 5, seed=3)
+    assert [len(block) for block in drawn] == [ROWS_N40_K2, ROWS_N40_K2, 5]
+    for block in drawn:
+        assert (block[:, 0] == np.arange(40)).all()
+        assert len(np.unique(block[:, 1:])) > 0.99 * block[:, 1:].size
 
 
 def test_kernel_gives_the_same_verdicts_on_any_layout():
@@ -422,7 +485,7 @@ def test_kernel_temporaries_stay_small():
     keys take 1 MiB and the kernel's temporaries about as much again
     (2.4 MiB measured).  The same blocks on 64-bit keys peak at 4.2 MiB, and
     the chunk's uint64 keys drawn whole would take 315 MB.  A block whose
-    32-bit keys tie, about 1 in 8000 here, is judged again at the 64-bit
+    32-bit keys tie, about 1 in 17 000 here, is judged again at the 64-bit
     peak; this chunk has none."""
     n, k = 800, 2
     tracemalloc.start()
@@ -440,6 +503,8 @@ def test_estimate_within_four_sigma_of_exact():
     cases = [
         (impartial_culture(3), 2, Fraction(17, 18)),
         (impartial_culture(4), 2, Fraction(8, 9)),
+        (impartial_culture(5), 2, Fraction(21, 25)),
+        (impartial_culture(4), 3, Fraction(31, 36)),
         (cyclic_culture(10), 2, min_condorcet_probability(10, 2)),
     ]
     for culture, k, exact in cases:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import condorcet.verify as verify
-from condorcet.cultures import STREAM_VERSION, mix64
+from condorcet.cultures import mix64
 from condorcet.special import (
     _derivative_coefficient,
     elementary_symmetric,
@@ -18,6 +18,7 @@ from condorcet.verify import (
     SUITES,
     TOL_ALGEBRA,
     TOL_OPTIMIZER,
+    VERIFY_STREAM_VERSION,
     _MINIMIZER_STEPS,
     _TAG_MINIMIZER,
     MinimizeResult,
@@ -139,7 +140,7 @@ def scalar_sandwich(k, trials, seed, tail_fn=poisson_binomial_tail,
     at a time.  Returns (trials, violations, worst witness), one trial per
     margin recorded."""
     m = 2 * k - 1
-    rng = np.random.default_rng(mix64(seed, verify._TAG_SANDWICH, k, STREAM_VERSION))
+    rng = np.random.default_rng(mix64(seed, verify._TAG_SANDWICH, k, VERIFY_STREAM_VERSION))
     lower_factor = 2.0 ** (1 - 2 * k)
     refine_coeff = 2.0 ** (4 * k - 2)
     active_n = [n for n in n_values if 2.0 * math.log(n) / (n - 1) <= 1.0 / 3.0]
@@ -274,7 +275,7 @@ def test_scaled_tail_margins_match_exact_tail():
     """The integer margins are float(1 - n T(1/n)) of the rational tail, bit
     for bit, at a sample of (n, k) that includes both ends of the suite's
     range."""
-    rng = np.random.default_rng(mix64(5, STREAM_VERSION))
+    rng = np.random.default_rng(mix64(5, VERIFY_STREAM_VERSION))
     for k in (1, 2, 3, 7, 10):
         margins = verify._scaled_tail_margins(k, 1000)
         assert len(margins) == 1000
@@ -315,7 +316,7 @@ def test_minimizer_validates_input():
 def single_descent(n, k, starts, seed):
     """The minimizer as one problem at a time: the loop the batched descent
     replaced, kept as its oracle."""
-    rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, STREAM_VERSION))
+    rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, VERIFY_STREAM_VERSION))
     points = rng.dirichlet(np.ones(n), size=starts)
     points[0] = 1.0 / n
     if starts > 1:

@@ -194,7 +194,8 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     for n, est in cells:
         fields = {"n": n, "k": k, **asdict(est)}
         rows.append({column: fields[column] for column in _CELL_COLUMNS})
-    return {"cells": rows}, seed
+    # Each cell's p_hat reproduces from (cell seed, stream version).
+    return {"cells": rows, "stream_version": STREAM_VERSION}, seed
 
 
 def _cmd_ck(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
@@ -292,7 +293,7 @@ def _exact_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-winner-checks", type=int, default=MAX_WINNER_CHECKS,
         help="cap on the multiset count C(S+2k-2, 2k-1) over a support of S "
-        "rankings, checked before the support is expanded",
+        "rankings, checked before the support table is built",
     )
     sub.add_argument("--max-support", type=int, default=MAX_EXPLICIT_SUPPORT)
 
@@ -412,6 +413,8 @@ def _csv_rows(record: RunRecord) -> List[List[str]]:
         rows = [_CELL_COLUMNS]
         for cell in results["cells"]:
             rows.append([str(cell[field]) for field in _CELL_COLUMNS])
+        padding = [""] * (len(_CELL_COLUMNS) - 2)
+        rows.append(["stream_version", str(results["stream_version"])] + padding)
         return rows
     if "reports" in results:
         rows = [_REPORT_COLUMNS]
@@ -438,6 +441,7 @@ def _render_human(record: RunRecord) -> str:
         lines.append("  ".join(_CELL_COLUMNS))
         for cell in results["cells"]:
             lines.append("  ".join(str(cell[field]) for field in _CELL_COLUMNS))
+        lines.append(f"stream_version: {results['stream_version']}")
     elif "reports" in results:
         for report in results["reports"]:
             lines.append(

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture
+from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture, SupportTooLargeError
 from .special import _tail_numerator, majority_tail_exact
 
 # Caps the multiset count, checked before any walk; each walk judges at most
@@ -164,7 +164,8 @@ def condorcet_probability(
 ) -> ExactProbability:
     """Exact probability that a Condorcet winner exists under the culture.
 
-    Enumerates unordered voter multisets over the explicit support with
+    Enumerates unordered voter multisets over the culture's support, read
+    as its position table (:meth:`Culture.support_positions`), with
     multinomial weights, which cuts the work by up to (2k-1)! against
     ordered tuples while keeping the arithmetic exact.  Each alternative's
     winner mass comes from its own walk over multiplicity vectors
@@ -180,31 +181,35 @@ def condorcet_probability(
     and one defeat mask, the same for every walk, both cuts a lost branch
     and judges a full tally (:func:`_pack`).  Weights enter as integer
     numerators over D, the lcm of their denominators, so the winner mass
-    accumulates as integers over D^(2k-1) and is divided once at the end.
+    accumulates as integers over D^(2k-1) and is divided once at the end;
+    a named kind's weights are 1 over D = S.
 
     Raises :class:`SupportTooLargeError` when the support would exceed
-    ``max_support`` (checked by :meth:`Culture.expand`) and
-    :class:`CapExceededError` when the multiset count exceeds
-    ``max_winner_checks``; both are checked before the support is expanded,
-    and the support cap is the one reported when both are exceeded.  No
-    walk checks more multisets than that count.
+    ``max_support`` and :class:`CapExceededError` when the multiset count
+    exceeds ``max_winner_checks``; both are checked, in that order, before
+    the support table is built, so the support cap is the one reported
+    when both are exceeded.  No walk checks more multisets than that count.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     support = culture.support_size
+    if support > max_support:
+        raise SupportTooLargeError(support, max_support)
     multisets = multiset_count(support, k)
-    if multisets > max_winner_checks and support <= max_support:
+    if multisets > max_winner_checks:
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
-    explicit = culture.expand(max_support)
 
     voters = 2 * k - 1
-    scale = math.lcm(*(w.denominator for _, w in explicit.entries))
-    nums = [w.numerator * (scale // w.denominator) for _, w in explicit.entries]
-    positions = np.argsort([ranking.order for ranking, _ in explicit.entries], axis=1)
+    symmetric = culture.kind != "explicit"
+    if symmetric:
+        scale, nums = support, [1] * support
+    else:
+        scale = math.lcm(*(w.denominator for _, w in culture.entries))
+        nums = [w.numerator * (scale // w.denominator) for _, w in culture.entries]
+    positions = culture.support_positions()
     width = k.bit_length() + 1
     ones = _fields(np.ones((1, culture.n), dtype=bool), width)[0]
     against, bias = ones << (width - 1), ones * ((1 << (width - 1)) - k)
-    symmetric = culture.kind != "explicit"
     mass, checks = [], 0
     for a in range(1 if symmetric else culture.n):
         order = np.argsort(-positions[:, a], kind="stable")

@@ -17,6 +17,8 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 # Default resource caps.  They are arguments with defaults, not constants
 # baked into the algorithms, so callers can raise or lower them.
 MAX_EXPLICIT_SUPPORT = 10 ** 6
@@ -84,14 +86,6 @@ class Ranking:
         if sorted(self.order) != list(range(n)):
             raise ValueError(f"order {self.order} is not a permutation of 0..{n - 1}")
 
-    @classmethod
-    def _trusted(cls, order: Tuple[int, ...]) -> "Ranking":
-        """A ranking of ``order``, a tuple of ints already known to be a
-        permutation of ``range(n)``, built without the per-entry check."""
-        ranking = object.__new__(cls)
-        object.__setattr__(ranking, "order", order)
-        return ranking
-
     @property
     def n(self) -> int:
         return len(self.order)
@@ -116,10 +110,11 @@ def rotation_ranking(n: int, start: int) -> Ranking:
 
 
 # The named kinds.  Each is symbolic, keeping no entries (``expand`` builds
-# its support), and is invariant under a relabelling that sends alternative
-# 0 to any other: any permutation for "impartial", the uniform culture on
-# all n! rankings, and the cyclic shift for "cyclic", the n rotations of
-# (0, 1, ..., n-1) at weight 1/n each.
+# its support, ``support_positions`` its position table), and is invariant
+# under a relabelling that sends alternative 0 to any other: any
+# permutation for "impartial", the uniform culture on all n! rankings, and
+# the cyclic shift for "cyclic", the n rotations of (0, 1, ..., n-1) at
+# weight 1/n each.
 NAMED_KINDS = ("impartial", "cyclic")
 
 
@@ -169,19 +164,6 @@ class Culture:
         if total != 1:
             raise ValueError(f"weights sum to {total} != 1")
 
-    @classmethod
-    def _trusted(
-        cls, n: int, entries: Tuple[Tuple[Ranking, Fraction], ...]
-    ) -> "Culture":
-        """An explicit culture of ``entries``, distinct rankings of ``n``
-        alternatives with ``Fraction`` weights already known to sum to 1,
-        built without the weight sum and duplicate check."""
-        culture = object.__new__(cls)
-        object.__setattr__(culture, "n", n)
-        object.__setattr__(culture, "kind", "explicit")
-        object.__setattr__(culture, "entries", entries)
-        return culture
-
     @property
     def support_size(self) -> int:
         if self.kind == "impartial":
@@ -203,13 +185,30 @@ class Culture:
         if self.kind == "explicit":
             return self
         if self.kind == "cyclic":
-            # rotation s is the slice [s, s + n) of the identity order twice over
-            doubled = tuple(range(self.n)) * 2
-            rankings = [Ranking._trusted(doubled[s:s + self.n]) for s in range(size)]
+            rankings = [rotation_ranking(self.n, s) for s in range(size)]
         else:
-            rankings = [Ranking._trusted(p) for p in permutations(range(self.n))]
+            rankings = [Ranking(p) for p in permutations(range(self.n))]
         w = Fraction(1, size)
-        return Culture._trusted(self.n, tuple((r, w) for r in rankings))
+        return Culture(self.n, "explicit", tuple((r, w) for r in rankings))
+
+    def support_positions(self) -> np.ndarray:
+        """The (S, n) position table of the support: row i holds the ranks
+        0..n-1 of support ranking i of :meth:`expand`, in int16 when n fits
+        it and int32 otherwise.  No cap applies; callers check theirs first.
+
+        The cyclic table, whose row s ranks a at (a - s) mod n, is a
+        read-only strided view of O(n) memory; the impartial one inverts
+        the n! lexicographic permutations.
+        """
+        n = self.n
+        dtype = np.int16 if n <= 2 ** 15 - 1 else np.int32
+        if self.kind == "cyclic":
+            base = (np.arange(1, 2 * n) % n).astype(dtype)
+            return np.lib.stride_tricks.sliding_window_view(base, n)[::-1]
+        if self.kind == "impartial":
+            orders = np.array(list(permutations(range(n))), dtype=dtype)
+            return np.argsort(orders, axis=1).astype(dtype)
+        return np.array([r.positions for r, _ in self.entries], dtype=dtype)
 
     def top_marginals(self) -> Tuple[Fraction, ...]:
         """x_j = P(ranking places alternative j first), exact, summing to 1.

@@ -107,23 +107,6 @@ class Estimate:
             raise ValueError(f"p_hat {self.p_hat} outside [0, 1]")
 
 
-def _position_dtype(n: int):
-    return np.int16 if n <= 2 ** 15 - 1 else np.int32
-
-
-def _support_ranks(culture: Culture) -> np.ndarray:
-    """The (S, n) position table of a finite-support culture: row i holds
-    the ranks 0..n-1 of support ranking i of :meth:`Culture.expand` (cyclic:
-    rotation i, whose rank of a is (a - i) mod n, built as a read-only
-    strided view of O(n) memory)."""
-    n = culture.n
-    dtype = _position_dtype(n)
-    if culture.kind == "cyclic":
-        base = (np.arange(1, 2 * n) % n).astype(dtype)
-        return np.lib.stride_tricks.sliding_window_view(base, n)[::-1]
-    return np.array([r.positions for r, _ in culture.entries], dtype=dtype)
-
-
 def _cumulative_weights(culture: Culture) -> Optional[np.ndarray]:
     """The cumulative support weights of a finite-support culture, the last
     set to 1.0, which :func:`_sample_support` inverts (None for the cyclic
@@ -210,9 +193,10 @@ def _sample_positions(
     ``tables`` holds what the caller builds once and reuses for every block
     it draws; it is built here if it is not given.  The cyclic and explicit
     cultures give ranks 0..n-1 (the position of a in the voter's ranking),
-    the rows of :func:`_support_ranks` picked by :func:`_sample_support`;
-    their ``tables`` are that table and the :func:`_cumulative_weights`,
-    which an estimate builds once for all its blocks.
+    the rows of :meth:`Culture.support_positions` picked by
+    :func:`_sample_support`; their ``tables`` are that table and the
+    :func:`_cumulative_weights`, which an estimate builds once for all its
+    blocks.
 
     The impartial culture's ``tables`` is (block, None), a chunk's
     :func:`_impartial_block` buffer of as many profiles as its blocks hold.
@@ -242,7 +226,7 @@ def _sample_positions(
         block[1:] = _random_keys32((size, voters - 1, n), rng).transpose(1, 2, 0)
         return block.transpose(2, 0, 1)
     if tables is None:
-        tables = _support_ranks(culture), _cumulative_weights(culture)
+        tables = culture.support_positions(), _cumulative_weights(culture)
     ranks, cum = tables
     return _gather_ranks(ranks, _sample_support(culture, k, size, rng, cum))
 
@@ -343,7 +327,7 @@ def _winner_table(culture: Culture, k: int, block_rows: int) -> np.ndarray:
     digits are formed arithmetically, as np.indices allows at most 64
     dimensions and a profile may have more voters."""
     size = culture.support_size
-    ranks = _support_ranks(culture)
+    ranks = culture.support_positions()
     weights = _digit_weights(culture, k)
     flat = np.arange(size ** (2 * k - 1))
     return np.concatenate([
@@ -383,7 +367,7 @@ def estimate_condorcet_probability(
     block_rows = max(1, _BLOCK_KEYS // (voters * culture.n))
     tables = table = None
     if culture.kind != "impartial":
-        tables = _support_ranks(culture), _cumulative_weights(culture)
+        tables = culture.support_positions(), _cumulative_weights(culture)
         if culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
             table = _winner_table(culture, k, block_rows)
             weights = _digit_weights(culture, k)

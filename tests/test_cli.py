@@ -177,9 +177,34 @@ def test_sweep_csv_contract(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
-    assert [r[0] for r in rows[1:]] == ["3", "5"]
-    for row in rows[1:]:
+    assert [r[0] for r in rows[1:-1]] == ["3", "5"]
+    for row in rows[1:-1]:
         assert 0.0 <= float(row[2]) <= 1.0
+    assert rows[-1] == ["stream_version", str(STREAM_VERSION)] + [""] * 5
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_sweep_names_its_stream_version(capsys, fmt):
+    """Each sweep cell's p_hat reproduces from (cell seed, stream version),
+    so every format names the version once, after the cells."""
+    code, out = run_capture(
+        capsys,
+        ["sweep", "--family", "impartial", "--n-values", "5,7", "--voters", "3",
+         "--samples", "1024", "--seed", "4", "--format", fmt],
+    )
+    assert code == 0
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert [cell["n"] for cell in results["cells"]] == [5, 7]
+        version = results["stream_version"]
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[0] for r in rows[1:-1]] == ["5", "7"]
+        assert rows[-1][0] == "stream_version" and not any(rows[-1][2:])
+        version = int(rows[-1][1])
+    else:
+        version = int(parse_human(out)["stream_version"])
+    assert version == STREAM_VERSION
 
 
 def test_ck_reports_error_budget(capsys):

@@ -19,6 +19,7 @@ from condorcet.model import (
     CapExceededError,
     Culture,
     Profile,
+    Ranking,
     SupportTooLargeError,
     culture_from_entries,
 )
@@ -250,15 +251,32 @@ def test_winner_check_cap():
 
 def test_winner_check_cap_refuses_before_expanding(monkeypatch):
     # 9! rankings fit the support cap, but their multisets exceed the
-    # winner-check cap, so the support is never built
-    def expand(self, max_support):
-        raise AssertionError("expanded a culture the winner-check cap refuses")
+    # winner-check cap, so neither the support nor its table is ever built
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built the support of a culture the winner-check cap refuses")
 
-    monkeypatch.setattr(Culture, "expand", expand)
+    monkeypatch.setattr(Culture, "expand", refuse)
+    monkeypatch.setattr(Culture, "support_positions", refuse)
     with pytest.raises(CapExceededError) as exc:
         condorcet_probability(impartial_culture(9), 2)
     assert exc.value.cap_name == "max_winner_checks"
     assert exc.value.needed == multiset_count(math.factorial(9), 2)
+
+
+@pytest.mark.parametrize("culture, k", [(impartial_culture(4), 2), (cyclic_culture(12), 4)],
+                         ids=["impartial_4_2", "cyclic_12_4"])
+def test_named_kinds_enumerate_without_rankings(monkeypatch, culture, k):
+    """The support table comes straight from the named kind: not one
+    Ranking is built on the way, nor an expanded culture."""
+    expected = condorcet_probability(culture.expand(), k)
+
+    def refuse(self, *args):
+        raise AssertionError("built a Ranking")
+
+    monkeypatch.setattr(Ranking, "__post_init__", refuse)
+    monkeypatch.setattr(Culture, "expand", refuse)
+    result = condorcet_probability(culture, k)
+    assert (result.value, result.per_alternative) == (expected.value, expected.per_alternative)
 
 
 def test_support_cap():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import condorcet
 from condorcet.cultures import cyclic_culture, impartial_culture
 from condorcet.model import (
+    MAX_EXPLICIT_SUPPORT,
     NAMED_KINDS,
     Culture,
     Profile,
@@ -103,8 +104,8 @@ def test_cyclic_culture_shape():
 
 
 def test_cyclic_expand_equals_validated_rotations():
-    """The unchecked rotations equal the validated ones, hash alike and
-    carry the same positions."""
+    """expand's rotations are the rotation rankings, hash alike and carry
+    the same positions."""
     for n in (1, 2, 3, 7, 50, 301):
         expanded = cyclic_culture(n).expand()
         rankings = [r for r, _ in expanded.entries]
@@ -123,12 +124,60 @@ def test_impartial_expand_equals_validated_permutations():
 @pytest.mark.parametrize("kind", NAMED_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_expanded_culture_equals_validated_explicit_culture(kind, n):
-    # expand skips the weight sum and duplicate check; the check still passes
+    # expand builds its culture through the validating constructor
     expanded = Culture(n, kind).expand()
     validated = Culture(n, "explicit", expanded.entries)
     assert expanded == validated
     assert hash(expanded) == hash(validated)
     assert expanded.support_size == validated.support_size == Culture(n, kind).support_size
+
+
+EXPLICIT_SUPPORTS = [
+    culture_from_entries(3, [((2, 0, 1), "1/2"), ((0, 1, 2), "1/3"), ((1, 2, 0), "1/6")]),
+    culture_from_entries(5, [((4, 3, 2, 1, 0), "0.25"), ((1, 3, 0, 4, 2), "0.75")]),
+]
+
+
+@pytest.mark.parametrize(
+    "culture",
+    [impartial_culture(n) for n in range(1, 7)]
+    + [cyclic_culture(n) for n in range(1, 10)]
+    + EXPLICIT_SUPPORTS,
+    ids=[f"impartial{n}" for n in range(1, 7)] + [f"cyclic{n}" for n in range(1, 10)]
+    + ["explicit3", "explicit5"],
+)
+def test_support_positions_are_the_expanded_positions(culture):
+    """Row i of the table is support ranking i of expand, in int16; the
+    cyclic table is a view nothing may write through."""
+    table = culture.support_positions()
+    expected = np.array([r.positions for r, _ in culture.expand().entries])
+    assert table.dtype == np.int16
+    assert table.shape == expected.shape == (culture.support_size, culture.n)
+    assert (table == expected).all()
+    if culture.kind == "cyclic":
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_cyclic_support_positions_beyond_int16():
+    n = 40_000
+    table = cyclic_culture(n).support_positions()
+    assert table.dtype == np.int32 and table.shape == (n, n)
+    for s in (0, 1, 12_345, 32_767, 32_768, n - 1):
+        assert tuple(table[s].tolist()) == rotation_ranking(n, s).positions
+
+
+def test_cyclic_support_positions_are_never_refused():
+    """Monte Carlo draws from this table at any n; a support of a million
+    and one rotations, above the exact engine's support cap, still builds,
+    in O(n) memory."""
+    n = MAX_EXPLICIT_SUPPORT + 1
+    table = cyclic_culture(n).support_positions()
+    assert table.shape == (n, n) and table.dtype == np.int32
+    alternatives = np.arange(n)
+    for s in (0, 7, n - 1):
+        assert (table[s] == (alternatives - s) % n).all()
 
 
 def test_cyclic_kind_validates_entries():

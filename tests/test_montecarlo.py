@@ -10,7 +10,7 @@ from condorcet import montecarlo
 from condorcet.cultures import STREAM_VERSION, cyclic_culture, impartial_culture, mix64
 from condorcet.engine import find_condorcet_winner
 from condorcet.exact import condorcet_probability, min_condorcet_probability
-from condorcet.model import Profile, Ranking, culture_from_entries
+from condorcet.model import Culture, Profile, Ranking, culture_from_entries
 from condorcet.montecarlo import (
     CHUNK_SAMPLES,
     _BLOCK_KEYS,
@@ -587,14 +587,15 @@ def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     """An explicit culture on the key path reads its rank table and its
     cumulative weights in every block, but builds each once per estimate."""
     built = []
-    for name in ("_support_ranks", "_cumulative_weights"):
-        real = getattr(montecarlo, name)
-        monkeypatch.setattr(montecarlo, name,
-                            lambda culture, real=real, name=name: built.append(name) or real(culture))
+    real_positions, real_weights = Culture.support_positions, montecarlo._cumulative_weights
+    monkeypatch.setattr(Culture, "support_positions",
+                        lambda culture: built.append("support_positions") or real_positions(culture))
+    monkeypatch.setattr(montecarlo, "_cumulative_weights",
+                        lambda culture: built.append("_cumulative_weights") or real_weights(culture))
     samples = 3 * CHUNK_SAMPLES
     est = estimate_condorcet_probability(EXPLICIT_5, 5, samples, seed=29, workers=workers)
     assert est.winner_table == 0 and est.blocks > 3
-    assert sorted(built) == ["_cumulative_weights", "_support_ranks"]
+    assert sorted(built) == ["_cumulative_weights", "support_positions"]
     assert est.p_hat == replay_key_path(EXPLICIT_5, 5, samples, 29) / samples
 
 

@@ -44,7 +44,6 @@ from .montecarlo import Estimate, estimate_condorcet_probability, sweep
 from .asymptotic import (
     ConstantEstimate,
     Refinement,
-    SimplexRefinement,
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_large_k_rate,
@@ -79,7 +78,6 @@ __all__ = [
     "Ranking",
     "Refinement",
     "STREAM_VERSION",
-    "SimplexRefinement",
     "SupportTooLargeError",
     "check_scaled_tail_bound",
     "check_tail_convexity",

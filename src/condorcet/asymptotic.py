@@ -3,8 +3,9 @@ the closed-form asymptotic expressions.
 
 The constant C_k for 2k-1 voters is the integral of exp(-sigma_k) over the
 positive orthant in dimension m = 2k-1, where sigma_k is the k-th elementary
-symmetric polynomial of the coordinates.  For k >= 2 it comes from an
-identity with no truncation: split x = (y, s, t) with y of d = 2k-3
+symmetric polynomial of the coordinates.  C_1 is the integral of exp(-x)
+over x >= 0, exactly 1, and takes no quadrature.  For k >= 2 it comes from
+an identity with no truncation: split x = (y, s, t) with y of d = 2k-3
 coordinates, so sigma_k(x) = sigma_k(y) + (s+t) sigma_{k-1}(y) +
 st sigma_{k-2}(y); integrate s and t, put y = r u with u on the simplex
 sum(u) = 1 and integrate r.  That leaves
@@ -23,28 +24,29 @@ map's volume factor 1/d! cancels the d! copies.  The vertex singularity and
 the kink of c^(1/k) on the face u_d = 0 are absorbed by grading every cube
 axis as x = t^k, after which a Gauss-Legendre rule of N nodes per axis (and
 N nodes for J_k's inner integral) converges spectrally.  At k = 2 the
-simplex is one point and the rule one evaluation, pi^(3/2)/2.  Passes with
-N = 8, 12, 16, 24, 32, ... run until |Q_N - Q_N'| against the pass before,
-plus a rounding allowance of ``ROUNDING_ULPS`` eps |value|, rounded up, is
-within the target; that is the reported error, and there is no truncation
-part.
+simplex is one point and the rule one evaluation, pi^(3/2)/2.  The passes
+take N = 8, 12, 16, 24, 32, ... nodes, and there is no truncation part.
 
-The box path (k = 1, and ``box=True``, which ``ck --full`` selects) is the
-naive oracle.  It integrates over a truncated box [0, a]^m with two error
-terms that are always reported separately and then added:
+The box path (``box=True``, which ``ck --full`` selects; k >= 2) is the
+naive oracle.  It integrates over a truncated box [0, a]^m and reports two
+error terms separately, then adds them:
 
 * a rigorous tail bound for the mass outside the box,
   m (m-1) ((m-1)!)^2 a^(-(m-l)/(l-1)) for the order-l polynomial in m
-  variables (l >= 2; for k=1 the tail is exactly exp(-a)), and
-* an empirical quadrature error, the change in value when the mesh count
-  doubles plus a floating-point allowance that scales with the value, so
-  it is never reported as zero.
+  variables (l >= 2), with a chosen so that it is half the target, and
+* the quadrature error of mesh passes that double the cells per axis,
+  within the other half.
 
-Both parts are rounded outward with ``math.nextafter``: the tail bound is at
-least the true tail for the float box size in use, and the quadrature error
-covers the rounding of the tensor sum and of the final ``quadrature_error +
-truncation_bound`` addition.  The reported value then lies within
-``total_error`` of the truth whenever the mesh-doubling estimate holds.
+Every rule runs in one refinement loop, :func:`_refine`, which records
+each pass as one :class:`Refinement`.  A pass's quadrature error is its
+difference from the pass before plus a floating-point allowance that
+scales with the value, so it is never reported as zero.  The tail bound
+and the quadrature error are rounded outward with ``math.nextafter``: the
+tail bound is at least the true tail for the float box size in use, and
+the quadrature error covers the rounding of the sum and of the final
+``quadrature_error + truncation_bound`` addition.  The reported value then
+lies within ``total_error`` of the truth whenever the pass-to-pass
+estimate holds.
 
 The box integrand does not decay along the coordinate axes (sigma_k
 vanishes there), so the mesh is graded toward zero by a power law and each
@@ -53,8 +55,8 @@ integrand is symmetric in its coordinates, so the tensor sum visits each
 orbit of the grid under permutation of the axes once, a non-decreasing
 index tuple weighted by the number of grid points it stands for:
 C(P+d-1, d) integrand values for P nodes per axis in d dimensions instead
-of P^d, about d! times fewer.  The point cap and the reported ``points``
-still count tensor points, P^d.
+of P^d, about d! times fewer.  The point cap still counts tensor points,
+P^d.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -95,33 +97,19 @@ ROUNDING_ULPS = 64
 # truncated_integral suite; 2^14 was the best or within 5% of it.
 _BLOCK_TERMS = 1 << 14
 
-# Nodes per axis of the first simplex pass; each later pass takes 3/2 or
-# 4/3 as many (8, 12, 16, 24, 32, ...).
+# Nodes per axis of the first simplex pass; see _grow_simplex for the rest.
 _SIMPLEX_FIRST_NODES = 8
 
 
 @dataclass(frozen=True)
 class Refinement:
-    """One tensor pass of the mesh refinement: ``cells`` per axis,
-    ``points`` in the tensor grid, ``orbits`` of the grid under permutation
-    of the axes (the integrand evaluations, C(P+dims-1, dims) for P nodes
-    per axis), the quadrature ``value`` and the error reported against the
-    previous pass (None on the first pass, which has nothing to compare
-    with)."""
-
-    cells: int
-    points: int
-    orbits: int
-    value: float
-    error: Optional[float]
-
-
-@dataclass(frozen=True)
-class SimplexRefinement:
-    """One pass of the simplex rule: ``nodes`` Gauss-Legendre nodes per
-    cube axis and for J_k's inner integral, ``evaluations`` of the simplex
-    integrand (nodes^(2k-4), one at k = 2), the quadrature ``value`` and the
-    error reported against the previous pass (None on the first pass)."""
+    """One pass of a refinement: ``nodes`` Gauss-Legendre nodes per axis
+    (for the box, cells times ``DEFAULT_DEGREE``; for the simplex rule,
+    per cube axis and for J_k's inner integral), the integrand
+    ``evaluations`` (the box grid's orbits under permutation of the axes,
+    C(nodes+m-1, m); the simplex rule's nodes^(2k-4), one at k = 2), the
+    quadrature ``value`` and the error reported against the previous pass
+    (None on the first pass, which has nothing to compare with)."""
 
     nodes: int
     evaluations: int
@@ -135,12 +123,13 @@ class ConstantEstimate:
 
     ``truncation_bound`` is rigorous and rounded up; ``quadrature_error`` is
     the empirical difference from the previous pass plus a rounding
-    allowance, rounded up and never zero.  The honest total is their plain
-    float sum; the allowance already covers the rounding of that addition.
-    The simplex rule has no box: its ``truncation_bound`` is 0.0 and its
-    ``truncation_a`` None.  ``refinements`` lists every pass in order (box
-    :class:`Refinement` or :class:`SimplexRefinement`); the last one holds
-    ``value`` and ``quadrature_error``.
+    allowance, rounded up and never zero for a quadrature.  The honest total
+    is their plain float sum; the allowance already covers the rounding of
+    that addition.  Only the box oracle has a box: elsewhere
+    ``truncation_bound`` is 0.0 and ``truncation_a`` None.  ``refinements``
+    lists every pass in order; the last one holds ``value`` and
+    ``quadrature_error``.  C_1 = 1 is exact: value 1.0, both errors 0.0 and
+    no passes.
     """
 
     k: int
@@ -148,7 +137,7 @@ class ConstantEstimate:
     quadrature_error: float
     truncation_bound: float
     truncation_a: Optional[float]
-    refinements: Tuple[Union[Refinement, SimplexRefinement], ...]
+    refinements: Tuple[Refinement, ...]
 
     @property
     def total_error(self) -> float:
@@ -275,75 +264,84 @@ def truncated_box_integral(
     return _tensor_quad(ell, m, nodes, weights)
 
 
-def _rounding_allowance(scale: float, target: float, target_error: float) -> float:
-    """``ROUNDING_ULPS`` eps times ``scale``: the rounding allowance of a
-    pass.  ``target`` is the quadrature's share of the caller's
-    ``target_error``.  Raises at once when the allowance alone exceeds
-    ``target``, since no finer rule can then meet it; then ``scale`` is
-    |value|, as a larger target would clear the allowance, and the message
-    names the smallest target error whose share clears it, rounded up."""
-    allowance = ROUNDING_ULPS * sys.float_info.epsilon * scale
-    if allowance > target:
-        floor = allowance * (target_error / target)
-        share = "" if target == target_error else f", of which the quadrature gets {target:g},"
-        raise CapExceededError(
-            "max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS,
-            f"target error {target_error:g}{share} is below the rounding floor: the "
-            f"rounding allowance of a pass, {ROUNDING_ULPS} eps |value|, is {allowance:.3g}, "
-            f"so the smallest target error that clears it, rounded up, is {_round_up(floor)}",
-        )
-    return allowance
-
-
 def _round_up(x: float) -> str:
     """``x`` rounded up to three significant digits, as text."""
     exact = Decimal(x)
     return f"{exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING):.3g}"
 
 
-def _refine(ell: int, dims: int, a: float, target_error: float) -> Tuple[Refinement, ...]:
-    """Double the mesh until the reported error is within ``target``, half
-    of ``target_error``; the caller's tail bound takes the other half.
+def _refine(
+    quad: Callable[[int], Tuple[float, int]],
+    nodes: int,
+    grow: Callable[[int], int],
+    cost_exponent: int,
+    target_error: float,
+    target: Optional[float] = None,
+    floor: float = 0.0,
+) -> Tuple[Refinement, ...]:
+    """Run a rule on more nodes each pass until the reported error is within
+    ``target``, the quadrature's share of ``target_error`` (all of it unless
+    given; the box's tail bound takes the rest).  ``quad(nodes)`` gives a
+    pass's value and integrand evaluations; the first pass has ``nodes``
+    nodes per axis and each later one ``grow(nodes)``.
 
-    The reported error is the mesh-doubling difference plus a rounding
-    allowance of ``ROUNDING_ULPS`` eps times max(|value|, target), rounded
-    up.  The |value| part covers the rounding of the tensor sum; the target
-    part covers the caller's addition of a tail bound no larger than
-    ``target``.  The error is therefore never zero, and a target below the
-    rounding floor is never under-reported.
-
-    A pass is accepted only if its value also clears ``cube_bound``, a lower
-    bound on the integral over the unit cube, which the box [0, a]^dims
-    (a >= 1) contains: there e_ell <= C(dims, ell).  A mesh too coarse to
-    resolve the integrand near the axes can see almost none of its mass;
-    two such passes agree and would otherwise report a near-zero value as
-    converged.
+    The reported error is the difference from the previous pass plus a
+    rounding allowance of ``ROUNDING_ULPS`` eps times max(|value|, target),
+    rounded up.  The |value| part covers the rounding of the rule's sum of
+    positive terms; the target part covers the caller's addition of a tail
+    bound no larger than ``target``.  The error is therefore never zero.  A
+    pass is accepted only if its value also reaches ``floor``: the box path
+    passes a lower bound on the integral over the unit cube, which the box
+    [0, a]^m (a >= 1) contains, since e_k <= C(m, k) there.  A mesh too
+    coarse to resolve the integrand near the axes can see almost none of
+    its mass; two such passes agree and would otherwise report a near-zero
+    value as converged.
 
     Returns every pass in order; the last one carries the value and its
-    reported error.  Raises when the next refinement would blow the point
-    budget before the target is met, or at once when a pass's allowance
-    alone exceeds the target, since no finer mesh can then meet it.
+    reported error.  Raises when a pass's nodes^cost_exponent terms would
+    exceed the point budget, naming the error the last pass within it
+    reached.  Raises at once when a pass's allowance alone exceeds the
+    target, since no finer rule can then meet it; the allowance then scales
+    with |value|, as a larger target would clear it, and the message names
+    the rounding floor in ``target_error``'s units, rounded up.
     """
-    target = target_error / 2.0
-    cube_bound = math.exp(-math.comb(dims, ell))
+    if target is None:
+        target = target_error
+    goal = f"target error {target_error:g}"
+    if target != target_error:
+        goal += f", of which the quadrature gets {target:g},"
     passes: List[Refinement] = []
-    cells = 16
     while True:
-        per_axis = cells * DEFAULT_DEGREE
-        points = per_axis ** dims
-        if points > MAX_QUADRATURE_POINTS:
-            raise CapExceededError("max_quadrature_points", points, MAX_QUADRATURE_POINTS)
-        nodes, weights = _axis_rule(a, cells, DEFAULT_DEGREE)
-        value = _tensor_quad(ell, dims, nodes, weights)
-        allowance = _rounding_allowance(max(abs(value), target), target, target_error)
+        cost = nodes ** cost_exponent
+        if cost > MAX_QUADRATURE_POINTS:
+            if not passes or passes[-1].error is None:
+                reached = "no two passes fit within it, so no error was reached"
+            else:
+                last = passes[-1]
+                reached = (f"the last pass within it, on {last.nodes} nodes, reached error "
+                           f"{last.error:.3g}")
+            raise CapExceededError(
+                "max_quadrature_points", cost, MAX_QUADRATURE_POINTS,
+                f"cap 'max_quadrature_points' exceeded: needed {cost}, "
+                f"cap {MAX_QUADRATURE_POINTS}; for the {goal} {reached}",
+            )
+        value, evaluations = quad(nodes)
+        allowance = ROUNDING_ULPS * sys.float_info.epsilon * max(abs(value), target)
+        if allowance > target:
+            raise CapExceededError(
+                "max_quadrature_points", math.inf, MAX_QUADRATURE_POINTS,
+                f"{goal} is below the rounding floor, "
+                f"{_round_up(allowance * (target_error / target))} rounded up: the rounding "
+                f"allowance of a pass, {ROUNDING_ULPS} eps |value|, is {allowance:.3g}, and no "
+                f"target error below the floor can be met",
+            )
         error = None
         if passes:
             error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
-        orbits = math.comb(per_axis + dims - 1, dims)
-        passes.append(Refinement(cells, points, orbits, value, error))
-        if error is not None and error <= target and value >= cube_bound:
+        passes.append(Refinement(nodes, evaluations, value, error))
+        if error is not None and error <= target and value >= floor:
             return tuple(passes)
-        cells *= 2
+        nodes = grow(nodes)
 
 
 def _simplex_quad(k: int, nodes: int, grading: float) -> float:
@@ -398,44 +396,10 @@ def _simplex_quad(k: int, nodes: int, grading: float) -> float:
     return math.gamma(power) * total
 
 
-def _simplex_refine(k: int, target: float) -> Tuple[SimplexRefinement, ...]:
-    """Run the simplex rule (graded as t^k) on more nodes each pass until
-    the reported error is within ``target``.
-
-    The reported error is the difference from the previous pass plus a
-    rounding allowance of ``ROUNDING_ULPS`` eps |value|, rounded up, so it
-    is never zero.  Returns every pass in order; the last one carries the
-    value and its reported error.  Raises when a pass's nodes^(2k-3)
-    inner-rule terms would exceed the point budget, naming the error the
-    last pass within it reached, or at once when a pass's allowance alone
-    exceeds the target.
-    """
-    dims = 2 * k - 3
-    passes: List[SimplexRefinement] = []
-    nodes = _SIMPLEX_FIRST_NODES
-    while True:
-        terms = nodes ** dims
-        if terms > MAX_QUADRATURE_POINTS:
-            last = passes[-1] if passes else None
-            if last is None or last.error is None:
-                reached = "no two passes fit within it, so no error was reached"
-            else:
-                reached = (f"the last pass within it, on {last.nodes} nodes, reached error "
-                           f"{last.error:.3g} against the target {target:g}")
-            raise CapExceededError(
-                "max_quadrature_points", terms, MAX_QUADRATURE_POINTS,
-                f"cap 'max_quadrature_points' exceeded: needed {terms}, "
-                f"cap {MAX_QUADRATURE_POINTS}; {reached}",
-            )
-        value = _simplex_quad(k, nodes, grading=k)
-        allowance = _rounding_allowance(abs(value), target, target)
-        error = None
-        if passes:
-            error = math.nextafter(abs(value - passes[-1].value) + allowance, math.inf)
-        passes.append(SimplexRefinement(nodes, nodes ** (dims - 1), value, error))
-        if error is not None and error <= target:
-            return tuple(passes)
-        nodes = nodes * 3 // 2 if nodes & (nodes - 1) == 0 else nodes * 4 // 3
+def _grow_simplex(nodes: int) -> int:
+    """Nodes of the simplex pass after one on ``nodes``: 3/2 as many after a
+    power of two, else 4/3 (8, 12, 16, 24, 32, ...)."""
+    return nodes * 3 // 2 if nodes & (nodes - 1) == 0 else nodes * 4 // 3
 
 
 def estimate_leading_constant(
@@ -445,11 +409,11 @@ def estimate_leading_constant(
 ) -> ConstantEstimate:
     """Estimate the orthant integral of exp(-sigma_k) in dimension 2k-1.
 
-    For k >= 2 the simplex rule refines until its error meets the target,
-    with no truncation part.  For k = 1, or with ``box``, the box size is
-    chosen so the rigorous tail bound stays below half the target, then the
-    mesh refines until the empirical quadrature error covers the other
-    half.  When the point budget cannot reach the target, or the
+    C_1 = 1 exactly.  For k >= 2 the simplex rule refines until its error
+    meets the target, with no truncation part.  With ``box`` (k >= 2 only)
+    the box size is chosen so the rigorous tail bound is half the target,
+    then the mesh refines until the empirical quadrature error covers the
+    other half.  When the point budget cannot reach the target, or the
     quadrature's target is below its rounding allowance, the estimator
     raises instead of under-reporting the error.
     """
@@ -457,19 +421,29 @@ def estimate_leading_constant(
         raise ValueError(f"k={k} outside supported range {SUPPORTED_K}")
     if not target_error > 0:
         raise ValueError("target_error must be positive")
-    if k >= 2 and not box:
-        passes = _simplex_refine(k, target_error)
+    if k == 1:
+        if box:
+            raise ValueError("the box oracle needs k >= 2; C_1 = 1 exactly")
+        return ConstantEstimate(1, 1.0, 0.0, 0.0, None, ())
+    if not box:
+        passes = _refine(
+            lambda nodes: (_simplex_quad(k, nodes, grading=k), nodes ** (2 * k - 4)),
+            _SIMPLEX_FIRST_NODES, _grow_simplex, 2 * k - 3, target_error,
+        )
         return ConstantEstimate(k, passes[-1].value, passes[-1].error, 0.0, None, passes)
     m = 2 * k - 1
-    if k == 1:
-        # the tail beyond a is exactly exp(-a), rounded up
-        a = max(1.0, -math.log(min(0.5, target_error / 2.0)))
-        tail = math.nextafter(math.exp(-a), math.inf)
-    else:
-        # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1.
-        a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
-        tail = orthant_tail_bound(k, m, a)
-    passes = _refine(k, m, a, target_error)
+    # Solve tail_bound(a) = target/2; the exponent (m-k)/(k-1) equals 1.
+    a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
+
+    def box_pass(nodes: int) -> Tuple[float, int]:
+        rule = _axis_rule(a, nodes // DEFAULT_DEGREE, DEFAULT_DEGREE)
+        return _tensor_quad(k, m, *rule), math.comb(nodes + m - 1, m)
+
+    passes = _refine(
+        box_pass, 16 * DEFAULT_DEGREE, lambda nodes: 2 * nodes, m, target_error,
+        target=target_error / 2.0, floor=math.exp(-math.comb(m, k)),
+    )
+    tail = orthant_tail_bound(k, m, a)
     return ConstantEstimate(k, passes[-1].value, passes[-1].error, tail, a, passes)
 
 

@@ -330,7 +330,7 @@ def _ck_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target-error", type=float, default=0.1)
     sub.add_argument(
         "--full", action="store_true",
-        help="use the truncated-box oracle: tensor quadrature plus a tail bound",
+        help="use the truncated-box oracle (k >= 2): tensor quadrature plus a tail bound",
     )
 
 

@@ -321,14 +321,14 @@ def _digit_weights(culture: Culture, k: int) -> np.ndarray:
     return size ** np.arange(2 * k - 2, -1, -1, dtype=np.int64)
 
 
-def _winner_table(culture: Culture, k: int, block_rows: int) -> np.ndarray:
+def _winner_table(ranks: np.ndarray, weights: np.ndarray, k: int, block_rows: int) -> np.ndarray:
     """Winner indicator of every support tuple, by flat index: the knockout
-    kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a time.  The
-    digits are formed arithmetically, as np.indices allows at most 64
-    dimensions and a profile may have more voters."""
-    size = culture.support_size
-    ranks = culture.support_positions()
-    weights = _digit_weights(culture, k)
+    kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a time, where
+    ``ranks`` is the culture's support position table and ``weights`` its
+    :func:`_digit_weights`.  The digits are formed arithmetically, as
+    np.indices allows at most 64 dimensions and a profile may have more
+    voters."""
+    size = len(ranks)
     flat = np.arange(size ** (2 * k - 1))
     return np.concatenate([
         _winner_mask(_gather_ranks(ranks, flat[lo:lo + block_rows, None] // weights % size), k)[0]
@@ -369,8 +369,8 @@ def estimate_condorcet_probability(
     if culture.kind != "impartial":
         tables = culture.support_positions(), _cumulative_weights(culture)
         if culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
-            table = _winner_table(culture, k, block_rows)
             weights = _digit_weights(culture, k)
+            table = _winner_table(tables[0], weights, k, block_rows)
 
     def run_block(size: int, rng: np.random.Generator, tables: tuple) -> Tuple[int, int]:
         """Wins among ``size`` profiles drawn with ``tables`` (see

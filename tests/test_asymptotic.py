@@ -13,6 +13,7 @@ from condorcet.asymptotic import (
     MESH_GRADING,
     ROUNDING_ULPS,
     _axis_rule,
+    _grow_simplex,
     _orbits,
     _simplex_quad,
     _tensor_quad,
@@ -108,13 +109,13 @@ def test_leading_constant_one_dimension():
 
 
 def test_leading_constant_one_dimension_brackets_truth_at_every_target():
-    # the truth is exactly 1; the budget must cover the last-bit rounding of
-    # the value too, so it brackets 1 and is never zero at any target
-    for target in np.geomspace(0.9, 1e-13, 120):
+    # C_1 is the integral of exp(-x) over x >= 0, exactly 1: no quadrature
+    # runs, at any target, and the error is zero
+    for target in np.geomspace(1e3, 1e-300, 120):
         est = estimate_leading_constant(1, target_error=float(target))
-        assert abs(est.value - 1.0) <= est.total_error, target
-        assert est.quadrature_error > 0.0, target
-        assert est.total_error == est.quadrature_error + est.truncation_bound, target
+        assert est.value == 1.0, target
+        assert est.total_error == est.quadrature_error == est.truncation_bound == 0.0, target
+        assert (est.truncation_a, est.refinements) == (None, ()), target
 
 
 def test_leading_constant_k2_brackets_reference():
@@ -282,10 +283,10 @@ def test_refinement_history_records_every_pass():
     assert (passes[-1].value, passes[-1].error) == (est.value, est.quadrature_error)
     assert passes[0].error is None
     for i, step in enumerate(passes):
-        assert step.cells == 16 * 2 ** i
-        assert step.points == (step.cells * DEFAULT_DEGREE) ** 3
-        assert step.orbits == math.comb(step.cells * DEFAULT_DEGREE + 2, 3)
-        nodes, weights = _axis_rule(est.truncation_a, step.cells, DEFAULT_DEGREE)
+        cells = step.nodes // DEFAULT_DEGREE
+        assert cells == 16 * 2 ** i and step.nodes == cells * DEFAULT_DEGREE
+        assert step.evaluations == math.comb(step.nodes + 2, 3)
+        nodes, weights = _axis_rule(est.truncation_a, cells, DEFAULT_DEGREE)
         assert step.value == _tensor_quad(2, 3, nodes, weights)
         if i > 0:
             assert step.error > abs(step.value - passes[i - 1].value)
@@ -299,28 +300,34 @@ def test_leading_constant_rejects_unsupported_k():
         estimate_leading_constant(2, target_error=0.0)
     with pytest.raises(ValueError):
         estimate_leading_constant(1, target_error=math.nan)
+    # C_1 = 1 is exact, and the box oracle serves k >= 2 only
+    with pytest.raises(ValueError, match="k >= 2"):
+        estimate_leading_constant(1, box=True)
 
 
-def test_target_below_rounding_floor_fails_fast(monkeypatch):
-    """At k = 1 and 1e-14 the rounding allowance of a pass, 64 eps |value|,
-    already exceeds half the target, so no finer mesh can meet it: the
-    refinement raises at once instead of doubling the mesh up to the point
-    budget."""
+def test_target_below_rounding_floor_fails_fast():
+    """When the rounding allowance of a pass, 64 eps |value|, already
+    exceeds the quadrature's target, no finer rule can meet it: the loop
+    raises after one pass instead of refining up to the point budget.  The
+    floor it names is in the caller's units: a quadrature that gets half of
+    the target error, as the box's does, names twice the allowance."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        if len(calls) > 2:
-            raise AssertionError("refinement kept going past an unreachable target")
-        return _tensor_quad(*args, **kwargs)
+    def quad(nodes):
+        calls.append(nodes)
+        return 1.0, 1
 
-    monkeypatch.setattr(asymptotic, "_tensor_quad", counted)
     with pytest.raises(CapExceededError) as exc:
-        estimate_leading_constant(1, target_error=1e-14)
+        asymptotic._refine(quad, 8, lambda nodes: 2 * nodes, 1, 1e-14, target=5e-15)
     assert exc.value.cap_name == "max_quadrature_points"
     assert exc.value.needed == math.inf
     assert exc.value.cap == MAX_QUADRATURE_POINTS
-    assert 1 <= len(calls) <= 2
+    assert calls == [8]
+    assert str(exc.value) == (
+        "target error 1e-14, of which the quadrature gets 5e-15, is below the rounding floor, "
+        "2.85e-14 rounded up: the rounding allowance of a pass, 64 eps |value|, is 1.42e-14, "
+        "and no target error below the floor can be met"
+    )
 
 
 def test_simplex_target_below_rounding_floor_fails_fast(monkeypatch):
@@ -345,20 +352,25 @@ def test_simplex_point_cap_names_the_error_reached(monkeypatch):
     node passes and stops before the 32-node pass; the message names the
     error the 24-node pass reached, the one the full budget reports for it.
     With room for the first pass only, no error was reached."""
-    reached = asymptotic._simplex_refine(3, 1e-11)[-1]
+    def simplex(nodes):
+        return _simplex_quad(3, nodes, 3), nodes ** 2
+
+    reached = asymptotic._refine(simplex, 8, _grow_simplex, 3, 1e-11)[-1]
     assert reached.nodes == 24
     monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 24 ** 3)
     with pytest.raises(CapExceededError) as exc:
         estimate_leading_constant(3, target_error=1e-13)
     assert exc.value.needed == 32 ** 3 and exc.value.cap == 24 ** 3
     assert str(exc.value) == (
-        f"cap 'max_quadrature_points' exceeded: needed 32768, cap 13824; the last pass "
-        f"within it, on 24 nodes, reached error {reached.error:.3g} against the target 1e-13"
+        f"cap 'max_quadrature_points' exceeded: needed 32768, cap 13824; for the target "
+        f"error 1e-13 the last pass within it, on 24 nodes, reached error {reached.error:.3g}"
     )
     monkeypatch.setattr(asymptotic, "MAX_QUADRATURE_POINTS", 8 ** 3)
     with pytest.raises(CapExceededError) as exc:
         estimate_leading_constant(3, target_error=1e-13)
-    assert str(exc.value).endswith("; no two passes fit within it, so no error was reached")
+    assert str(exc.value).endswith(
+        "; for the target error 1e-13 no two passes fit within it, so no error was reached"
+    )
 
 
 @pytest.mark.parametrize("target", [1e-7, 1e-10, 1e-14])

@@ -208,30 +208,50 @@ def test_sweep_names_its_stream_version(capsys, fmt):
 
 
 def test_ck_reports_error_budget(capsys):
-    code, out = run_capture(capsys, ["ck", "--k", "1", "--format", "json"])
-    assert code == 0
-    results = json.loads(out)["results"]
-    assert abs(results["value"] - 1.0) <= results["total_error"]
-    assert results["total_error"] == pytest.approx(
-        results["quadrature_error"] + results["truncation_bound"]
-    )
+    # C_1 = 1 exactly: no quadrature pass runs, at the default target or any other
+    for extra in ([], ["--target-error", "1e-14"], ["--target-error", "1e-300"]):
+        code, out = run_capture(capsys, ["ck", "--k", "1", "--format", "json"] + extra)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert abs(results["value"] - 1.0) <= results["total_error"]
+        assert results["total_error"] == pytest.approx(
+            results["quadrature_error"] + results["truncation_bound"]
+        )
+        assert (results["value"], results["total_error"], results["refinements"]) == (1.0, 0.0, [])
+
+
+def test_ck_k1_full_exits_one(capsys):
+    """The box oracle serves k >= 2 only."""
+    code = cli.run(["ck", "--k", "1", "--full"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("condorcet: error:") and "k >= 2" in err
 
 
 def test_ck_refinement_history_in_every_format(capsys):
-    argv = ["ck", "--k", "2", "--target-error", "0.5"]
-    _, as_json = run_capture(capsys, argv + ["--format", "json"])
-    _, as_csv = run_capture(capsys, argv + ["--format", "csv"])
-    _, human = run_capture(capsys, argv + ["--format", "human"])
-    results = json.loads(as_json)["results"]
-    history = results["refinements"]
-    assert json.loads(dict(csv.reader(io.StringIO(as_csv)))["refinements"]) == history
-    assert json.loads(parse_human(human)["refinements"]) == history
-    # the k = 2 simplex is one point: one evaluation per pass
-    assert [step["nodes"] for step in history] == [8, 12]
-    assert all(step["evaluations"] == 1 for step in history)
-    assert history[0]["error"] is None
-    assert history[-1]["value"] == results["value"]
-    assert history[-1]["error"] == results["quadrature_error"]
+    """Each pass of the simplex rule and of the box oracle is one record of
+    exactly nodes, evaluations, value and error, the same in every
+    format."""
+    for argv, nodes, evaluations in (
+        # the k = 2 simplex is one point: one evaluation per pass
+        (["ck", "--k", "2", "--target-error", "0.5"], [8, 12], [1, 1]),
+        # box passes: cells * DEFAULT_DEGREE nodes per axis, C(nodes+2, 3) orbits
+        (["ck", "--k", "2", "--full", "--target-error", "0.5"], [128, 256],
+         [math.comb(128 + 2, 3), math.comb(256 + 2, 3)]),
+    ):
+        _, as_json = run_capture(capsys, argv + ["--format", "json"])
+        _, as_csv = run_capture(capsys, argv + ["--format", "csv"])
+        _, human = run_capture(capsys, argv + ["--format", "human"])
+        results = json.loads(as_json)["results"]
+        history = results["refinements"]
+        assert json.loads(dict(csv.reader(io.StringIO(as_csv)))["refinements"]) == history
+        assert json.loads(parse_human(human)["refinements"]) == history
+        assert all(list(step) == ["nodes", "evaluations", "value", "error"] for step in history)
+        assert [step["nodes"] for step in history] == nodes
+        assert [step["evaluations"] for step in history] == evaluations
+        assert history[0]["error"] is None
+        assert history[-1]["value"] == results["value"]
+        assert history[-1]["error"] == results["quadrature_error"]
 
 
 def test_asymptote_large_n(capsys):
@@ -357,6 +377,15 @@ def test_asymptote_impartial_computes_constant(capsys):
     results = json.loads(out)["results"]
     assert (results["constant"], results["constant_error"]) == (4.0, None)
     assert results["leading_term"] == pytest.approx(0.04)
+
+
+def test_asymptote_impartial_k1_constant_is_exact(capsys):
+    argv = ["asymptote", "--mode", "impartial", "--n", "7", "--k", "1", "--format", "json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["constant"], results["constant_error"]) == (1.0, 0.0)
+    assert results["leading_term"] == 1.0
 
 
 def test_ck_imports_no_undeclared_dependency():
@@ -492,34 +521,39 @@ def test_cap_exceeded_exit_three(capsys):
     code, _ = run_capture(capsys, ["ck", "--k", "2", "--full", "--target-error", "1e-7"])
     assert code == 3
     # no simplex rule meets a target below its rounding allowance, and the
-    # message says so rather than naming a point count
+    # message says so rather than naming a point count; the floor it names
+    # is a bound, since the point cap may stop a target above it
     for k, allowance in ((2, "3.96e-14"), (3, "6.09e-14")):
         code = cli.run(["ck", "--k", str(k), "--target-error", "1e-14"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "below the rounding floor" in err
+        assert f"below the rounding floor, {allowance} rounded up:" in err
         assert f"64 eps |value|, is {allowance}" in err
-        assert f"smallest target error that clears it, rounded up, is {allowance}" in err
+        assert "no target error below the floor can be met" in err
 
 
 def test_ck_rounding_floor_names_the_flag_value(capsys):
-    """ck --k 1 gives the quadrature half of --target-error, so the floor
-    the message names is twice the allowance, in the flag's units: a
-    target just above it runs to the end, one just below still exits 3."""
-    code = cli.run(["ck", "--k", "1", "--target-error", "1e-14"])
+    """The box oracle gives the quadrature half of --target-error, and its
+    messages say so.  The simplex rule at k = 2 agrees with itself to the
+    last bit, so its rounding allowance is its whole error: a target at
+    the floor the message names runs to the end, one just below still
+    exits 3."""
+    code = cli.run(["ck", "--k", "2", "--full", "--target-error", "1e-14"])
     err = capsys.readouterr().err
     assert code == 3
     assert "target error 1e-14, of which the quadrature gets 5e-15," in err
-    assert "64 eps |value|, is 1.42e-14" in err
-    named = err.rsplit("rounded up, is ", 1)[1].strip()
-    assert named == "2.85e-14"
-    code, out = run_capture(capsys, ["ck", "--k", "1", "--target-error", named, "--format", "json"])
+    code = cli.run(["ck", "--k", "2", "--target-error", "1e-14"])
+    err = capsys.readouterr().err
+    assert code == 3
+    named = err.split("rounding floor, ", 1)[1].split(" rounded up:", 1)[0]
+    assert named == "3.96e-14"
+    code, out = run_capture(capsys, ["ck", "--k", "2", "--target-error", named, "--format", "json"])
     assert code == 0
     results = json.loads(out)["results"]
-    assert abs(results["value"] - 1.0) <= results["total_error"] <= float(named)
-    code = cli.run(["ck", "--k", "1", "--target-error", "2.8e-14"])
+    assert abs(results["value"] - math.pi ** 1.5 / 2.0) <= results["total_error"] <= float(named)
+    code = cli.run(["ck", "--k", "2", "--target-error", "3.95e-14"])
     assert code == 3
-    assert "rounded up, is 2.85e-14" in capsys.readouterr().err
+    assert "rounding floor, 3.96e-14 rounded up:" in capsys.readouterr().err
 
 
 def test_out_writes_same_text(capsys, tmp_path):

@@ -16,6 +16,7 @@ from condorcet.montecarlo import (
     _BLOCK_KEYS,
     _chunk_layout,
     _count_winners_vectorized,
+    _digit_weights,
     _sample_positions,
     _sample_support,
     _winner_mask,
@@ -161,7 +162,7 @@ def test_winner_table_matches_oracle(culture, k, block_rows):
     on the profile whose voter v holds support ranking i_v, whether the
     table is built in many blocks or in one."""
     support = [ranking for ranking, _ in culture.expand().entries]
-    table = _winner_table(culture, k, block_rows)
+    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k, block_rows)
     tuples = list(itertools.product(range(len(support)), repeat=2 * k - 1))
     assert table.dtype == bool and len(table) == len(tuples)
     expected = [
@@ -585,7 +586,9 @@ def test_input_validation():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     """An explicit culture on the key path reads its rank table and its
-    cumulative weights in every block, but builds each once per estimate."""
+    cumulative weights in every block, but builds each once per estimate;
+    the winner-table path (cyclic (10, 2)) builds its winner table from the
+    same rank table."""
     built = []
     real_positions, real_weights = Culture.support_positions, montecarlo._cumulative_weights
     monkeypatch.setattr(Culture, "support_positions",
@@ -593,10 +596,12 @@ def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_cumulative_weights",
                         lambda culture: built.append("_cumulative_weights") or real_weights(culture))
     samples = 3 * CHUNK_SAMPLES
-    est = estimate_condorcet_probability(EXPLICIT_5, 5, samples, seed=29, workers=workers)
-    assert est.winner_table == 0 and est.blocks > 3
-    assert sorted(built) == ["_cumulative_weights", "support_positions"]
-    assert est.p_hat == replay_key_path(EXPLICIT_5, 5, samples, 29) / samples
+    for culture, k, table in ((EXPLICIT_5, 5, 0), (cyclic_culture(10), 2, 10 ** 3)):
+        built.clear()
+        est = estimate_condorcet_probability(culture, k, samples, seed=29, workers=workers)
+        assert est.winner_table == table and est.blocks > 3
+        assert sorted(built) == ["_cumulative_weights", "support_positions"]
+        assert est.p_hat == replay_key_path(culture, k, samples, 29) / samples
 
 
 def test_sweep_cells_reproduce_in_isolation():

@@ -174,7 +174,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
 
 
 # Columns of a sweep cell, in output order: every Estimate field but samples
-# and the work counters (winner_table, blocks, rejudged_blocks).
+# and the work counters (winner_table, blocks, rejudged_profiles).
 _CELL_COLUMNS = ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
 
 # Columns of a verify report row; worst_input is JSON-encoded in CSV and human.
@@ -395,10 +395,11 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 def _flat_text(value, separator: str) -> str:
     """One CSV cell or human field for a result value: a list of scalars
     joined by ``separator``, a list of records (the ck refinement history)
-    JSON-encoded, anything else as ``str``."""
+    and an empty list JSON-encoded, so that no list reads as a blank,
+    anything else as ``str``."""
     if not isinstance(value, list):
         return str(value)
-    if any(isinstance(v, dict) for v in value):
+    if not value or any(isinstance(v, dict) for v in value):
         return json.dumps(value)
     return separator.join(str(v) for v in value)
 

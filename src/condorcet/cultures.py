@@ -28,7 +28,12 @@ from .model import Culture
 # only voters 1..2k-2 are drawn (low halves too); a block is judged again
 # only when its knockout ties or a profile called a winner holds a key equal
 # to its champion's.
-STREAM_VERSION = 5
+# Version 6: impartial keys are uint16, four per generator word, while
+# (2k - 2)(n - 1) <= 2048, and uint32 past it; impartial blocks of uint16
+# keys hold about 3 * 2^17 keys; only the profiles that tie are judged
+# again, their low bits drawn once a piece of them has gathered or the
+# chunk ends.
+STREAM_VERSION = 6
 
 _MASK64 = (1 << 64) - 1
 

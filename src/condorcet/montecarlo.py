@@ -2,15 +2,15 @@
 
 The sample space is split into fixed-size chunks; chunk i is generated by a
 fresh PCG64 generator seeded with mix64(seed, n, k, i, STREAM_VERSION).
-A chunk is sampled and judged one block of profiles at a time, each block
-holding about ``_BLOCK_KEYS`` keys, so its working set stays in cache and
-no chunk-sized tensor is ever built.  :func:`_sample_positions` is the
-package's one profile sampler: it draws a block as a tensor of ranking
-keys, never as Ranking objects, laid out alternative-major as a C-order
-(voters, n, profiles) array and handed over as its (profiles, voters, n)
-view.  Workers only decide which thread evaluates a chunk, and the merge
-is an integer sum of winner counts, so p_hat depends on (seed, version)
-alone and is identical for any worker count.
+A chunk is sampled and judged one block of profiles at a time (see
+:func:`_block_rows`), so its working set stays in cache and no chunk-sized
+tensor is ever built.  :func:`_sample_positions` is the package's one
+profile sampler: it draws a block as a tensor of ranking keys, never as
+Ranking objects, laid out alternative-major as a C-order (voters, n,
+profiles) array and handed over as its (profiles, voters, n) view.  Workers
+only decide which thread evaluates a chunk, and the merge is an integer sum
+of winner counts, so p_hat depends on (seed, version) alone and is
+identical for any worker count.
 
 The winner kernel, :func:`_count_winners_vectorized`, is a knockout
 tournament run on a key tensor: ceil(log2 n) rounds of paired majority
@@ -28,17 +28,20 @@ Relabelling the alternatives does not change whether a profile has a
 Condorcet winner, so under the impartial culture voter 0's ranking can be
 fixed (the conditioning of Gehrlein, *Condorcet's Paradox*, 2006): voter 0
 holds the identity ranking, key a for alternative a, and only voters 1 to
-2k - 2 are drawn.  Their keys are the 32-bit high halves of i.i.d. uniform
-64-bit keys, 2k - 2 keys per alternative and profile, so k = 2 draws two
-generator words in three of a full profile.  Each chunk lays voter 0 out
-once in one block buffer and copies every block's drawn keys into it.
-The kernel reports whether any comparison it made was a tie, or whether a
-profile it calls a winner holds a key equal to its champion's; if neither,
-its verdicts are those it would give on the 64-bit keys, whatever their
-low halves.  A block with a tie, about 1 in 17 000 at n = 800, k = 2,
-draws the drawn voters' low halves from the chunk's generator right after
-the block and is judged again on the 64-bit keys, so p_hat is the 64-bit
-estimator's.
+2k - 2 are drawn.  Their keys are the high bits of i.i.d. uniform 64-bit
+keys: 16 bits, four per generator word, while a profile's knockout
+compares at most 2048 pairs of drawn keys, and 32 bits, two per word, past
+that (see :func:`_key_dtype`).  Each chunk lays voter 0 out once in one
+block buffer and copies every block's drawn keys into it.  The kernel flags
+each profile in which a comparison it made was a tie, or which it calls a
+winner while a rival holds a key equal to its champion's; an unflagged
+profile's verdict is the one it would give on the 64-bit keys, whatever
+their low bits.  The flagged profiles, about 3% at n = 800, k = 2 on 16-bit
+keys and 0.7% at n = 200, k = 2, are held by the chunk (see
+:class:`_TiedProfiles`), given their low bits from its generator and judged
+again on the 64-bit keys, so p_hat is the 64-bit estimator's and its bias
+bound, (2k - 2) C(n, 2) / 2^64, does not depend on the first pass's key
+width.
 
 A culture with finite support of S rankings (cyclic or explicit) gives a
 profile of m = 2k - 1 voters as one of S^m tuples of support indices.  When
@@ -73,6 +76,25 @@ CHUNK_SAMPLES = 1 << 14
 # peak RSS.  2^17 took 0.13 s at n = 50, k = 5, with 22 400 minor page
 # faults per warm call against none at 2^18.
 _BLOCK_KEYS = 1 << 18
+# Keys per block of uint16 impartial keys, 768 KiB.  In process on 2 vCPUs,
+# blocks of 2^18, 3 * 2^17 and 2^19 such keys ran n = 800, k = 2 and n = 50,
+# k = 5 within noise of each other, while the traced peak of an n = 800
+# chunk, after a first one, grew from 1.6 to 1.8 and 2.1 MiB.
+_NARROW_BLOCK_KEYS = 3 << 17
+# Keys of tied profiles judged again on uint64 keys in one kernel call,
+# 192 KiB.  A call costs about 0.2 ms however few profiles it judges, so
+# tied profiles gather over blocks first.  At n = 800, k = 2, in process on
+# 2 vCPUs, pieces of 128 KiB took 11% longer than pieces of 256 KiB, and
+# 256 KiB pieces added 0.3 MB to a forked child's peak RSS, where 192 KiB
+# pieces kept it at the 32-bit path's.
+_REJUDGE_KEYS = 3 << 13
+# Impartial keys are drawn as uint16 while a profile's knockout compares at
+# most this many pairs of drawn keys, (2k - 2)(n - 1), and as uint32 past
+# it.  In process on 2 vCPUs, uint16 keys took 12-21% less time than uint32
+# at 2048 pairs (n = 1025, 513 and 257 at k = 2, 3 and 5; 3.4-4% of
+# profiles judged again), 4% less at 2560 (n = 1281, k = 2), and at 3072
+# from 0-12% more (k = 2, 5.6% judged again) to 20% less (k = 5).
+_NARROW_COMPARISONS = 1 << 11
 
 _Z95 = 1.96
 
@@ -88,8 +110,8 @@ class Estimate:
     ``winner_table`` is the number of entries of the winner table the
     profiles were judged by, 0 when the knockout kernel judged each one.
     ``blocks`` counts the blocks the chunks were sampled in, and
-    ``rejudged_blocks`` those of them in whose 32-bit keys the kernel met a
-    tie, so it judged them again on 64-bit keys.
+    ``rejudged_profiles`` the profiles in whose 16- or 32-bit keys the
+    kernel met a tie, so it judged them again on 64-bit keys.
     """
 
     p_hat: float
@@ -100,7 +122,7 @@ class Estimate:
     seed: int
     winner_table: int
     blocks: int
-    rejudged_blocks: int
+    rejudged_profiles: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_hat <= 1.0:
@@ -138,16 +160,35 @@ def _sample_support(
     return np.clip(idx, 0, len(culture.entries) - 1, out=idx)
 
 
-def _random_keys32(shape: Tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform uint32 keys of ``shape`` = (size, voters, n), two per
-    64-bit generator word, low half first on any host.  ``voters`` is even,
-    the 2k - 2 drawn voters of an impartial profile, so the keys fill whole
-    words.  They are drawn in the kernel's alternative-major order: the
-    result is the (size, voters, n) view of a C-order (voters, n, size)
-    array."""
+def _random_keys(shape: Tuple[int, int, int], rng: np.random.Generator, dtype) -> np.ndarray:
+    """i.i.d. uniform keys of the unsigned ``dtype`` and ``shape`` =
+    (size, voters, n): 8 / itemsize per 64-bit generator word, the low end
+    first on any host, with the last word's unused keys dropped.  They are
+    drawn in the kernel's alternative-major order: the result is the
+    (size, voters, n) view of a C-order (voters, n, size) array."""
     size, voters, n = shape
-    words = rng.bit_generator.random_raw(size * voters * n // 2).astype("<u8", copy=False)
-    return words.view("<u4").reshape(voters, n, size).transpose(2, 0, 1)
+    count, width = size * voters * n, np.dtype(dtype).itemsize
+    words = rng.bit_generator.random_raw(-(-count * width // 8)).astype("<u8", copy=False)
+    return words.view(f"<u{width}")[:count].reshape(voters, n, size).transpose(2, 0, 1)
+
+
+def _key_dtype(n: int, k: int) -> type:
+    """Width of the impartial culture's drawn keys: uint16 while a profile's
+    knockout compares at most ``_NARROW_COMPARISONS`` pairs of drawn keys,
+    (2k - 2)(n - 1), so that a few percent of profiles tie at most, and
+    uint32 past it.  Voter 0's keys 0..n-1 must fit too."""
+    if (2 * k - 2) * (n - 1) <= _NARROW_COMPARISONS and n <= 1 << 16:
+        return np.uint16
+    return np.uint32
+
+
+def _block_rows(culture: Culture, k: int) -> int:
+    """Profiles per sampled block: about ``_NARROW_BLOCK_KEYS`` keys on
+    uint16 impartial keys, and ``_BLOCK_KEYS`` otherwise."""
+    keys = _BLOCK_KEYS
+    if culture.kind == "impartial" and _key_dtype(culture.n, k) is np.uint16:
+        keys = _NARROW_BLOCK_KEYS
+    return max(1, keys // ((2 * k - 1) * culture.n))
 
 
 def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -168,11 +209,11 @@ def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _impartial_block(n: int, k: int, rows: int) -> np.ndarray:
-    """A C-order (2k - 1, n, rows) uint32 block whose voter-0 slice holds key
-    a for alternative a in every profile, voter 0's identity ranking; the
-    drawn voters' slices are left unset."""
-    block = np.empty((2 * k - 1, n, rows), dtype=np.uint32)
-    block[0] = np.arange(n, dtype=np.uint32)[:, None]
+    """A C-order (2k - 1, n, rows) block of :func:`_key_dtype` keys whose
+    voter-0 slice holds key a for alternative a in every profile, voter 0's
+    identity ranking; the drawn voters' slices are left unset."""
+    block = np.empty((2 * k - 1, n, rows), dtype=_key_dtype(n, k))
+    block[0] = np.arange(n, dtype=block.dtype)[:, None]
     return block
 
 
@@ -201,10 +242,11 @@ def _sample_positions(
     The impartial culture's ``tables`` is (block, None), a chunk's
     :func:`_impartial_block` buffer of as many profiles as its blocks hold.
     Voter 0 keeps the buffer's identity ranking, and voters 1..2k-2 get
-    i.i.d. uniform uint32 keys, drawn in one call and copied into the
-    buffer, whose contents the next block overwrites.  The keys are the high
-    halves of i.i.d. uniform uint64 keys, whose low halves are drawn only if
-    the kernel meets a tie (see :func:`estimate_condorcet_probability`).
+    i.i.d. uniform keys of the buffer's :func:`_key_dtype`, uint16 or
+    uint32, drawn in one call and copied into the buffer, whose contents the
+    next block overwrites.  The keys are the high 16 or 32 bits of i.i.d.
+    uniform uint64 keys, whose low bits are drawn only for a profile in
+    which the kernel meets a tie (see :func:`_count_winners_vectorized`).
     Given distinct 64-bit keys, each drawn voter's ranking is exactly
     uniform on the n! orders, and fixing voter 0 leaves the probability of
     a Condorcet winner unchanged, since relabelling the alternatives maps
@@ -222,8 +264,8 @@ def _sample_positions(
             # with voter 0 laid out again for ``size`` profiles.  That breaks
             # the full-size layout, so no block of the chunk may follow it.
             block = block.reshape(-1)[:voters * n * size].reshape(voters, n, size)
-            block[0] = np.arange(n, dtype=np.uint32)[:, None]
-        block[1:] = _random_keys32((size, voters - 1, n), rng).transpose(1, 2, 0)
+            block[0] = np.arange(n, dtype=block.dtype)[:, None]
+        block[1:] = _random_keys((size, voters - 1, n), rng, block.dtype).transpose(1, 2, 0)
         return block.transpose(2, 0, 1)
     if tables is None:
         tables = culture.support_positions(), _cumulative_weights(culture)
@@ -231,9 +273,10 @@ def _sample_positions(
     return _gather_ranks(ranks, _sample_support(culture, k, size, rng, cum))
 
 
-def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
-    """Per-profile Condorcet winner indicators of the key tensor, and whether
-    any comparison the kernel made was a tie.
+def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-profile Condorcet winner indicators of the key tensor, and
+    per-profile flags of the profiles in which a comparison the kernel made
+    was a tie.
 
     The kernel runs on the alternative-major (voters, n, rows) layout, which
     is the memory of every tensor :func:`_sample_positions` returns, so
@@ -265,8 +308,15 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     one of those votes is a key equal to the champion's.  So the pass checks
     equality only on the profiles it calls winners, where a key equal to the
     champion's other than the champion's own is a tie.  Rank tensors never
-    tie.  When no tie is reported, the verdicts are those of any keys
-    extending these in the low bits.
+    tie.  A profile's comparisons involve its own keys only, so on every
+    profile not flagged the verdict is that of any keys extending these in
+    the low bits.
+
+    Ties are rare, so each round and the equality check first count over the
+    whole block, which costs one ``count_nonzero``, and only a count that
+    shows a tie is followed by the per-profile reduction that flags its
+    profiles; the reduction costs more than twice as much as the count
+    (57 against 25 us on a first round at n = 800, k = 2).
 
     Every vote count is one boolean comparison of all voters at once,
     summed over voters in the smallest unsigned type that holds 2k - 1, so
@@ -277,7 +327,7 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     rows, voters, n = pos.shape
     keys = np.ascontiguousarray(pos.transpose(1, 2, 0))
     count_dtype = np.min_scalar_type(voters)
-    tied = False
+    tied = np.zeros(rows, dtype=bool)
     survivors = keys
     while survivors.shape[1] > 1:
         width = survivors.shape[1]
@@ -291,7 +341,8 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
         # unsigned keys the subtraction wraps, but every step is exact modulo
         # 2^bits, so the result is left or right exactly.
         np.subtract(left, right, out=won)
-        tied = tied or np.count_nonzero(won) != won.size
+        if np.count_nonzero(won) != won.size:
+            tied |= np.minimum.reduce(won, axis=(0, 1)) == 0
         won *= votes >= k
         won += right
         if width % 2:
@@ -300,18 +351,81 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, bool]:
     champion = survivors[:, 0]
     votes = np.add.reduce(champion[:, None] <= keys, axis=0, dtype=count_dtype)
     winner = np.minimum.reduce(votes, axis=0) >= k
-    if not tied:
-        winners = np.flatnonzero(winner)
-        picked = keys.reshape(voters * n, rows)[:, winners].reshape(voters, n, len(winners))
-        tied = np.count_nonzero(picked == champion[:, None, winners]) != voters * len(winners)
+    winners = np.flatnonzero(winner)
+    picked = keys.reshape(voters * n, rows)[:, winners].reshape(voters, n, len(winners))
+    equal = picked == champion[:, None, winners]
+    if np.count_nonzero(equal) != voters * len(winners):
+        tied[winners[np.count_nonzero(equal, axis=(0, 1)) != voters]] = True
     return winner, tied
 
 
-def _count_winners_vectorized(pos: np.ndarray, k: int) -> Tuple[int, bool]:
-    """Number of profiles in the key tensor that have a Condorcet winner,
-    and whether any comparison made to find them was a tie."""
-    mask, tied = _winner_mask(pos, k)
-    return int(np.count_nonzero(mask)), tied
+class _TiedProfiles:
+    """The profiles of one impartial chunk whose 16- or 32-bit keys tied,
+    held as (voters, n, profiles) keys until they are judged on 64-bit keys.
+
+    A held profile's drawn voters' keys are the high bits of uint64 keys.
+    Once ``_REJUDGE_KEYS`` keys' worth of profiles is held, or the chunk's
+    last block has been judged, the held profiles get their low 48 or 32
+    bits from the chunk's generator in the order they were held, one piece
+    of that size at a time, laid out alternative-major as (2k - 2, n,
+    profiles).  Voter 0's keys, the distinct identity keys of the sampler,
+    are only shifted.  The kernel then judges each piece on the 64-bit keys,
+    whatever those tie, so the estimator is the 64-bit keys' one.  Which
+    profiles tie follows from the chunk's own draws, so the order of the
+    generator calls, and p_hat, depend on (seed, version) alone.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.held: List[np.ndarray] = []
+
+    def judge(self, keys: np.ndarray, k: int, last: bool) -> Tuple[int, int]:
+        """Hold ``keys`` and judge every whole piece held, or everything held
+        when ``last``: the wins among the profiles judged, and their number."""
+        if keys.shape[2]:
+            self.held.append(keys)
+        voters, n = keys.shape[:2]
+        rows = max(1, _REJUDGE_KEYS // (voters * n))
+        count = sum(held.shape[2] for held in self.held)
+        cut = count if last else count - count % rows
+        if cut == 0:
+            return 0, 0
+        held = np.concatenate(self.held, axis=2)
+        self.held = [held[:, :, cut:]]
+        width = 8 * held.dtype.itemsize
+        wins = 0
+        for lo in range(0, cut, rows):
+            wide = np.left_shift(held[:, :, lo:min(lo + rows, cut)], 64 - width, dtype=np.uint64)
+            low = _random_keys((wide.shape[2], voters - 1, n), self.rng, np.uint64)
+            low >>= np.uint64(width)
+            wide[1:] |= low.transpose(1, 2, 0)
+            wins += int(np.count_nonzero(_winner_mask(wide.transpose(2, 0, 1), k)[0]))
+        return wins, cut
+
+
+def _count_winners_vectorized(
+    pos: np.ndarray, k: int, tied: Optional[_TiedProfiles] = None, last: bool = True
+) -> Tuple[int, int]:
+    """Wins counted in this call, and the number of profiles it judged again
+    on 64-bit keys.
+
+    The profiles in which :func:`_winner_mask` flags a tie on impartial 16-
+    or 32-bit keys go to the chunk's ``tied``; their wins are counted when
+    it judges them on 64-bit keys, in this call or a later block's.
+    ``last`` marks the chunk's last block, after which nothing stays held.
+    Without ``tied`` the verdicts are taken as they are, which is exact for
+    rank tensors, which never tie, and for 64-bit keys; narrow keys that tie
+    raise ValueError.
+    """
+    winner, flags = _winner_mask(pos, k)
+    if tied is None:
+        if pos.dtype.itemsize < 8 and flags.any():
+            raise ValueError("tied keys need the chunk's tied profiles to be judged again")
+        return int(np.count_nonzero(winner)), 0
+    picked = np.flatnonzero(flags)
+    winner[picked] = False
+    wins, judged = tied.judge(pos.transpose(1, 2, 0)[:, :, picked], k, last)
+    return int(np.count_nonzero(winner)) + wins, judged
 
 
 def _digit_weights(culture: Culture, k: int) -> np.ndarray:
@@ -364,7 +478,7 @@ def estimate_condorcet_probability(
         seed = secrets.randbits(63)
 
     voters = 2 * k - 1
-    block_rows = max(1, _BLOCK_KEYS // (voters * culture.n))
+    block_rows = _block_rows(culture, k)
     tables = table = None
     if culture.kind != "impartial":
         tables = culture.support_positions(), _cumulative_weights(culture)
@@ -372,34 +486,33 @@ def estimate_condorcet_probability(
             weights = _digit_weights(culture, k)
             table = _winner_table(tables[0], weights, k, block_rows)
 
-    def run_block(size: int, rng: np.random.Generator, tables: tuple) -> Tuple[int, int]:
+    def run_block(
+        size: int,
+        rng: np.random.Generator,
+        tables: tuple,
+        tied: Optional[_TiedProfiles],
+        last: bool,
+    ) -> Tuple[int, int]:
         """Wins among ``size`` profiles drawn with ``tables`` (see
-        :func:`_sample_positions`), and 1 when the block was judged again on
-        64-bit keys."""
+        :func:`_sample_positions`), and the number of profiles judged again
+        on 64-bit keys (see :func:`_count_winners_vectorized`)."""
         if table is not None:
             idx = _sample_support(culture, k, size, rng, tables[1])
             return int(np.count_nonzero(table[idx @ weights])), 0
         keys = _sample_positions(culture, k, size, rng, tables)
-        wins, tied = _count_winners_vectorized(keys, k)
-        if not tied:
-            return wins, 0
-        # Only 32-bit impartial keys tie.  Draw the drawn voters' low halves,
-        # in the block's alternative-major order, which the shift keeps, and
-        # judge the block on the full 64-bit keys, whatever those tie.
-        keys = np.left_shift(keys, 32, dtype=np.uint64)
-        keys[:, 1:] |= _random_keys32(keys[:, 1:].shape, rng)
-        return _count_winners_vectorized(keys, k)[0], 1
+        return _count_winners_vectorized(keys, k, tied, last)
 
     def run_chunk(task: Tuple[int, int]) -> Tuple[int, int, int]:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
         # An impartial chunk reuses a block buffer of its own, as chunks may
         # run at once on several threads.
-        chunk_tables = tables
+        chunk_tables, tied = tables, None
         if tables is None:
             chunk_tables = _impartial_block(culture.n, k, min(block_rows, size)), None
+            tied = _TiedProfiles(rng)
         judged = [
-            run_block(min(block_rows, size - lo), rng, chunk_tables)
+            run_block(min(block_rows, size - lo), rng, chunk_tables, tied, lo + block_rows >= size)
             for lo in range(0, size, block_rows)
         ]
         return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)

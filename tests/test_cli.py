@@ -218,6 +218,9 @@ def test_ck_reports_error_budget(capsys):
             results["quadrature_error"] + results["truncation_bound"]
         )
         assert (results["value"], results["total_error"], results["refinements"]) == (1.0, 0.0, [])
+    # no passes read as [] in every format, never as a blank cell or field
+    _, csv_fields, human = three_formats(capsys, ["ck", "--k", "1"])
+    assert csv_fields["refinements"] == human["refinements"] == "[]"
 
 
 def test_ck_k1_full_exits_one(capsys):
@@ -323,30 +326,32 @@ def test_asymptote_large_n_log10_fields(capsys, n, k, exact, leading):
 def test_simulate_reports_winner_table(capsys, culture, n, entries):
     """Cyclic (10, 2) judges its profiles by lookup in a table of 10^3
     entries; the impartial culture has no finite support to tabulate.
-    4096 profiles make one block of cyclic (10, 2) and three of impartial
-    (50, 2), at most 2^18 // (3 n) profiles each, and none is judged again.
-    Every format also names the stream version the seed's p_hat belongs to."""
+    4096 profiles make one block of cyclic (10, 2) and two of impartial
+    (50, 2), at most 2^18 // (3 n) and 3 * 2^17 // (3 n) profiles each;
+    rank tensors never tie, and 7 impartial profiles tie on their 16-bit
+    keys and are judged again.  Every format also names the stream version
+    the seed's p_hat belongs to."""
     argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
     assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
     assert int(human["winner_table"]) == entries
-    blocks = {"cyclic": 1, "impartial": 3}[culture]
-    for field, value in (("blocks", blocks), ("rejudged_blocks", 0),
+    blocks, rejudged = {"cyclic": (1, 0), "impartial": (2, 7)}[culture]
+    for field, value in (("blocks", blocks), ("rejudged_profiles", rejudged),
                          ("stream_version", STREAM_VERSION)):
         assert results[field] == int(csv_fields[field]) == int(human[field]) == value
 
 
-def test_simulate_reports_rejudged_blocks(capsys, monkeypatch):
-    """A sampler keeping 4 bits of each impartial key makes every block tie,
-    so all three blocks are judged again, and every format says so."""
+def test_simulate_reports_rejudged_profiles(capsys, monkeypatch):
+    """A sampler keeping 4 bits of each impartial key makes every profile
+    tie, so all 4096 are judged again, and every format says so."""
     real = montecarlo._sample_positions
     monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
     argv = ["simulate", "--culture", "impartial", "--n", "50", "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
-    for field in ("blocks", "rejudged_blocks"):
-        assert results[field] == int(csv_fields[field]) == int(human[field]) == 3
+    for field, value in (("blocks", 2), ("rejudged_profiles", 4096)):
+        assert results[field] == int(csv_fields[field]) == int(human[field]) == value
 
 
 def test_asymptote_impartial_needs_constant(capsys):

@@ -53,7 +53,6 @@ from .asymptotic import (
 )
 from .verify import (
     CheckReport,
-    MinimizeResult,
     check_scaled_tail_bound,
     check_tail_convexity,
     check_tail_derivative,
@@ -61,7 +60,6 @@ from .verify import (
     check_tail_symmetry,
     check_taylor_bounds,
     check_truncated_integral_bounds,
-    minimize_marginal_bound,
     run_suites,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "Culture",
     "Estimate",
     "ExactProbability",
-    "MinimizeResult",
     "Profile",
     "Ranking",
     "Refinement",
@@ -106,7 +103,6 @@ __all__ = [
     "min_condorcet_probability",
     "min_prob_large_k_rate",
     "min_prob_large_n_leading",
-    "minimize_marginal_bound",
     "mix64",
     "orthant_tail_bound",
     "poisson_binomial_tail",

@@ -6,7 +6,7 @@ probability x shows at least k heads in 2k-1 tosses.  It drives both the
 minimum-probability closed form and the marginal lower bound, so it comes
 in a float version and an exact rational twin.  Every float function takes
 either one input or a whole batch as arrays and works elementwise, so the
-checkers and the vectorized minimizer share one formula: the majority tail
+scalar callers and the array checkers share one formula: the majority tail
 and its derivative take a float or an ndarray of coordinates, and the
 symmetric polynomial and the Poisson binomial tail take one coordinate
 vector or a 2-D array with one vector per row.

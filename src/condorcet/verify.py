@@ -4,12 +4,12 @@ Each check sweeps a grid or a seeded random cloud through one family of
 inequalities and returns a :class:`CheckReport` counting violations beyond
 tolerance, together with the worst witness seen.  The tolerances separate
 rounding noise from genuine violations: 1e-12 for algebraic identities,
-1e-9 for optimizer claims, 1e-6 for derivative checks.  The float checks
-evaluate each grid or cloud as arrays, one call per k; their reports count
-trials and violations and pick the worst witness exactly as a
-point-by-point sweep would.  The exact checks (tail symmetry, the scaled
-tail) compare integer tail numerators and build no rational, and the
-minimizer suite runs one batched descent per k over all its n.
+1e-6 for derivative checks.  The float checks evaluate each grid or cloud
+as arrays, one call per k; their reports count trials and violations and
+pick the worst witness exactly as a point-by-point sweep would.  The exact
+checks (tail symmetry, the scaled tail) compare integer tail numerators and
+build no rational, and the minimizer suite proves the paper's minimum with
+integer Bernstein coefficients, with no tolerance.
 
 A report with zero violations is reproducible from (name, seed, trials):
 every random draw goes through mix64 with a per-check tag and
@@ -28,23 +28,19 @@ import numpy as np
 from .asymptotic import orthant_tail_bound, truncated_box_integral
 from .cultures import mix64
 from .special import (
-    _derivative_coefficient,
     _tail_numerator,
     elementary_symmetric,
     majority_tail,
     majority_tail_derivative,
-    majority_tail_exact,
     poisson_binomial_tail,
 )
 
 TOL_ALGEBRA = 1e-12
-TOL_OPTIMIZER = 1e-9
 TOL_DERIVATIVE = 1e-6
 
 # Per-check stream tags so suites stay independent under one master seed.
 _TAG_SANDWICH = 101
 _TAG_CONVEXITY = 102
-_TAG_MINIMIZER = 103
 # Version word of every verify stream, apart from the Monte Carlo
 # STREAM_VERSION: it changes only when a verify draw changes, so a change to
 # profile sampling re-draws no verify cloud.  4 was the package's stream
@@ -59,10 +55,6 @@ _SYMMETRY_POINTS = 201
 _DERIVATIVE_STEP = 1e-6
 _CONVEXITY_POINTS = 401
 _CONVEXITY_PAIRS = 2000
-_MINIMIZER_STEPS = 2000
-# Value of the minimizer's unused columns before a projection: finite, so
-# no NaN or warning appears, and far below any real coordinate.
-_PAD = -1e300
 
 
 @dataclass(frozen=True)
@@ -363,98 +355,52 @@ def check_truncated_integral_bounds(
     return tracker.report()
 
 
-def _project_simplex(points: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex
-    (sorting-based, exact up to rounding)."""
-    sorted_desc = np.sort(points, axis=1)[:, ::-1]
-    cumulative = np.cumsum(sorted_desc, axis=1) - 1.0
-    counts = np.arange(1, points.shape[1] + 1)
-    positive = sorted_desc - cumulative / counts > 0
-    rho = positive.sum(axis=1)
-    theta = cumulative[np.arange(len(points)), rho - 1] / rho
-    return np.maximum(points - theta[:, None], 0.0)
+def _substituted_tail(k: int, p0: int, p1: int, q: int) -> List[int]:
+    """Integer coefficients in u of q^(2k-1) * majority_tail(k, (p0 + p1 u) / q),
+    through the tail's own integer coefficients t_j in majority_tail(k, x) =
+    sum_{l<k} C(2k-1, l) x^(2k-1-l) (1-x)^l = sum_j t_j x^j."""
+    m = 2 * k - 1
+    tail = [0] * (m + 1)
+    for l in range(k):
+        for i in range(l + 1):
+            tail[m - l + i] += (-1) ** i * math.comb(m, l) * math.comb(l, i)
+    coefficients = [0] * (m + 1)
+    for j, t in enumerate(tail):
+        for r in range(j + 1):
+            coefficients[r] += t * q ** (m - j) * math.comb(j, r) * p0 ** (j - r) * p1 ** r
+    return coefficients
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Best value and point found; ``converged`` is False when the iteration
-    budget ran out before the step size stalled."""
+def _bernstein_coefficients(power: Sequence[int]) -> List[int]:
+    """m! times the Bernstein coefficients on [0, 1] of the degree-m
+    polynomial sum_j power[j] u^j: sum_{j<=i} C(i, j) j! (m-j)! power[j] for
+    i = 0..m, integers.  The polynomial is a convex combination of its
+    Bernstein coefficients at every u in [0, 1], so their minimum is a lower
+    bound on it there."""
+    m = len(power) - 1
+    weighted = [math.factorial(j) * math.factorial(m - j) * a for j, a in enumerate(power)]
+    return [sum(math.comb(i, j) * weighted[j] for j in range(i + 1)) for i in range(m + 1)]
 
-    value: float
-    point: Tuple[float, ...]
-    converged: bool
 
+def _uniform_minimum_certificate(n: int, k: int) -> Tuple[List[int], int]:
+    """The Bernstein coefficients of g(x) - n * majority_tail(k, 1/n) on
+    x in [1/2, 1], for n >= 2, as integers over a common scale D, returned
+    with D.
 
-def minimize_marginal_bound(n: int, k: int, starts: int = 100, seed: int = 0) -> MinimizeResult:
-    """Minimize sum_j majority_tail(k, x_j) over the probability simplex.
-
-    Multi-start projected gradient descent with the closed-form gradient,
-    vectorized across starts.  It stops once no point moves more than 1e-13
-    in a step (``converged``) or after ``_MINIMIZER_STEPS`` steps.  The true
-    minimum is n * majority_tail(k, 1/n), attained at the uniform point; the
-    minimizer suite checks the returned value against it.  This is the
-    one-problem call of :func:`_minimize_batch`.
+    g(x) = T(x) + (n-1) T((1-x)/(n-1)), T = majority_tail(k, .), is expanded
+    in u = 2x - 1 in [0, 1] over D = (2(n-1))^m n^(m-1) m!, m = 2k-1, and
+    the constant n T(1/n) is :func:`~condorcet.special._tail_numerator`
+    (k, 1, n) / n^(m-1).  Every coefficient >= 0 proves g >= n T(1/n) on
+    [1/2, 1]; the least one over D is a lower bound on the minimum of
+    g - n T(1/n) there.
     """
-    return _minimize_batch((n,), k, starts, seed)[0]
-
-
-def _minimize_batch(
-    sizes: Sequence[int], k: int, starts: int, seed: int
-) -> List[MinimizeResult]:
-    """:func:`minimize_marginal_bound` for every n in ``sizes`` at one k,
-    run as one descent over all their starts.
-
-    Each problem draws its own seeded starts and fills the first n columns
-    of its rows; the other columns are set to ``_PAD`` before each
-    projection, so they sort last and project to 0, and every real column
-    goes through the operations a problem alone would see.  A problem
-    freezes at the step where it converges, and its final values sum its
-    own n columns only, so each result equals the one-problem run.
-    """
-    if k < 1 or min(sizes) < 1:
-        raise ValueError("n and k must be at least 1")
-    width = max(sizes)
-    points = np.zeros((len(sizes) * starts, width))
-    for i, n in enumerate(sizes):
-        rng = np.random.default_rng(mix64(seed, _TAG_MINIMIZER, n, k, VERIFY_STREAM_VERSION))
-        block = points[i * starts:(i + 1) * starts, :n]
-        block[:] = rng.dirichlet(np.ones(n), size=starts)
-        block[0] = 1.0 / n
-        if starts > 1:
-            block[1] = 0.0
-            block[1, 0] = 1.0
-    padding = np.arange(width) >= np.repeat(sizes, starts)[:, None]
-
-    if k == 1:
-        step = 0.5
-    else:
-        lipschitz = _derivative_coefficient(k) * (k - 1) * 0.25 ** (k - 2)
-        step = 1.0 / (lipschitz + 1.0)
-
-    converged = np.zeros(len(sizes), dtype=bool)
-    live = np.arange(len(sizes))
-    for _ in range(_MINIMIZER_STEPS):
-        rows = (live[:, None] * starts + np.arange(starts)).reshape(-1)
-        current = points[rows]
-        gradient = majority_tail_derivative(k, current)
-        moved = _project_simplex(np.where(padding[rows], _PAD, current - step * gradient))
-        points[rows] = moved
-        done = np.abs(moved - current).reshape(len(live), -1).max(axis=1) <= 1e-13
-        converged[live[done]] = True
-        live = live[~done]
-        if live.size == 0:
-            break
-
-    tails = majority_tail(k, points)
-    results = []
-    for i, n in enumerate(sizes):
-        values = tails[i * starts:(i + 1) * starts, :n].sum(axis=1)
-        best = int(np.argmin(values))
-        point = points[i * starts + best, :n]
-        results.append(
-            MinimizeResult(float(values[best]), tuple(float(v) for v in point), bool(converged[i]))
-        )
-    return results
+    m = 2 * k - 1
+    spread = n ** (m - 1)
+    head = _substituted_tail(k, 1, 1, 2)  # 2^m T(x)
+    rest = _substituted_tail(k, 1, -1, 2 * (n - 1))  # (2(n-1))^m T((1-x)/(n-1))
+    power = [(n - 1) * spread * ((n - 1) ** (m - 1) * h + r) for h, r in zip(head, rest)]
+    power[0] -= (2 * (n - 1)) ** m * _tail_numerator(k, 1, n)
+    return _bernstein_coefficients(power), (2 * (n - 1)) ** m * spread * math.factorial(m)
 
 
 def _suite_taylor(seed: int) -> List[CheckReport]:
@@ -490,18 +436,33 @@ def _suite_truncated_integral(seed: int) -> List[CheckReport]:
 
 
 def _suite_minimizer(seed: int) -> List[CheckReport]:
-    sizes = range(1, 9)
-    batches = {k: _minimize_batch(sizes, k, starts=20, seed=seed) for k in range(1, 5)}
+    """Proves sum_j T(x_j) >= n T(1/n) on the probability simplex, with
+    T = majority_tail(k, .), for n = 1..8 and k = 1..4: the paper's minimum,
+    which the cyclic culture attains.
+
+    At most one x_j exceeds 1/2, and T is convex on [0, 1/2], since
+    T'' = k(k-1) C(2k-1, k) (x(1-x))^(k-2) (1-2x).  So Jensen gives the
+    claim when every x_j <= 1/2, and otherwise sum_j T(x_j) >= g(x_1), the
+    function of :func:`_uniform_minimum_certificate`, whose least Bernstein
+    coefficient is the margin recorded; a negative one is a violation (not
+    proved).  For n <= 2 the margin is exactly 0: n = 1 is a single point,
+    and n = 2 is the identity T(x) + T(1-x) = 1.  No input is drawn, so the
+    report does not depend on ``seed``.
+    """
     margins, inputs = [], []
-    for n in sizes:
+    for n in range(1, 9):
         for k in range(1, 5):
-            floor = float(n * majority_tail_exact(k, Fraction(1, n)))
-            result = batches[k][n - 1]
-            margins.append(result.value - floor)
-            inputs.append({"n": n, "k": k, "point": result.point})
-    tracker = _Tracker("minimizer_attains_bound", TOL_OPTIMIZER)
+            if n <= 2:
+                margin, index = 0.0, None
+            else:
+                coefficients, scale = _uniform_minimum_certificate(n, k)
+                index = coefficients.index(min(coefficients))
+                margin = coefficients[index] / scale
+            margins.append(margin)
+            inputs.append({"n": n, "k": k, "coefficient": index})
+    tracker = _Tracker("uniform_minimum_proved", 0.0)
     tracker.record_array(
-        margins, lambda row, _: inputs[row], "optimized value >= n * tail(1/n)"
+        margins, lambda row, _: inputs[row], "Bernstein coefficient of g - n * tail(1/n) >= 0"
     )
     return [tracker.report()]
 

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import condorcet.cli as cli
 import condorcet.verify as verify
 from condorcet.cultures import mix64
 from condorcet.special import (
@@ -17,22 +19,27 @@ from condorcet.special import (
 from condorcet.verify import (
     SUITES,
     TOL_ALGEBRA,
-    TOL_OPTIMIZER,
     VERIFY_STREAM_VERSION,
-    _MINIMIZER_STEPS,
-    _TAG_MINIMIZER,
-    MinimizeResult,
-    _minimize_batch,
-    _project_simplex,
+    _bernstein_coefficients,
     _sandwich_corner_cases,
+    _substituted_tail,
     _Tracker,
+    _uniform_minimum_certificate,
     check_scaled_tail_bound,
     check_tail_sandwich,
     check_tail_symmetry,
     check_taylor_bounds,
     check_truncated_integral_bounds,
-    minimize_marginal_bound,
     run_suites,
+)
+from descent import (
+    TOL_OPTIMIZER,
+    _MINIMIZER_STEPS,
+    _TAG_MINIMIZER,
+    MinimizeResult,
+    _minimize_batch,
+    _project_simplex,
+    minimize_marginal_bound,
 )
 
 
@@ -65,7 +72,7 @@ def test_suite_trial_counts_are_pinned():
         "truncated_integral_l1_m2": 1,
         "truncated_integral_l2_m3": 2,
         "truncated_integral_l2_m4": 2,
-        "minimizer_attains_bound": 32,  # n = 1..8, k = 1..4
+        "uniform_minimum_proved": 32,  # n = 1..8, k = 1..4
     }
 
 
@@ -289,6 +296,129 @@ def test_truncated_integral_check_validates():
         check_truncated_integral_bounds(3, 3, 10.0)
     with pytest.raises(ValueError):
         check_truncated_integral_bounds(2, 6, 10.0)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_pow(a, e):
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_add(a, b):
+    width = max(len(a), len(b))
+    return [sum(p[j] for p in (a, b) if j < len(p)) for j in range(width)]
+
+
+def upper_tail_coefficients(k):
+    """T(x) = sum_{j>=k} C(2k-1, j) x^j (1-x)^(2k-1-j), expanded by plain
+    polynomial products: the form the package does not use."""
+    m = 2 * k - 1
+    total = [0]
+    for j in range(k, m + 1):
+        term = poly_mul(poly_pow([0, 1], j), poly_pow([1, -1], m - j))
+        total = poly_add(total, [math.comb(m, j) * c for c in term])
+    return total
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_tail_identities_in_exact_coefficients(k):
+    """The two facts the minimum's proof rests on, as integer polynomial
+    identities: T'' = k(k-1) C(2k-1, k) (x(1-x))^(k-2) (1-2x), which makes T
+    convex on [0, 1/2], and T(x) + T(1-x) = 1."""
+    m = 2 * k - 1
+    tail = upper_tail_coefficients(k)
+    assert tail == _substituted_tail(k, 0, 1, 1)
+    second = [j * (j - 1) * tail[j] for j in range(2, m + 1)] or [0]
+    if k == 1:
+        expected = [0]
+    else:
+        factor = k * (k - 1) * math.comb(m, k)
+        shape = poly_mul(poly_pow([0, 1, -1], k - 2), [1, -2])
+        expected = [factor * c for c in shape]
+    assert second == expected
+    reflected = [0]
+    for j, t in enumerate(tail):
+        reflected = poly_add(reflected, [t * c for c in poly_pow([1, -1], j)])
+    assert poly_add(tail, reflected) == [1] + [0] * m
+
+
+def test_uniform_minimum_certificate_nonnegative():
+    """No cell with 3 <= n <= 32 and k <= 6 needs subdivision: every
+    Bernstein coefficient is already >= 0."""
+    for n in range(3, 33):
+        for k in range(1, 7):
+            coefficients, scale = _uniform_minimum_certificate(n, k)
+            assert len(coefficients) == 2 * k and scale > 0
+            assert min(coefficients) >= 0, (n, k)
+
+
+def bernstein_value(coefficients, scale, u):
+    m = len(coefficients) - 1
+    return sum(
+        Fraction(c, scale) * math.comb(m, i) * u ** i * (1 - u) ** (m - i)
+        for i, c in enumerate(coefficients)
+    )
+
+
+def test_bernstein_negative_control():
+    # p(u) = (4u - 2)^2 - 1 is -1 at u = 1/2 and 3 at both ends
+    power = [3, -16, 16]
+    coefficients = _bernstein_coefficients(power)
+    assert min(coefficients) < 0
+    for u in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+        assert bernstein_value(coefficients, 2, u) == 3 - 16 * u + 16 * u ** 2
+
+
+def test_uniform_minimum_certificate_is_the_reduced_inequality():
+    """The certificate's polynomial is g(x) - n T(1/n) exactly at rational
+    points, and each margin it reports is below the float minimum on a grid
+    of [1/2, 1]."""
+    grid = np.linspace(0.5, 1.0, 2001)
+    for n in range(3, 9):
+        for k in range(1, 5):
+            coefficients, scale = _uniform_minimum_certificate(n, k)
+            floor = n * majority_tail_exact(k, Fraction(1, n))
+            for i in range(0, 11, 2):
+                x = Fraction(10 + i, 20)
+                exact = (majority_tail_exact(k, x)
+                         + (n - 1) * majority_tail_exact(k, (1 - x) / (n - 1)) - floor)
+                assert bernstein_value(coefficients, scale, 2 * x - 1) == exact, (n, k, x)
+            g = majority_tail(k, grid) + (n - 1) * majority_tail(k, (1.0 - grid) / (n - 1))
+            margin = min(coefficients) / scale
+            assert margin <= float(np.min(g - float(floor))) + 1e-12, (n, k)
+
+
+def test_minimizer_suite_counts_a_negative_coefficient(monkeypatch):
+    def unproved(n, k):
+        return ([1, -1] + [0] * (2 * k - 2), 7)
+
+    monkeypatch.setattr(verify, "_uniform_minimum_certificate", unproved)
+    (report,) = run_suites(["minimizer"])
+    assert (report.trials, report.violations) == (32, 24)  # every cell with n >= 3
+    assert report.worst_witness["input"] == {"n": 3, "k": 1, "coefficient": 1}
+    assert report.worst_witness["margin"] == -1 / 7
+
+
+def test_minimizer_suite_json_is_seed_free(capsys):
+    rows = []
+    for seed in ("0", "20240817"):
+        assert cli.run(["verify", "--suite", "minimizer", "--seed", seed,
+                        "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["results"]["violations_total"] == 0
+        (row,) = record["results"]["reports"]
+        assert (row["trials"], row["violations"]) == (32, 0)
+        rows.append(row)
+    assert rows[0] == rows[1]
 
 
 def test_minimizer_never_beats_uniform_floor():

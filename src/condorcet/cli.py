@@ -134,8 +134,11 @@ def _cmd_exact(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         "per_alternative": [str(p) for p in result.per_alternative],
         "n": culture.n,
         "k": k,
-        "multisets": multiset_count(culture.support_size, k),
+        "multisets": (
+            multiset_count(culture.support_size, k) if result.method == "enumeration" else None
+        ),
         "winner_checks": result.winner_checks,
+        "moves": result.moves,
     }, None
 
 
@@ -292,10 +295,15 @@ def _exact_args(sub: argparse.ArgumentParser) -> None:
     _add_voter_args(sub)
     sub.add_argument(
         "--max-winner-checks", type=int, default=MAX_WINNER_CHECKS,
-        help="cap on the multiset count C(S+2k-2, 2k-1) over a support of S "
-        "rankings, checked before the support table is built",
+        help="cap on the work of one exact run, checked before any: the multiset "
+        "count C(S+2k-2, 2k-1) over a support of S rankings, or for the impartial "
+        "culture the move bound (2k-1) C(n+2k-3, 2k-2) of its dynamic programme",
     )
-    sub.add_argument("--max-support", type=int, default=MAX_EXPLICIT_SUPPORT)
+    sub.add_argument(
+        "--max-support", type=int, default=MAX_EXPLICIT_SUPPORT,
+        help="cap on the support S that enumeration tabulates (the impartial culture "
+        "builds none)",
+    )
 
 
 def _minprob_args(sub: argparse.ArgumentParser) -> None:
@@ -352,7 +360,8 @@ def _verify_args(sub: argparse.ArgumentParser) -> None:
 # Every subcommand, in help order: (help text, argument adder, handler).
 # Each subparser also takes the common output options.
 _COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None], Callable]] = {
-    "exact": ("exact probability by enumeration", _exact_args, _cmd_exact),
+    "exact": ("exact probability (impartial: a dynamic programme; else enumeration)",
+              _exact_args, _cmd_exact),
     "minprob": ("closed-form minimum probability", _minprob_args, _cmd_minprob),
     "lowerbound": ("marginal lower bound", _lowerbound_args, _cmd_lowerbound),
     "simulate": ("Monte Carlo estimate", _simulate_args, _cmd_simulate),

@@ -1,6 +1,14 @@
-"""Exact Condorcet winner probabilities: weighted enumeration over a culture's
-support, the closed-form minimum over all cultures, and the marginal lower
-bound.  Everything here is exact rational arithmetic.
+"""Exact Condorcet winner probabilities: a dynamic programme over the
+voters for the impartial culture, weighted enumeration over the support of
+every other culture, the closed-form minimum over all cultures, and the
+marginal lower bound.  Everything here is exact rational arithmetic.
+
+The impartial culture never builds its n! support.  By symmetry P is n
+times the chance that alternative 0 wins, and the programme follows, voter
+by voter, the histogram of the n-1 rivals by how many voters so far rank
+each one above 0; a rival that reaches k such votes beats 0, so the
+histogram has classes 0..k-1 and a move sends a chosen set of rivals up one
+class.  Its cost is polynomial in n for fixed k (:func:`impartial_move_bound`).
 
 Enumeration runs on integers only.  Each alternative's winner mass comes
 from its own walk over multiplicity vectors, the multinomial weight built
@@ -11,10 +19,11 @@ small field per rival b, counting whether the ranking puts b above a, so a
 voter multiset's tally against a is one int sum, and one mask test tells
 whether some rival has a majority over a: on a partial tally that cuts the
 branch, on a full one it decides the win.  Field a never gains a vote, so
-one mask and one bias serve every walk.  The named kinds are symmetric, so
+one mask and one bias serve every walk.  The cyclic kind is symmetric, so
 one walk serves every alternative.  Weights are integer numerators over
 the lcm D of the weight denominators; the winner mass accumulates as an
-integer over D^(2k-1) and becomes a ``Fraction`` once, at the end.
+integer over D^(2k-1) and becomes a ``Fraction`` once, at the end.  The
+walk over ``impartial_culture(n).expand()`` is the programme's test oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +39,9 @@ import numpy as np
 from .model import MAX_EXPLICIT_SUPPORT, CapExceededError, Culture, SupportTooLargeError
 from .special import _tail_numerator, majority_tail_exact
 
-# Caps the multiset count, checked before any walk; each walk judges at most
-# that many multisets, and pruning usually far fewer.
+# Caps the multiset count, checked before any walk (each walk judges at most
+# that many multisets, and pruning usually far fewer), and the impartial
+# programme's move bound, checked before any move.
 MAX_WINNER_CHECKS = 10 ** 8
 
 
@@ -38,17 +49,22 @@ MAX_WINNER_CHECKS = 10 ** 8
 class ExactProbability:
     """An exact probability with its provenance.
 
-    Only support enumeration builds one, so ``method`` is "enumeration".
-    ``per_alternative`` decomposes the total by winning alternative; the
-    winner is unique, so it sums to ``value``.  ``winner_checks`` counts the
-    multisets the enumeration judged, summed over its walks; it is at most
-    the multiset count times the number of alternatives walked.
+    ``method`` is "dp" for the impartial culture's dynamic programme and
+    "enumeration" for the support walk.  ``per_alternative`` decomposes the
+    total by winning alternative; the winner is unique, so it sums to
+    ``value``.  Each method counts its own work and leaves the other's
+    counter None: ``winner_checks`` counts the multisets the enumeration
+    judged, summed over its walks, at most the multiset count times the
+    number of alternatives walked; ``moves`` counts the weighted histogram
+    moves the programme applied, summed over its voters, at most
+    :func:`impartial_move_bound`.
     """
 
     value: Fraction
     method: str
     per_alternative: Optional[Tuple[Fraction, ...]] = None
-    winner_checks: int = 0
+    winner_checks: Optional[int] = None
+    moves: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
@@ -62,6 +78,86 @@ def multiset_count(support: int, k: int) -> int:
     rankings: the most winner checks one walk can make."""
     voters = 2 * k - 1
     return math.comb(support + voters - 1, voters)
+
+
+def impartial_move_bound(n: int, k: int) -> int:
+    """The most moves the impartial programme can apply: (2k-1) C(n+2k-3,
+    2k-2), each voter applying at most the sum over all histograms h of the
+    n-1 rivals of prod_{c<k-1} (h_c + 1), the moves of h."""
+    return (2 * k - 1) * math.comb(n + 2 * k - 3, 2 * k - 2)
+
+
+def _histogram_moves(
+    state: Tuple[Tuple[int, int], ...], k: int, scaled: Sequence[int], interned: dict
+) -> List[Tuple[Tuple[Tuple[int, int], ...], int]]:
+    """Every move of one voter from the rival histogram ``state``, a sorted
+    tuple of (class, count) pairs with counts > 0, as (target, weight) pairs.
+
+    The voter ranks i_c rivals of each class c < k-1 above alternative 0, and
+    they move up to class c+1; a rival of class k-1 above 0 would give it k
+    votes, so that class takes none.  The weight is prod C(h_c, i_c) times
+    ``scaled[r]``, r = sum i_c, the voter's chance of ranking exactly one
+    given r-set of rivals above 0 over a common denominator.  Targets are
+    looked up in ``interned`` so that each histogram is one tuple.
+    """
+    moves = []
+    for choice in product(*(range(h + 1) if c < k - 1 else (0,) for c, h in state)):
+        counts: dict = {}
+        weight, r = 1, 0
+        for (c, h), i in zip(state, choice):
+            if h > i:
+                counts[c] = counts.get(c, 0) + h - i
+            if i:
+                counts[c + 1] = counts.get(c + 1, 0) + i
+                weight *= math.comb(h, i)
+                r += i
+        target = tuple(sorted(counts.items()))
+        moves.append((interned.setdefault(target, target), weight * scaled[r]))
+    return moves
+
+
+def _impartial_probability(n: int, k: int, max_winner_checks: int) -> ExactProbability:
+    """Exact probability of a Condorcet winner under the impartial culture,
+    by a dynamic programme over the 2k-1 voters.
+
+    By symmetry P = n P(0 wins).  A uniform ranking puts 0 at each of the n
+    places with chance 1/n and the r rivals above it form a uniform r-subset,
+    so it ranks one given r-set of rivals above 0 with chance r! (n-1-r)! /
+    n!.  The numerators are divided by their gcd g, which at n = 800 cuts the
+    per-voter denominator n!/g from 1977 digits to 345.  The state is the
+    histogram of the rivals by their votes over 0, starting with all n-1 in
+    class 0; its mass is an integer over (n!/g)^voters.  Each state's moves
+    (:func:`_histogram_moves`) are built once and reused by every voter that
+    reaches it.  After the last voter the total mass, times n, is the
+    answer, made a ``Fraction`` once.  For n <= 2 some alternative always
+    wins and no move is made.
+
+    Raises :class:`CapExceededError` (``max_winner_checks``) before any
+    move when :func:`impartial_move_bound` exceeds the cap.
+    """
+    if n <= 2:
+        return ExactProbability(Fraction(1), "dp", (Fraction(1, n),) * n, moves=0)
+    bound = impartial_move_bound(n, k)
+    if bound > max_winner_checks:
+        raise CapExceededError("max_winner_checks", bound, max_winner_checks)
+    rivals = n - 1
+    numerators = [math.factorial(r) * math.factorial(rivals - r) for r in range(n)]
+    g = math.gcd(*numerators)
+    scaled = [x // g for x in numerators]
+    start = ((0, rivals),)
+    mass, moves_of, interned, moves = {start: 1}, {}, {start: start}, 0
+    for _ in range(2 * k - 1):
+        after: dict = {}
+        for state, weight in mass.items():
+            moves_here = moves_of.get(state)
+            if moves_here is None:
+                moves_here = moves_of[state] = _histogram_moves(state, k, scaled, interned)
+            moves += len(moves_here)
+            for target, step in moves_here:
+                after[target] = after.get(target, 0) + weight * step
+        mass = after
+    won = Fraction(sum(mass.values()), (math.factorial(n) // g) ** (2 * k - 1))
+    return ExactProbability(n * won, "dp", (won,) * n, moves=moves)
 
 
 def _fields(where: np.ndarray, width: int) -> List[int]:
@@ -164,6 +260,11 @@ def condorcet_probability(
 ) -> ExactProbability:
     """Exact probability that a Condorcet winner exists under the culture.
 
+    The impartial culture runs the dynamic programme over rival histograms
+    (:func:`_impartial_probability`); ``max_support`` does not apply to it,
+    since it builds no support, and ``max_winner_checks`` caps its move
+    bound.  Every other culture is enumerated as follows.
+
     Enumerates unordered voter multisets over the culture's support, read
     as its position table (:meth:`Culture.support_positions`), with
     multinomial weights, which cuts the work by up to (2k-1)! against
@@ -173,16 +274,16 @@ def condorcet_probability(
     orders the support by that alternative's position, worst first, and
     cuts every branch the alternative has already lost.  Each multiset the
     walk reaches costs one winner check; ``winner_checks`` counts them over
-    all walks.  The named kinds (``model.NAMED_KINDS``) are invariant under
-    a relabelling that sends 0 to any alternative, so only alternative 0 is
-    walked and its mass is every alternative's; explicit cultures walk every
-    alternative.  A walk's tally is a sum of packed ints of the walked
-    alternative's column, one per voter, built in time linear in their bits,
-    and one defeat mask, the same for every walk, both cuts a lost branch
-    and judges a full tally (:func:`_pack`).  Weights enter as integer
-    numerators over D, the lcm of their denominators, so the winner mass
-    accumulates as integers over D^(2k-1) and is divided once at the end;
-    a named kind's weights are 1 over D = S.
+    all walks.  The cyclic kind is invariant under a relabelling that sends
+    0 to any alternative, so only alternative 0 is walked and its mass is
+    every alternative's; explicit cultures walk every alternative.  A walk's
+    tally is a sum of packed ints of the walked alternative's column, one
+    per voter, built in time linear in their bits, and one defeat mask, the
+    same for every walk, both cuts a lost branch and judges a full tally
+    (:func:`_pack`).  Weights enter as integer numerators over D, the lcm of
+    their denominators, so the winner mass accumulates as integers over
+    D^(2k-1) and is divided once at the end; the cyclic weights are 1 over
+    D = S.
 
     Raises :class:`SupportTooLargeError` when the support would exceed
     ``max_support`` and :class:`CapExceededError` when the multiset count
@@ -192,6 +293,8 @@ def condorcet_probability(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if culture.kind == "impartial":
+        return _impartial_probability(culture.n, k, max_winner_checks)
     support = culture.support_size
     if support > max_support:
         raise SupportTooLargeError(support, max_support)
@@ -200,7 +303,7 @@ def condorcet_probability(
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
 
     voters = 2 * k - 1
-    symmetric = culture.kind != "explicit"
+    symmetric = culture.kind == "cyclic"
     if symmetric:
         scale, nums = support, [1] * support
     else:
@@ -224,7 +327,7 @@ def condorcet_probability(
     total_den = scale ** voters
     per_alt = tuple(Fraction(m, total_den) for m in mass)
     return ExactProbability(
-        Fraction(sum(mass), total_den), "enumeration", per_alt, checks
+        Fraction(sum(mass), total_den), "enumeration", per_alt, winner_checks=checks
     )
 
 

@@ -110,8 +110,8 @@ def rotation_ranking(n: int, start: int) -> Ranking:
 
 
 # The named kinds.  Each is symbolic, keeping no entries (``expand`` builds
-# its support, ``support_positions`` its position table), and is invariant
-# under a relabelling that sends alternative 0 to any other: any
+# its support, ``support_positions`` the cyclic kind's position table), and
+# is invariant under a relabelling that sends alternative 0 to any other: any
 # permutation for "impartial", the uniform culture on all n! rankings, and
 # the cyclic shift for "cyclic", the n rotations of (0, 1, ..., n-1) at
 # weight 1/n each.
@@ -197,8 +197,10 @@ class Culture:
         it and int32 otherwise.  No cap applies; callers check theirs first.
 
         The cyclic table, whose row s ranks a at (a - s) mod n, is a
-        read-only strided view of O(n) memory; the impartial one inverts
-        the n! lexicographic permutations.
+        read-only strided view of O(n) memory.  The impartial culture has no
+        table: no engine reads its n! rows (exact runs a programme over
+        rival histograms and Monte Carlo draws keys), so it is refused with
+        ``ValueError``; ``expand().support_positions()`` builds it.
         """
         n = self.n
         dtype = np.int16 if n <= 2 ** 15 - 1 else np.int32
@@ -206,8 +208,7 @@ class Culture:
             base = (np.arange(1, 2 * n) % n).astype(dtype)
             return np.lib.stride_tricks.sliding_window_view(base, n)[::-1]
         if self.kind == "impartial":
-            orders = np.array(list(permutations(range(n))), dtype=dtype)
-            return np.argsort(orders, axis=1).astype(dtype)
+            raise ValueError("the impartial culture has no support table; expand it first")
         return np.array([r.positions for r, _ in self.entries], dtype=dtype)
 
     def top_marginals(self) -> Tuple[Fraction, ...]:

@@ -443,28 +443,45 @@ def _suite_minimizer(seed: int) -> List[CheckReport]:
     At most one x_j exceeds 1/2, and T is convex on [0, 1/2], since
     T'' = k(k-1) C(2k-1, k) (x(1-x))^(k-2) (1-2x).  So Jensen gives the
     claim when every x_j <= 1/2, and otherwise sum_j T(x_j) >= g(x_1), the
-    function of :func:`_uniform_minimum_certificate`, whose least Bernstein
-    coefficient is the margin recorded; a negative one is a violation (not
-    proved).  For n <= 2 the margin is exactly 0: n = 1 is a single point,
-    and n = 2 is the identity T(x) + T(1-x) = 1.  No input is drawn, so the
-    report does not depend on ``seed``.
+    function of :func:`_uniform_minimum_certificate`.
+
+    Two reports.  ``uniform_minimum_proved`` covers the cells with n >= 3
+    and k >= 2; its margin is the least Bernstein coefficient, and a
+    negative one is a violation (not proved).  ``uniform_minimum_identity``
+    covers the cells where the sum is 1 on the whole simplex, so the claim
+    holds with equality: n = 1 is a single point, n = 2 is the identity
+    T(x) + T(1-x) = 1, and k = 1 has T(x) = x.  Its margin is minus the
+    largest |coefficient|, exactly 0 when g - n T(1/n) vanishes on [1/2, 1]
+    (n = 1 records 0).  No input is drawn, so neither report depends on
+    ``seed``.
     """
-    margins, inputs = [], []
+    proved, proved_inputs, identity, identity_inputs = [], [], [], []
     for n in range(1, 9):
         for k in range(1, 5):
-            if n <= 2:
-                margin, index = 0.0, None
+            if n == 1:
+                identity.append(0.0)
+                identity_inputs.append({"n": n, "k": k, "coefficient": None})
+                continue
+            coefficients, scale = _uniform_minimum_certificate(n, k)
+            if n == 2 or k == 1:
+                index = coefficients.index(max(coefficients, key=abs))
+                identity.append(-abs(coefficients[index]) / scale)
+                identity_inputs.append({"n": n, "k": k, "coefficient": index})
             else:
-                coefficients, scale = _uniform_minimum_certificate(n, k)
                 index = coefficients.index(min(coefficients))
-                margin = coefficients[index] / scale
-            margins.append(margin)
-            inputs.append({"n": n, "k": k, "coefficient": index})
+                proved.append(coefficients[index] / scale)
+                proved_inputs.append({"n": n, "k": k, "coefficient": index})
     tracker = _Tracker("uniform_minimum_proved", 0.0)
     tracker.record_array(
-        margins, lambda row, _: inputs[row], "Bernstein coefficient of g - n * tail(1/n) >= 0"
+        proved, lambda row, _: proved_inputs[row],
+        "Bernstein coefficient of g - n * tail(1/n) >= 0",
     )
-    return [tracker.report()]
+    equality = _Tracker("uniform_minimum_identity", 0.0)
+    equality.record_array(
+        identity, lambda row, _: identity_inputs[row],
+        "g - n * tail(1/n) == 0 identically",
+    )
+    return [tracker.report(), equality.report()]
 
 
 SUITES: Dict[str, Callable[[int], List[CheckReport]]] = {

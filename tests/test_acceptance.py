@@ -212,8 +212,9 @@ def test_criterion_10_optimizer_respects_floor():
     argmin = minimize_marginal_bound(3, 2, starts=100, seed=1805).point
     assert max(abs(c - 1.0 / 3.0) for c in argmin) < 1e-3
     # the descent is the naive oracle; the minimizer suite proves the floor
-    (proof,) = run_suites(["minimizer"])
-    assert (proof.trials, proof.violations) == (32, 0)
+    proof, identity = run_suites(["minimizer"])
+    assert (proof.trials, proof.violations) == (18, 0)
+    assert (identity.trials, identity.violations) == (14, 0)
 
 
 def test_criterion_11a_large_n_leading_term():

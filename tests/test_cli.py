@@ -60,7 +60,11 @@ def test_exact_json(capsys):
     assert record["command"] == "exact"
     assert record["results"]["value"] == "17/18"
     assert record["results"]["per_alternative"] == ["17/54"] * 3
-    assert record["results"]["multisets"] == 56
+    assert record["results"]["method"] == "dp"
+    assert record["results"]["moves"] == 15
+    # the programme enumerates no multiset and judges none
+    assert record["results"]["multisets"] is None
+    assert record["results"]["winner_checks"] is None
     assert record["parameters"]["n"] == 3
 
 
@@ -575,17 +579,55 @@ def test_out_writes_same_text(capsys, tmp_path):
 @pytest.mark.parametrize(
     "culture, n, k, multisets", [("impartial", 3, 2, 56), ("cyclic", 12, 4, 31824)]
 )
-def test_exact_reports_winner_checks(capsys, culture, n, k, multisets):
+def test_exact_reports_winner_checks(capsys, tmp_path, culture, n, k, multisets):
     """Every format carries the multiset count and the winner checks the
-    pruned walk made, which the library reports too."""
-    argv = ["exact", "--culture", culture, "--n", str(n), "--k", str(k)]
+    pruned walk made, which the library reports too.  ``--culture
+    impartial`` runs the programme, so the impartial row walks its expanded
+    support, read from a culture file, one walk per alternative."""
+    if culture == "impartial":
+        built, walks = impartial_culture(n).expand(), n
+        save_culture(built, tmp_path / "impartial.json")
+        argv = ["exact", "--culture", str(tmp_path / "impartial.json"), "--k", str(k)]
+    else:
+        built, walks = cyclic_culture(n), 1
+        argv = ["exact", "--culture", culture, "--n", str(n), "--k", str(k)]
     results, csv_fields, human = three_formats(capsys, argv)
-    build = impartial_culture if culture == "impartial" else cyclic_culture
-    checks = condorcet_probability(build(n), k).winner_checks
+    checks = condorcet_probability(built, k).winner_checks
     assert results["multisets"] == int(csv_fields["multisets"]) == int(human["multisets"]) == multisets
     assert results["winner_checks"] == int(csv_fields["winner_checks"]) == checks
     assert int(human["winner_checks"]) == checks
-    assert 0 < checks < multisets
+    assert 0 < checks < walks * multisets
+    assert results["method"] == "enumeration"
+    assert results["moves"] is None and csv_fields["moves"] == human["moves"] == "None"
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (6, 2), (3, 9)])
+def test_exact_reports_the_programme_moves(capsys, n, k):
+    """The impartial record carries the programme's move count in every
+    format, the count the library reports, and no multiset count or winner
+    check, since it makes neither."""
+    argv = ["exact", "--culture", "impartial", "--n", str(n), "--k", str(k)]
+    results, csv_fields, human = three_formats(capsys, argv)
+    moves = condorcet_probability(impartial_culture(n), k).moves
+    assert results["method"] == csv_fields["method"] == human["method"] == "dp"
+    assert results["moves"] == int(csv_fields["moves"]) == int(human["moves"]) == moves > 0
+    for field in ("multisets", "winner_checks"):
+        assert results[field] is None and csv_fields[field] == human[field] == "None"
+
+
+def test_exact_impartial_at_two_hundred_alternatives(capsys):
+    """Hundreds of alternatives are in reach of the programme, and the move
+    cap stops a larger one at once."""
+    code, out = run_capture(
+        capsys, ["exact", "--culture", "impartial", "--n", "200", "--k", "2", "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["moves"] == 200 * 202
+    assert 0.1867 < results["value_float"] < 0.1868
+    code = cli.run(["exact", "--culture", "impartial", "--n", "800", "--k", "2",
+                    "--max-winner-checks", "1000"])
+    assert code == 3
+    assert "needed 961200, cap 1000" in capsys.readouterr().err
 
 
 def parse_outcome(parser, argv):

@@ -16,6 +16,7 @@ from condorcet.exact import (
     multiset_count,
 )
 from condorcet.model import (
+    MAX_EXPLICIT_SUPPORT,
     CapExceededError,
     Culture,
     Profile,
@@ -29,7 +30,8 @@ from condorcet.special import majority_tail_exact
 def test_impartial_three_alternatives_three_voters():
     result = condorcet_probability(impartial_culture(3), 2)
     assert result.value == Fraction(17, 18)
-    assert result.method == "enumeration"
+    assert result.method == "dp"
+    assert result.winner_checks is None and result.moves == 15
 
 
 def test_two_alternatives_always_have_a_winner():
@@ -66,12 +68,113 @@ def test_pinned_impartial_rationals():
         (4, 2): Fraction(8, 9),
         (4, 3): Fraction(31, 36),
         (5, 2): Fraction(21, 25),
+        # the walk over the 120 expanded rankings gives this in about 30 s,
+        # too slow to rerun with the other cells of the walk comparison
+        (5, 3): Fraction(32019, 40000),
         (3, 9): Fraction(15974593747, 17414258688),
     }
     for (n, k), value in pinned.items():
         result = condorcet_probability(impartial_culture(n), k)
         assert result.value == value, (n, k)
         assert sum(result.per_alternative) == value, (n, k)
+
+
+def _three_voter_probability(n):
+    """The three-voter impartial value, exact: alternative x wins iff the
+    sets of rivals each voter ranks above x are pairwise disjoint, and given
+    x's ranks r_i those sets are independent uniform r_i-subsets of the
+    m = n - 1 rivals, so
+
+        P = n^-2 sum_{r1, r2, r3} C(m-r1, r2)/C(m, r2) C(m-r1-r2, r3)/C(m, r3).
+    """
+    m = n - 1
+    ratio = [[Fraction(math.comb(a, r), math.comb(m, r)) for r in range(a + 1)]
+             for a in range(m + 1)]
+    tail = [sum(ratio[m - s]) for s in range(m + 1)]
+    total = sum(ratio[m - r1][r2] * tail[r1 + r2]
+                for r1 in range(m + 1) for r2 in range(m - r1 + 1))
+    return total / (n * n)
+
+
+def _three_alternative_probability(voters):
+    """The impartial value at n = 3, exact: the distribution of the margins
+    (a-b, b-c, c-a), built voter by voter over the six rankings, less the
+    two cycles, all three margins positive or all negative."""
+    steps = []
+    for order in itertools.permutations("abc"):
+        rank = {x: i for i, x in enumerate(order)}
+        steps.append(tuple(1 if rank[x] < rank[y] else -1 for x, y in ("ab", "bc", "ca")))
+    margins = {(0, 0, 0): 1}
+    for _ in range(voters):
+        after = {}
+        for (x, y, z), count in margins.items():
+            for dx, dy, dz in steps:
+                key = (x + dx, y + dy, z + dz)
+                after[key] = after.get(key, 0) + count
+        margins = after
+    cycles = sum(count for (x, y, z), count in margins.items()
+                 if (x > 0 and y > 0 and z > 0) or (x < 0 and y < 0 and z < 0))
+    return 1 - Fraction(cycles, 6 ** voters)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(1, 6) for k in range(1, 4) if (n, k) != (5, 3)] + [(3, 4), (3, 5)],
+)
+def test_impartial_programme_matches_the_walk(n, k):
+    """The walk over the n! expanded rankings, which assumes no symmetry and
+    walks every alternative, is the programme's oracle."""
+    result = condorcet_probability(impartial_culture(n), k)
+    walked = condorcet_probability(impartial_culture(n).expand(), k)
+    assert (result.method, walked.method) == ("dp", "enumeration")
+    assert result.value == walked.value
+    assert result.per_alternative == walked.per_alternative
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_impartial_programme_matches_the_three_voter_formula(n):
+    assert condorcet_probability(impartial_culture(n), 2).value == _three_voter_probability(n)
+
+
+def test_impartial_programme_matches_the_margin_recursion():
+    for k in range(1, 13):
+        result = condorcet_probability(impartial_culture(3), k)
+        assert result.value == _three_alternative_probability(2 * k - 1), k
+
+
+def test_impartial_programme_is_one_where_a_winner_is_certain():
+    # n <= 2 makes no move at all; k = 1 leaves every rival in class 0
+    for n in (1, 2):
+        for k in (1, 2, 5, 1000):
+            result = condorcet_probability(impartial_culture(n), k)
+            assert (result.value, result.moves) == (1, 0)
+            assert result.per_alternative == (Fraction(1, n),) * n
+    for n in range(1, 9):
+        assert condorcet_probability(impartial_culture(n), 1).value == 1
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (6, 2), (3, 9), (7, 3)])
+def test_impartial_moves_stay_within_the_bound(n, k):
+    result = condorcet_probability(impartial_culture(n), k)
+    assert 0 < result.moves <= exact.impartial_move_bound(n, k)
+
+
+def test_impartial_move_cap_refuses_before_any_move(monkeypatch):
+    bound = exact.impartial_move_bound(4, 2)
+    assert bound == 3 * math.comb(5, 2) == 30
+    assert condorcet_probability(impartial_culture(4), 2, max_winner_checks=bound).moves == 24
+
+    def refuse(*args):
+        raise AssertionError("built a move of a programme the cap refuses")
+
+    monkeypatch.setattr(exact, "_histogram_moves", refuse)
+    with pytest.raises(CapExceededError) as exc:
+        condorcet_probability(impartial_culture(4), 2, max_winner_checks=bound - 1)
+    assert (exc.value.cap_name, exc.value.needed, exc.value.cap) == (
+        "max_winner_checks", bound, bound - 1)
+    with pytest.raises(CapExceededError) as exc:
+        condorcet_probability(impartial_culture(800), 2, max_winner_checks=1000)
+    assert exc.value.needed == 3 * math.comb(801, 2)
 
 
 def _ordered_tuple_oracle(culture, k):
@@ -120,17 +223,18 @@ def test_winner_checks_count_the_checks_made(monkeypatch):
 
     monkeypatch.setattr(exact, "_multiset_winner", counted)
     cases = (
-        (impartial_culture(3), 2),
+        (impartial_culture(3).expand(), 2),
         (cyclic_culture(5), 3),
-        (impartial_culture(2), 1),
-        (impartial_culture(2), 1000),
+        (impartial_culture(2).expand(), 1),
+        (impartial_culture(2).expand(), 1000),
         (cyclic_culture(12), 4),
         (cyclic_culture(5).expand(), 3),
     )
     checks = {}
     for culture, k in cases:
         result = condorcet_probability(culture, k)
-        walked = 1 if culture.kind in ("impartial", "cyclic") else culture.n
+        assert result.method == "enumeration" and result.moves is None
+        walked = 1 if culture.kind == "cyclic" else culture.n
         assert len(calls) == result.winner_checks, (culture.kind, culture.n, k)
         assert result.winner_checks <= walked * multiset_count(culture.support_size, k)
         checks[culture.kind, culture.n, k] = result.winner_checks
@@ -244,13 +348,13 @@ def test_impartial_three_voter_paradox_at_six_alternatives():
 
 def test_winner_check_cap():
     with pytest.raises(CapExceededError) as exc:
-        condorcet_probability(impartial_culture(4), 2, max_winner_checks=100)
+        condorcet_probability(impartial_culture(4).expand(), 2, max_winner_checks=100)
     assert exc.value.cap_name == "max_winner_checks"
     assert exc.value.needed == math.comb(24 + 2, 3)
 
 
 def test_winner_check_cap_refuses_before_expanding(monkeypatch):
-    # 9! rankings fit the support cap, but their multisets exceed the
+    # 900 rotations fit the support cap, but their multisets exceed the
     # winner-check cap, so neither the support nor its table is ever built
     def refuse(self, *args, **kwargs):
         raise AssertionError("built the support of a culture the winner-check cap refuses")
@@ -258,16 +362,17 @@ def test_winner_check_cap_refuses_before_expanding(monkeypatch):
     monkeypatch.setattr(Culture, "expand", refuse)
     monkeypatch.setattr(Culture, "support_positions", refuse)
     with pytest.raises(CapExceededError) as exc:
-        condorcet_probability(impartial_culture(9), 2)
+        condorcet_probability(cyclic_culture(900), 2)
     assert exc.value.cap_name == "max_winner_checks"
-    assert exc.value.needed == multiset_count(math.factorial(9), 2)
+    assert exc.value.needed == multiset_count(900, 2) > exact.MAX_WINNER_CHECKS
 
 
 @pytest.mark.parametrize("culture, k", [(impartial_culture(4), 2), (cyclic_culture(12), 4)],
                          ids=["impartial_4_2", "cyclic_12_4"])
 def test_named_kinds_enumerate_without_rankings(monkeypatch, culture, k):
-    """The support table comes straight from the named kind: not one
-    Ranking is built on the way, nor an expanded culture."""
+    """The named kinds need no Ranking on the way, nor an expanded culture:
+    the cyclic table comes straight from the kind, and the impartial
+    programme builds no support at all."""
     expected = condorcet_probability(culture.expand(), k)
 
     def refuse(self, *args):
@@ -281,9 +386,11 @@ def test_named_kinds_enumerate_without_rankings(monkeypatch, culture, k):
 
 def test_support_cap():
     with pytest.raises(SupportTooLargeError):
-        condorcet_probability(impartial_culture(10), 2)
+        condorcet_probability(cyclic_culture(MAX_EXPLICIT_SUPPORT + 1), 2)
     with pytest.raises(SupportTooLargeError):
-        condorcet_probability(impartial_culture(4), 2, max_support=10)
+        condorcet_probability(impartial_culture(4).expand(), 2, max_support=10)
+    # the impartial programme tabulates no support, so no support cap applies
+    assert condorcet_probability(impartial_culture(10), 2, max_support=1).method == "dp"
 
 
 def test_rejects_bad_k():

@@ -138,9 +138,14 @@ EXPLICIT_SUPPORTS = [
 ]
 
 
+# The impartial kind has no table of its own; the exact engine's test
+# oracle walks the table of its expansion.
+IMPARTIAL_EXPANSIONS = [impartial_culture(n).expand() for n in range(1, 7)]
+
+
 @pytest.mark.parametrize(
     "culture",
-    [impartial_culture(n) for n in range(1, 7)]
+    IMPARTIAL_EXPANSIONS
     + [cyclic_culture(n) for n in range(1, 10)]
     + EXPLICIT_SUPPORTS,
     ids=[f"impartial{n}" for n in range(1, 7)] + [f"cyclic{n}" for n in range(1, 10)]
@@ -148,16 +153,27 @@ EXPLICIT_SUPPORTS = [
 )
 def test_support_positions_are_the_expanded_positions(culture):
     """Row i of the table is support ranking i of expand, in int16; the
-    cyclic table is a view nothing may write through."""
+    cyclic table is a view nothing may write through.  An impartial
+    expansion's rows invert the n! permutations in lexicographic order."""
     table = culture.support_positions()
     expected = np.array([r.positions for r, _ in culture.expand().entries])
     assert table.dtype == np.int16
     assert table.shape == expected.shape == (culture.support_size, culture.n)
     assert (table == expected).all()
+    if culture in IMPARTIAL_EXPANSIONS:
+        orders = np.array(list(itertools.permutations(range(culture.n))))
+        assert (table == np.argsort(orders, axis=1)).all()
     if culture.kind == "cyclic":
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+
+def test_impartial_support_positions_are_refused():
+    """No engine reads the impartial kind's n! rows, so it builds none."""
+    for n in (1, 3, 12):
+        with pytest.raises(ValueError, match="no support table"):
+            impartial_culture(n).support_positions()
 
 
 def test_cyclic_support_positions_beyond_int16():

@@ -708,6 +708,18 @@ def test_confidence_interval_shape():
         assert 0.5 * (est.ci_low + est.ci_high) == pytest.approx(center, rel=1e-12)
 
 
+def test_confidence_interval_covers_the_exact_value_at_two_hundred_alternatives():
+    """The Wilson 95% interval of short impartial runs at n = 200, on the
+    16-bit key path, covers the exact value the programme gives in at least
+    90% of 200 seeds; criterion 08 checks the same at n = 4."""
+    exact = float(condorcet_probability(impartial_culture(200), 2).value)
+    hits = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(impartial_culture(200), 2, 2000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+    assert hits >= 180
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         estimate_condorcet_probability(impartial_culture(3), 2, 0, seed=1)

@@ -72,7 +72,8 @@ def test_suite_trial_counts_are_pinned():
         "truncated_integral_l1_m2": 1,
         "truncated_integral_l2_m3": 2,
         "truncated_integral_l2_m4": 2,
-        "uniform_minimum_proved": 32,  # n = 1..8, k = 1..4
+        "uniform_minimum_proved": 18,  # n = 3..8, k = 2..4
+        "uniform_minimum_identity": 14,  # n <= 2 or k = 1, of n = 1..8, k = 1..4
     }
 
 
@@ -402,10 +403,27 @@ def test_minimizer_suite_counts_a_negative_coefficient(monkeypatch):
         return ([1, -1] + [0] * (2 * k - 2), 7)
 
     monkeypatch.setattr(verify, "_uniform_minimum_certificate", unproved)
-    (report,) = run_suites(["minimizer"])
-    assert (report.trials, report.violations) == (32, 24)  # every cell with n >= 3
-    assert report.worst_witness["input"] == {"n": 3, "k": 1, "coefficient": 1}
+    report, identity = run_suites(["minimizer"])
+    assert (report.trials, report.violations) == (18, 18)
+    assert report.worst_witness["input"] == {"n": 3, "k": 2, "coefficient": 1}
     assert report.worst_witness["margin"] == -1 / 7
+    # a nonzero coefficient breaks the identity of every cell it is read at,
+    # all but n = 1
+    assert (identity.trials, identity.violations) == (14, 10)
+    assert identity.worst_witness["input"] == {"n": 2, "k": 1, "coefficient": 0}
+    assert identity.worst_witness["margin"] == -1 / 7
+
+
+def test_minimizer_suite_reports_the_identity_cells_apart():
+    """The proved report's worst witness is a cell the certificate proves,
+    not an identity cell with margin 0."""
+    report, identity = run_suites(["minimizer"])
+    assert report.name == "uniform_minimum_proved"
+    assert report.worst_witness["input"] == {"n": 3, "k": 2, "coefficient": 0}
+    assert report.worst_witness["margin"] == 5 / 144
+    assert identity.name == "uniform_minimum_identity"
+    assert (identity.trials, identity.violations) == (14, 0)
+    assert identity.worst_witness["margin"] == 0.0
 
 
 def test_minimizer_suite_json_is_seed_free(capsys):
@@ -415,9 +433,10 @@ def test_minimizer_suite_json_is_seed_free(capsys):
                         "--format", "json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["results"]["violations_total"] == 0
-        (row,) = record["results"]["reports"]
-        assert (row["trials"], row["violations"]) == (32, 0)
-        rows.append(row)
+        proved, identity = record["results"]["reports"]
+        assert (proved["trials"], proved["violations"]) == (18, 0)
+        assert (identity["trials"], identity["violations"]) == (14, 0)
+        rows.append((proved, identity))
     assert rows[0] == rows[1]
 
 

@@ -33,7 +33,10 @@ from .model import Culture
 # keys hold about 3 * 2^17 keys; only the profiles that tie are judged
 # again, their low bits drawn once a piece of them has gathered or the
 # chunk ends.
-STREAM_VERSION = 6
+# Version 7: voter 0 of a cyclic profile holds rotation 0 and only voters
+# 1..2k-2 are drawn; on the winner-table path each chunk draws one uniform
+# table index per profile in one call.
+STREAM_VERSION = 7
 
 _MASK64 = (1 << 64) - 1
 

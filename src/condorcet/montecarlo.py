@@ -7,10 +7,10 @@ A chunk is sampled and judged one block of profiles at a time (see
 tensor is ever built.  :func:`_sample_positions` is the package's one
 profile sampler: it draws a block as a tensor of ranking keys, never as
 Ranking objects, laid out alternative-major as a C-order (voters, n,
-profiles) array and handed over as its (profiles, voters, n) view.  Workers
-only decide which thread evaluates a chunk, and the merge is an integer sum
-of winner counts, so p_hat depends on (seed, version) alone and is
-identical for any worker count.
+profiles) array and handed over as its (profiles, voters, n) view.  With w
+workers, worker j runs chunks j, j + w, j + 2w, ... in turn, one task per
+worker; the merge is an integer sum of per-chunk winner counts, so p_hat
+depends on (seed, version) alone and is identical for any worker count.
 
 The winner kernel, :func:`_count_winners_vectorized`, is a knockout
 tournament run on a key tensor: ceil(log2 n) rounds of paired majority
@@ -30,27 +30,37 @@ fixed (the conditioning of Gehrlein, *Condorcet's Paradox*, 2006): voter 0
 holds the identity ranking, key a for alternative a, and only voters 1 to
 2k - 2 are drawn.  Their keys are the high bits of i.i.d. uniform 64-bit
 keys: 16 bits, four per generator word, while a profile's knockout
-compares at most 2048 pairs of drawn keys, and 32 bits, two per word, past
-that (see :func:`_key_dtype`).  Each chunk lays voter 0 out once in one
-block buffer and copies every block's drawn keys into it.  The kernel flags
-each profile in which a comparison it made was a tie, or which it calls a
-winner while a rival holds a key equal to its champion's; an unflagged
-profile's verdict is the one it would give on the 64-bit keys, whatever
-their low bits.  The flagged profiles, about 3% at n = 800, k = 2 on 16-bit
-keys and 0.7% at n = 200, k = 2, are held by the chunk (see
-:class:`_TiedProfiles`), given their low bits from its generator and judged
-again on the 64-bit keys, so p_hat is the 64-bit estimator's and its bias
-bound, (2k - 2) C(n, 2) / 2^64, does not depend on the first pass's key
-width.
+compares at most ``_NARROW_COMPARISONS`` pairs of drawn keys (2048 at
+k = 2, 3072 at k = 3, 4 and 5), and 32 bits, two per word, past that (see
+:func:`_key_dtype`).  Each worker keeps one block buffer for its share of
+chunks, lays voter 0 out in it at the start of each chunk and copies every
+block's drawn keys into it.  The kernel flags each profile in which a
+comparison it made was a tie, or which it calls a winner while a rival
+holds a key equal to its champion's; an unflagged profile's verdict is the
+one it would give on the 64-bit keys, whatever their low bits.  The
+flagged profiles, about 3% at n = 800, k = 2 on 16-bit keys and 0.7% at
+n = 200, k = 2, are held by the chunk (see :class:`_TiedProfiles`), given
+their low bits from its generator and judged again on the 64-bit keys, so
+p_hat is the 64-bit estimator's and its bias bound, (2k - 2) C(n, 2) /
+2^64, does not depend on the first pass's key width.
+
+The same holds for the cyclic culture under a rotation of the labels: the
+profiles with voter 0 on rotation r map onto those with voter 0 on
+rotation 0, so voter 0 holds rotation 0 and voters 1 to 2k - 2 are drawn
+uniformly from the n rotations, one of n^(2k-2) tuples (see
+:func:`_table_entries`).
 
 A culture with finite support of S rankings (cyclic or explicit) gives a
-profile of m = 2k - 1 voters as one of S^m tuples of support indices.  When
-S^m <= min(samples, ``_BLOCK_KEYS``), the kernel judges every tuple once,
-before the chunks run, into a winner table of at most 256 KiB, never judging
-more profiles than the run would; each block then draws its support indices
-with :func:`_sample_support` and counts the table entries they index.  The
-draws are the calls :func:`_sample_positions` makes on the same blocks, so
-p_hat is the one the kernel would give on the block's rank tensors.
+profile as a tuple of support indices: one of S^(2k-1) for an explicit
+culture and of n^(2k-2) for the cyclic one.  When there are at most
+min(samples, ``_BLOCK_KEYS``) tuples (cyclic: n <= 512 at k = 2), the
+kernel judges every tuple once, before the chunks run, into a winner table
+of at most 256 KiB, never judging more profiles than the run would.  A
+cyclic chunk then draws one uniform table index per profile in a single
+call, one block per chunk, and counts the entries they index; an explicit
+culture's block draws its support indices with :func:`_sample_support`,
+the calls :func:`_sample_positions` makes on the same blocks.  Either way
+p_hat is the one the kernel would give on those profiles' rank tensors.
 """
 
 from __future__ import annotations
@@ -90,11 +100,20 @@ _NARROW_BLOCK_KEYS = 3 << 17
 _REJUDGE_KEYS = 3 << 13
 # Impartial keys are drawn as uint16 while a profile's knockout compares at
 # most this many pairs of drawn keys, (2k - 2)(n - 1), and as uint32 past
-# it.  In process on 2 vCPUs, uint16 keys took 12-21% less time than uint32
-# at 2048 pairs (n = 1025, 513 and 257 at k = 2, 3 and 5; 3.4-4% of
-# profiles judged again), 4% less at 2560 (n = 1281, k = 2), and at 3072
-# from 0-12% more (k = 2, 5.6% judged again) to 20% less (k = 5).
-_NARROW_COMPARISONS = 1 << 11
+# it; a k not listed takes k = 2's 2048.  At k = 2, in process on 2 vCPUs,
+# uint16 keys took 12-21% less time than uint32 at 2048 pairs, 4% less at
+# 2560, 0-12% more at 3072 and 12% more at 4096.  At k = 3, 4 and 5 (8192
+# profiles, CPU time, medians of 5 or 7 alternating runs; two runs give two
+# figures), with the share of profiles judged again on uint16 keys:
+#   pairs   k = 3        k = 4        k = 5        judged again
+#   2048    -17%         -23%         -25%         3.3-3.6%
+#   3072    -12%, -12%   -11%, -8%    -20%, -10%   5.0-5.2%
+#   3584    -8%          -7%          -9%          5.9-6.0%
+#   4096    -3%          -1%          +2%          6.6-6.9%
+# So k = 3, 4 and 5 keep uint16 keys up to 3072 pairs.  3584 gains too, but
+# 3072 keeps the share judged again near 5%, well inside the 7% the tests
+# hold the uint16 side to.
+_NARROW_COMPARISONS = {2: 1 << 11, 3: 3 << 10, 4: 3 << 10, 5: 3 << 10}
 
 _Z95 = 1.96
 
@@ -108,8 +127,10 @@ class Estimate:
     score interval, not p_hat +/- 1.96 std_error: it keeps a width of order
     1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
     ``winner_table`` is the number of entries of the winner table the
-    profiles were judged by, 0 when the knockout kernel judged each one.
-    ``blocks`` counts the blocks the chunks were sampled in, and
+    profiles were judged by (n^(2k-2) for the cyclic culture, S^(2k-1) for
+    an explicit one), 0 when the knockout kernel judged each one.
+    ``blocks`` counts the blocks the chunks were sampled in, one per chunk
+    on the cyclic table path, and
     ``rejudged_profiles`` the profiles in whose 16- or 32-bit keys the
     kernel met a tie, so it judged them again on 64-bit keys.
     """
@@ -149,11 +170,13 @@ def _sample_support(
 ) -> np.ndarray:
     """Support indices for ``size`` profiles of a finite-support culture:
     out[b, v] is the ranking of voter v of profile b, drawn with its weight
-    (cyclic: uniform on the n rotations) by inverting ``cum``, which
-    :func:`_cumulative_weights` builds if it is not given."""
+    by inverting ``cum``, which :func:`_cumulative_weights` builds if it is
+    not given.  A cyclic profile's voter 0 holds rotation 0 and voters 1 to
+    2k - 2 are uniform on the n rotations (see :func:`_table_entries`)."""
     voters = 2 * k - 1
     if culture.kind == "cyclic":
-        return rng.integers(0, culture.n, size=(size, voters), dtype=np.int32)
+        drawn = rng.integers(0, culture.n, size=(size, voters - 1), dtype=np.int32)
+        return np.concatenate([np.zeros((size, 1), dtype=np.int32), drawn], axis=1)
     if cum is None:
         cum = _cumulative_weights(culture)
     idx = np.searchsorted(cum, rng.random((size, voters)), side="right")
@@ -177,7 +200,8 @@ def _key_dtype(n: int, k: int) -> type:
     knockout compares at most ``_NARROW_COMPARISONS`` pairs of drawn keys,
     (2k - 2)(n - 1), so that a few percent of profiles tie at most, and
     uint32 past it.  Voter 0's keys 0..n-1 must fit too."""
-    if (2 * k - 2) * (n - 1) <= _NARROW_COMPARISONS and n <= 1 << 16:
+    limit = _NARROW_COMPARISONS.get(k, _NARROW_COMPARISONS[2])
+    if (2 * k - 2) * (n - 1) <= limit and n <= 1 << 16:
         return np.uint16
     return np.uint32
 
@@ -208,13 +232,19 @@ def _gather_ranks(ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
+def _identity_voter(block: np.ndarray) -> np.ndarray:
+    """``block``, a C-order (voters, n, rows) key array, with key a for
+    alternative a in every profile of its voter-0 slice, voter 0's identity
+    ranking."""
+    block[0] = np.arange(block.shape[1], dtype=block.dtype)[:, None]
+    return block
+
+
 def _impartial_block(n: int, k: int, rows: int) -> np.ndarray:
     """A C-order (2k - 1, n, rows) block of :func:`_key_dtype` keys whose
-    voter-0 slice holds key a for alternative a in every profile, voter 0's
-    identity ranking; the drawn voters' slices are left unset."""
-    block = np.empty((2 * k - 1, n, rows), dtype=_key_dtype(n, k))
-    block[0] = np.arange(n, dtype=block.dtype)[:, None]
-    return block
+    voter-0 slice holds voter 0's identity ranking; the drawn voters'
+    slices are left unset."""
+    return _identity_voter(np.empty((2 * k - 1, n, rows), dtype=_key_dtype(n, k)))
 
 
 def _sample_positions(
@@ -235,12 +265,14 @@ def _sample_positions(
     it draws; it is built here if it is not given.  The cyclic and explicit
     cultures give ranks 0..n-1 (the position of a in the voter's ranking),
     the rows of :meth:`Culture.support_positions` picked by
-    :func:`_sample_support`; their ``tables`` are that table and the
+    :func:`_sample_support` (a cyclic voter 0 on rotation 0); their
+    ``tables`` are that table and the
     :func:`_cumulative_weights`, which an estimate builds once for all its
     blocks.
 
-    The impartial culture's ``tables`` is (block, None), a chunk's
-    :func:`_impartial_block` buffer of as many profiles as its blocks hold.
+    The impartial culture's ``tables`` is (block, None), a worker's
+    :func:`_impartial_block` buffer of as many profiles as its blocks hold,
+    with voter 0 laid out at the start of the chunk.
     Voter 0 keeps the buffer's identity ranking, and voters 1..2k-2 get
     i.i.d. uniform keys of the buffer's :func:`_key_dtype`, uint16 or
     uint32, drawn in one call and copied into the buffer, whose contents the
@@ -262,9 +294,8 @@ def _sample_positions(
         if block.shape[2] != size:
             # A chunk's short last block: a contiguous prefix of the buffer,
             # with voter 0 laid out again for ``size`` profiles.  That breaks
-            # the full-size layout, so no block of the chunk may follow it.
-            block = block.reshape(-1)[:voters * n * size].reshape(voters, n, size)
-            block[0] = np.arange(n, dtype=block.dtype)[:, None]
+            # the full-size layout, so the next chunk lays voter 0 out anew.
+            block = _identity_voter(block.reshape(-1)[:voters * n * size].reshape(voters, n, size))
         block[1:] = _random_keys((size, voters - 1, n), rng, block.dtype).transpose(1, 2, 0)
         return block.transpose(2, 0, 1)
     if tables is None:
@@ -435,18 +466,33 @@ def _digit_weights(culture: Culture, k: int) -> np.ndarray:
     return size ** np.arange(2 * k - 2, -1, -1, dtype=np.int64)
 
 
-def _winner_table(ranks: np.ndarray, weights: np.ndarray, k: int, block_rows: int) -> np.ndarray:
-    """Winner indicator of every support tuple, by flat index: the knockout
-    kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a time, where
-    ``ranks`` is the culture's support position table and ``weights`` its
-    :func:`_digit_weights`.  The digits are formed arithmetically, as
-    np.indices allows at most 64 dimensions and a profile may have more
-    voters."""
+def _table_entries(culture: Culture, k: int) -> int:
+    """Entries of a finite-support culture's winner table: one per support
+    tuple, S^(2k-1), but n^(2k-2) for the cyclic culture, whose voter 0
+    holds rotation 0.  Rotating the labels maps the cyclic profiles with
+    voter 0 on rotation r onto those with it on rotation 0 and keeps
+    whether a winner exists, so the winner probability is the mean over
+    the tuples of voters 1..2k-2 alone, which are the table's first
+    n^(2k-2) flat indices."""
+    if culture.kind == "cyclic":
+        return culture.n ** (2 * k - 2)
+    return culture.support_size ** (2 * k - 1)
+
+
+def _winner_table(
+    ranks: np.ndarray, weights: np.ndarray, k: int, block_rows: int, entries: int
+) -> np.ndarray:
+    """Winner indicator of the support tuples of flat index 0..entries-1:
+    the knockout kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a
+    time, where ``ranks`` is the culture's support position table and
+    ``weights`` its :func:`_digit_weights`.  The digits are formed
+    arithmetically, as np.indices allows at most 64 dimensions and a
+    profile may have more voters."""
     size = len(ranks)
-    flat = np.arange(size ** (2 * k - 1))
+    flat = np.arange(entries)
     return np.concatenate([
         _winner_mask(_gather_ranks(ranks, flat[lo:lo + block_rows, None] // weights % size), k)[0]
-        for lo in range(0, len(flat), block_rows)
+        for lo in range(0, entries, block_rows)
     ])
 
 
@@ -477,14 +523,17 @@ def estimate_condorcet_probability(
     if seed is None:
         seed = secrets.randbits(63)
 
-    voters = 2 * k - 1
     block_rows = _block_rows(culture, k)
     tables = table = None
     if culture.kind != "impartial":
         tables = culture.support_positions(), _cumulative_weights(culture)
-        if culture.support_size ** voters <= min(samples, _BLOCK_KEYS):
+        entries = _table_entries(culture, k)
+        if entries <= min(samples, _BLOCK_KEYS):
             weights = _digit_weights(culture, k)
-            table = _winner_table(tables[0], weights, k, block_rows)
+            table = _winner_table(tables[0], weights, k, block_rows, entries)
+            if culture.kind == "cyclic":
+                # One draw of CHUNK_SAMPLES int64 indices, 128 KiB, per chunk.
+                block_rows = CHUNK_SAMPLES
 
     def run_block(
         size: int,
@@ -496,33 +545,43 @@ def estimate_condorcet_probability(
         """Wins among ``size`` profiles drawn with ``tables`` (see
         :func:`_sample_positions`), and the number of profiles judged again
         on 64-bit keys (see :func:`_count_winners_vectorized`)."""
-        if table is not None:
-            idx = _sample_support(culture, k, size, rng, tables[1])
-            return int(np.count_nonzero(table[idx @ weights])), 0
-        keys = _sample_positions(culture, k, size, rng, tables)
-        return _count_winners_vectorized(keys, k, tied, last)
+        if table is None:
+            keys = _sample_positions(culture, k, size, rng, tables)
+            return _count_winners_vectorized(keys, k, tied, last)
+        if culture.kind == "cyclic":
+            flat = rng.integers(0, len(table), size)
+        else:
+            flat = _sample_support(culture, k, size, rng, tables[1]) @ weights
+        return int(np.count_nonzero(table[flat])), 0
 
-    def run_chunk(task: Tuple[int, int]) -> Tuple[int, int, int]:
+    def run_chunk(task: Tuple[int, int], block: Optional[np.ndarray]) -> Tuple[int, int, int]:
         index, size = task
         rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
-        # An impartial chunk reuses a block buffer of its own, as chunks may
-        # run at once on several threads.
         chunk_tables, tied = tables, None
-        if tables is None:
-            chunk_tables = _impartial_block(culture.n, k, min(block_rows, size)), None
-            tied = _TiedProfiles(rng)
+        if block is not None:
+            chunk_tables, tied = (_identity_voter(block), None), _TiedProfiles(rng)
         judged = [
             run_block(min(block_rows, size - lo), rng, chunk_tables, tied, lo + block_rows >= size)
             for lo in range(0, size, block_rows)
         ]
         return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)
 
+    def run_share(share: List[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+        """The counts of each chunk of one worker's share, run in turn.  An
+        impartial share reuses one block buffer of its own for all its
+        chunks, as shares run at once on several threads."""
+        block = None
+        if culture.kind == "impartial":
+            block = _impartial_block(culture.n, k, min(block_rows, max(size for _, size in share)))
+        return [run_chunk(task, block) for task in share]
+
     tasks = _chunk_layout(samples, CHUNK_SAMPLES)
-    if workers == 1 or len(tasks) == 1:
-        counts = [run_chunk(t) for t in tasks]
+    shares = [tasks[w::workers] for w in range(min(workers, len(tasks)))]
+    if len(shares) == 1:
+        counts = run_share(shares[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_chunk, tasks))
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            counts = [c for done in pool.map(run_share, shares) for c in done]
     wins, blocks, rejudged = (sum(column) for column in zip(*counts))
 
     p_hat = wins / samples

@@ -113,6 +113,18 @@ def test_simulate_and_sweep_identical_across_workers(capsys):
     assert len({cell["p_hat"] for cell in cells}) == 2
 
 
+def test_simulate_cyclic_minimiser_identical_across_workers(capsys):
+    """2^19 cyclic (10, 2) profiles, 32 chunks judged by lookup in the
+    100-entry table, give one record at 1, 2 and 3 workers."""
+    argv = ["simulate", "--culture", "cyclic", "--n", "10", "--k", "2",
+            "--samples", "524288", "--seed", "7", "--format", "json"]
+    records = [json.loads(run_capture(capsys, argv + ["--workers", w])[1])["results"]
+               for w in ("1", "2", "3")]
+    assert records[0] == records[1] == records[2]
+    assert records[0]["winner_table"] == 100 and records[0]["blocks"] == 32
+    assert abs(records[0]["p_hat"] - 0.28) < 5 * math.sqrt(0.28 * 0.72 / 524288)
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_one(capsys, workers):
     commands = [
@@ -325,13 +337,14 @@ def test_asymptote_large_n_log10_fields(capsys, n, k, exact, leading):
 
 
 @pytest.mark.parametrize(
-    "culture, n, entries", [("cyclic", 10, 1000), ("impartial", 50, 0)]
+    "culture, n, entries", [("cyclic", 10, 100), ("impartial", 50, 0)]
 )
 def test_simulate_reports_winner_table(capsys, culture, n, entries):
-    """Cyclic (10, 2) judges its profiles by lookup in a table of 10^3
-    entries; the impartial culture has no finite support to tabulate.
-    4096 profiles make one block of cyclic (10, 2) and two of impartial
-    (50, 2), at most 2^18 // (3 n) and 3 * 2^17 // (3 n) profiles each;
+    """Cyclic (10, 2) judges its profiles by lookup in a table of 10^2
+    entries, one per pair of rotations of voters 1 and 2; the impartial
+    culture has no finite support to tabulate.  4096 profiles make one
+    block of cyclic (10, 2), one draw per chunk, and two of impartial
+    (50, 2), at most 3 * 2^17 // (3 n) profiles each;
     rank tensors never tie, and 7 impartial profiles tie on their 16-bit
     keys and are judged again.  Every format also names the stream version
     the seed's p_hat belongs to."""

@@ -82,12 +82,15 @@ def test_impartial_sampling_uniform_chi_squared(n):
 
 
 def test_cyclic_sampling_hits_only_rotations():
-    n = 5
+    """Voter 0 of a cyclic profile holds rotation 0; voters 1..2k-2 are
+    drawn, and in 5000 draws of 5 outcomes each of them hits every
+    rotation."""
+    n, k = 5, 3
     allowed = {rotation_ranking(n, s).order for s in range(n)}
-    counts = Counter(orders(_sample_positions(cyclic_culture(n), 1, 5_000, stream(9))))
-    assert set(counts) <= allowed
-    # every rotation should appear in 5000 draws of 5 outcomes
-    assert len(counts) == n
+    pos = _sample_positions(cyclic_culture(n), k, 5_000, stream(9))
+    assert set(orders(pos[:, 0])) == {rotation_ranking(n, 0).order}
+    for voter in range(1, 2 * k - 1):
+        assert set(Counter(orders(pos[:, voter]))) == allowed
 
 
 def test_explicit_sampling_matches_top_marginal():

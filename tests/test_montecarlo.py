@@ -24,6 +24,7 @@ from condorcet.montecarlo import (
     _key_dtype,
     _sample_positions,
     _sample_support,
+    _table_entries,
     _winner_mask,
     _winner_table,
     estimate_condorcet_probability,
@@ -260,18 +261,24 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
 
 
 @pytest.mark.parametrize(
-    "culture, k", [(cyclic_culture(5), 2), (EXPLICIT_5, 2), (EXPLICIT_5, 3)],
-    ids=["cyclic5_k2", "explicit_k2", "explicit_k3"],
+    "culture, k",
+    [(cyclic_culture(5), 2), (cyclic_culture(4), 3), (EXPLICIT_5, 2), (EXPLICIT_5, 3)],
+    ids=["cyclic5_k2", "cyclic4_k3", "explicit_k2", "explicit_k3"],
 )
-@pytest.mark.parametrize("block_rows", [7, 4096])
+@pytest.mark.parametrize("block_rows", [1, 7, 24, 4096])
 def test_winner_table_matches_oracle(culture, k, block_rows):
-    """Entry sum_v i_v S^(m-1-v) of the winner table is the oracle's verdict
-    on the profile whose voter v holds support ranking i_v, whether the
-    table is built in many blocks or in one."""
+    """Entry sum_v i_v S^(m-1-v) of an explicit culture's winner table is the
+    oracle's verdict on the profile whose voter v holds support ranking i_v.
+    The cyclic table has the n^(2k-2) entries sum_v i_v n^(2k-2-v) over
+    voters 1..2k-2, judged with voter 0 on rotation 0.  Either way the table
+    is the same whether it is built in many blocks or in one."""
     support = [ranking for ranking, _ in culture.expand().entries]
-    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k, block_rows)
-    tuples = list(itertools.product(range(len(support)), repeat=2 * k - 1))
-    assert table.dtype == bool and len(table) == len(tuples)
+    cyclic = culture.kind == "cyclic"
+    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k, block_rows,
+                          _table_entries(culture, k))
+    drawn = 2 * k - 2 if cyclic else 2 * k - 1
+    tuples = [(0,) * cyclic + t for t in itertools.product(range(len(support)), repeat=drawn)]
+    assert table.dtype == bool and len(table) == len(tuples) == len(support) ** drawn
     expected = [
         find_condorcet_winner(Profile(tuple(support[i] for i in t), k)).exists for t in tuples
     ]
@@ -279,20 +286,50 @@ def test_winner_table_matches_oracle(culture, k, block_rows):
     assert 0 < sum(expected) < len(tuples)  # both outcomes occur
 
 
-def replay_key_path(culture, k, samples, seed):
-    """Win count of the run's own draws, judged profile tensor by profile
-    tensor as on the key path: the chunk generators and block sizes of
-    :func:`estimate_condorcet_probability`, with every block of support
-    indices turned into ranks and passed to the knockout kernel."""
+@pytest.mark.parametrize("n, k", [(10, 2), (7, 3), (5, 4), (30, 2)])
+def test_cyclic_table_mean_is_the_closed_form_minimum(n, k):
+    """Fixing voter 0 on rotation 0 keeps the winner probability: the cyclic
+    table's wins over its n^(2k-2) entries are n P(Bin(2k-1, 1/n) >= k),
+    exactly."""
+    culture = cyclic_culture(n)
+    entries = _table_entries(culture, k)
+    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k,
+                          _block_rows(culture, k), entries)
+    assert entries == n ** (2 * k - 2) == len(table)
+    assert Fraction(int(np.count_nonzero(table)), entries) == min_condorcet_probability(n, k)
+
+
+def replay_draws(culture, k, samples, seed, table):
+    """Win count of the run's own draws, each profile judged by the knockout
+    kernel on its rank tensor, and the number of blocks drawn.  The chunk
+    generators are those of :func:`estimate_condorcet_probability`.  On the
+    cyclic ``table`` path a chunk draws one flat index per profile, uniform
+    on the n^(2k-2) tuples of voters 1..2k-2, decoded here into rotations;
+    otherwise it draws blocks of _BLOCK_KEYS // ((2k - 1) n) profiles, the
+    cyclic voters 1..2k-2 uniform on the rotations, the explicit voters
+    with their weights.  A cyclic voter 0 holds rotation 0."""
+    n, voters = culture.n, 2 * k - 1
     ranks = np.array([ranking.positions for ranking, _ in culture.expand().entries])
-    rows = max(1, _BLOCK_KEYS // ((2 * k - 1) * culture.n))
-    wins = 0
+    rows = max(1, _BLOCK_KEYS // (voters * n))
+    if table and culture.kind == "cyclic":
+        rows = CHUNK_SAMPLES
+    wins = blocks = 0
     for index, size in _chunk_layout(samples, CHUNK_SAMPLES):
-        rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
+        rng = np.random.default_rng(mix64(seed, n, k, index, STREAM_VERSION))
         for lo in range(0, size, rows):
-            idx = _sample_support(culture, k, min(rows, size - lo), rng)
+            count = min(rows, size - lo)
+            if culture.kind != "cyclic":
+                idx = _sample_support(culture, k, count, rng)
+            else:
+                if table:
+                    flat = rng.integers(0, n ** (voters - 1), count)
+                    drawn = flat[:, None] // n ** np.arange(voters - 2, -1, -1) % n
+                else:
+                    drawn = rng.integers(0, n, (count, voters - 1), dtype=np.int32)
+                idx = np.concatenate([np.zeros((count, 1), dtype=drawn.dtype), drawn], axis=1)
             wins += _count_winners_vectorized(ranks[idx], k)[0]
-    return wins
+            blocks += 1
+    return wins, blocks
 
 
 @pytest.mark.parametrize(
@@ -305,27 +342,32 @@ def replay_key_path(culture, k, samples, seed):
     ids=["cyclic10_w1", "cyclic10_w2", "explicit_k2"],
 )
 def test_table_path_equals_key_path(culture, k, samples, workers):
-    """A culture with S^(2k-1) <= min(samples, _BLOCK_KEYS) is judged by
-    lookup; it draws exactly what the key path draws, so p_hat is the key
-    path's, bit for bit."""
+    """A culture whose table has at most min(samples, _BLOCK_KEYS) entries is
+    judged by lookup.  Replayed with each drawn profile judged by the
+    kernel, its draws give p_hat bit for bit; a cyclic chunk is one block."""
     est = estimate_condorcet_probability(culture, k, samples, seed=23, workers=workers)
-    assert est.winner_table == culture.support_size ** (2 * k - 1)
-    assert est.p_hat == replay_key_path(culture, k, samples, 23) / samples
+    assert est.winner_table == _table_entries(culture, k)
+    wins, blocks = replay_draws(culture, k, samples, 23, table=True)
+    assert est.p_hat == wins / samples and est.blocks == blocks
+    if culture.kind == "cyclic":
+        assert est.blocks == 2
 
 
 def test_table_needs_no_more_entries_than_samples(monkeypatch):
-    """Cyclic (5, 2) has 125 support tuples: 125 samples build the table,
-    124 stay on the key path and sample rank tensors."""
+    """Cyclic (5, 2) has 25 tuples of voters 1 and 2: 25 samples build the
+    table, 24 stay on the key path and sample rank tensors.  Both give the
+    p_hat of their own draws, replayed."""
     drawn = record_blocks(monkeypatch)
     culture = cyclic_culture(5)
-    on_keys = estimate_condorcet_probability(culture, 2, 124, seed=4)
+    on_keys = estimate_condorcet_probability(culture, 2, 24, seed=4)
     assert on_keys.winner_table == 0
-    assert sum(len(block) for block in drawn) == 124
-    assert on_keys.p_hat == replay_key_path(culture, 2, 124, 4) / 124
+    assert sum(len(block) for block in drawn) == 24
+    assert (drawn[0][:, 0] == np.arange(5)).all()  # voter 0 on rotation 0
+    assert on_keys.p_hat == replay_draws(culture, 2, 24, 4, table=False)[0] / 24
     drawn.clear()
-    by_table = estimate_condorcet_probability(culture, 2, 125, seed=4)
-    assert by_table.winner_table == 125 and drawn == []
-    assert by_table.p_hat == replay_key_path(culture, 2, 125, 4) / 125
+    by_table = estimate_condorcet_probability(culture, 2, 25, seed=4)
+    assert by_table.winner_table == 25 and drawn == []
+    assert by_table.p_hat == replay_draws(culture, 2, 25, 4, table=True)[0] / 25
 
 
 def assert_kernel_matches_oracle_on(pool, seed):
@@ -467,6 +509,31 @@ def test_at_most_votes_judge_tied_keys_soundly(k):
             assert all(untied)
 
 
+@pytest.mark.parametrize(
+    "culture, k, table",
+    [(cyclic_culture(10), 2, 100), (cyclic_culture(9), 3, 0), (EXPLICIT_5, 2, 64),
+     (EXPLICIT_5, 3, 0), (impartial_culture(7), 2, 0)],
+    ids=["cyclic_table", "cyclic_ranks", "explicit_table", "explicit_ranks", "impartial"],
+)
+def test_workers_give_bit_identical_estimates(monkeypatch, culture, k, table):
+    """Each worker runs a fixed share of the chunks, every chunk on its own
+    generator, so p_hat, the blocks and the profiles judged again are the
+    same for 1, 2, 3 and 5 workers.  1000 samples make four chunks of at
+    most 256 profiles, so 5 workers are more than there are chunks, and
+    shares of one and of two chunks occur.  Impartial blocks hold at most 45
+    profiles, so a chunk ends on a short block, which breaks the layout of
+    the block buffer the next chunk of its share reuses."""
+    monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 256)
+    monkeypatch.setattr(montecarlo, "_NARROW_BLOCK_KEYS", 45 * (2 * k - 1) * culture.n)
+    runs = [estimate_condorcet_probability(culture, k, 1_000, seed=13, workers=workers)
+            for workers in (1, 2, 3, 5)]
+    assert all(run == runs[0] for run in runs[1:])
+    assert runs[0].winner_table == table and runs[0].blocks >= 4
+    if culture.kind == "impartial":
+        wins, rejudged, blocks = replay_impartial(culture.n, k, 1_000, 13)
+        assert runs[0].p_hat == wins / 1_000 and runs[0].blocks == len(blocks) == 24
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tied_profiles_are_judged_on_64_bit_keys(monkeypatch, workers):
     """A sampler keeping 4 bits of each drawn voter's 16-bit keys makes
@@ -495,17 +562,17 @@ def test_tied_profiles_are_judged_on_64_bit_keys(monkeypatch, workers):
     assert est.p_hat == wins / samples
 
 
-# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 6,
-# where impartial keys of (2k - 2)(n - 1) <= 2048 are drawn as uint16 and
-# only the profiles that tie are judged again.  A change to the draw order,
-# the key width or the block sizes moves them; such a change must bump
-# STREAM_VERSION and re-pin them here.
+# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 7,
+# where impartial keys of (2k - 2)(n - 1) <= 2048 are drawn as uint16, only
+# the profiles that tie are judged again, and a cyclic voter 0 holds
+# rotation 0.  A change to the draw order, the key width or the block sizes
+# moves them; such a change must bump STREAM_VERSION and re-pin them here.
 STREAM_PINS = [
-    (impartial_culture(200), 2, 4_096, 1, 793, 28),
-    (impartial_culture(50), 5, 20_000, 1, 4_112, 164),
-    (impartial_culture(50), 5, 20_000, 2, 4_112, 164),
-    (cyclic_culture(40), 3, 20_000, 1, 124, 0),
-    (EXPLICIT_5, 3, 1_000, 1, 780, 0),
+    (impartial_culture(200), 2, 4_096, 1, 749, 30),
+    (impartial_culture(50), 5, 20_000, 1, 4_146, 146),
+    (impartial_culture(50), 5, 20_000, 2, 4_146, 146),
+    (cyclic_culture(40), 3, 20_000, 1, 112, 0),
+    (EXPLICIT_5, 3, 1_000, 1, 768, 0),
 ]
 
 
@@ -517,7 +584,7 @@ STREAM_PINS = [
 def test_stream_is_pinned(culture, k, samples, workers, wins, rejudged):
     """Every pinned run is on the key path, with no winner table; the
     impartial runs judge some profiles again, the rank tensors none."""
-    assert STREAM_VERSION == 6
+    assert STREAM_VERSION == 7
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
     assert est.winner_table == 0 and est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
@@ -538,15 +605,17 @@ def test_sampled_blocks_are_alternative_major(culture, k):
     assert pos.transpose(1, 2, 0).flags.c_contiguous
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_key_width_switches_at_the_threshold(k):
     """Impartial keys are uint16 while a profile's knockout compares at most
-    _NARROW_COMPARISONS pairs of drawn keys, (2k - 2)(n - 1), and uint32
-    from the next n on; the sampler's keys and the block sizes follow.  On
-    the uint16 side the profiles judged again stay under 7% (3.4-4%
-    measured on 8192 profiles), and on the uint32 side under 0.1%.  At k = 1 no key is
-    drawn, and voter 0's keys 0..n-1 fit uint16 up to n = 2^16."""
-    last = _NARROW_COMPARISONS // (2 * k - 2) + 1
+    _NARROW_COMPARISONS[k] pairs of drawn keys, (2k - 2)(n - 1), 2048 at
+    k = 2 and 3072 at k = 3, 4 and 5, and uint32 from the next n on; the
+    sampler's keys and the block sizes follow.  On the uint16 side the
+    profiles judged again stay under 7% (3.4-4% measured on 8192 profiles
+    at 2048 pairs, 5.0-5.2% at 3072), and on the uint32 side under 0.1%.
+    Other k take k = 2's threshold.  At k = 1 no key is drawn, and voter 0's
+    keys 0..n-1 fit uint16 up to n = 2^16."""
+    last = _NARROW_COMPARISONS[k] // (2 * k - 2) + 1
     rng = np.random.default_rng(mix64(67, k))
     for n, dtype, keys, share in ((last, np.uint16, _NARROW_BLOCK_KEYS, 0.07),
                                   (last + 1, np.uint32, _BLOCK_KEYS, 0.001)):
@@ -557,6 +626,7 @@ def test_key_width_switches_at_the_threshold(k):
         est = estimate_condorcet_probability(culture, k, 2_048, seed=67)
         assert est.rejudged_profiles < share * est.samples
     assert _key_dtype(2 ** 16, 1) is np.uint16 and _key_dtype(2 ** 16 + 1, 1) is np.uint32
+    assert _key_dtype(205, 6) is np.uint16 and _key_dtype(206, 6) is np.uint32
 
 
 def assert_keys_vary(keys):
@@ -720,6 +790,19 @@ def test_confidence_interval_covers_the_exact_value_at_two_hundred_alternatives(
     assert hits >= 180
 
 
+def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():
+    """The Wilson 95% interval of short cyclic (10, 2) runs, judged by
+    lookup in the 100-entry table, covers the closed-form minimum 0.28 in at
+    least 90% of 200 seeds."""
+    exact = float(min_condorcet_probability(10, 2))
+    hits = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(cyclic_culture(10), 2, 2000, seed=mix64(2026, rep))
+        assert est.winner_table == 100
+        hits += est.ci_low <= exact <= est.ci_high
+    assert hits >= 180
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         estimate_condorcet_probability(impartial_culture(3), 2, 0, seed=1)
@@ -739,9 +822,9 @@ def test_input_validation():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     """An explicit culture on the key path reads its rank table and its
-    cumulative weights in every block, but builds each once per estimate;
-    the winner-table path (cyclic (10, 2)) builds its winner table from the
-    same rank table."""
+    cumulative weights in every block (three per chunk here), but builds
+    each once per estimate; the winner-table path (cyclic (10, 2), one
+    block per chunk) builds its winner table from the same rank table."""
     built = []
     real_positions, real_weights = Culture.support_positions, montecarlo._cumulative_weights
     monkeypatch.setattr(Culture, "support_positions",
@@ -749,12 +832,13 @@ def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_cumulative_weights",
                         lambda culture: built.append("_cumulative_weights") or real_weights(culture))
     samples = 3 * CHUNK_SAMPLES
-    for culture, k, table in ((EXPLICIT_5, 5, 0), (cyclic_culture(10), 2, 10 ** 3)):
+    for culture, k, table, blocks in ((EXPLICIT_5, 5, 0, 9), (cyclic_culture(10), 2, 10 ** 2, 3)):
         built.clear()
         est = estimate_condorcet_probability(culture, k, samples, seed=29, workers=workers)
-        assert est.winner_table == table and est.blocks > 3
+        assert est.winner_table == table
         assert sorted(built) == ["_cumulative_weights", "support_positions"]
-        assert est.p_hat == replay_key_path(culture, k, samples, 29) / samples
+        wins, replayed = replay_draws(culture, k, samples, 29, table > 0)
+        assert est.p_hat == wins / samples and est.blocks == replayed == blocks
 
 
 def test_sweep_cells_reproduce_in_isolation():

@@ -36,7 +36,11 @@ from .model import Culture
 # Version 7: voter 0 of a cyclic profile holds rotation 0 and only voters
 # 1..2k-2 are drawn; on the winner-table path each chunk draws one uniform
 # table index per profile in one call.
-STREAM_VERSION = 7
+# Version 8: a tied impartial profile is judged again on a ladder of keys,
+# each rung doubling their width with fresh low bits drawn as keys of the
+# old width: 16-bit keys go to 32 bits, and only the profiles that tie
+# again go on to 64 bits; 32-bit keys go to 64 bits at once.
+STREAM_VERSION = 8
 
 _MASK64 = (1 << 64) - 1
 

@@ -56,8 +56,8 @@ class ExactProbability:
     counter None: ``winner_checks`` counts the multisets the enumeration
     judged, summed over its walks, at most the multiset count times the
     number of alternatives walked; ``moves`` counts the weighted histogram
-    moves the programme applied, summed over its voters, at most
-    :func:`impartial_move_bound`.
+    moves the programme applied, summed over its voters but the last, which
+    makes none, at most :func:`impartial_move_bound`.
     """
 
     value: Fraction
@@ -81,9 +81,11 @@ def multiset_count(support: int, k: int) -> int:
 
 
 def impartial_move_bound(n: int, k: int) -> int:
-    """The most moves the impartial programme can apply: (2k-1) C(n+2k-3,
-    2k-2), each voter applying at most the sum over all histograms h of the
-    n-1 rivals of prod_{c<k-1} (h_c + 1), the moves of h."""
+    """A bound on the moves the impartial programme applies: (2k-1)
+    C(n+2k-3, 2k-2), each of the 2k-1 voters counted as applying at most
+    the sum over all histograms h of the n-1 rivals of prod_{c<k-1}
+    (h_c + 1), the moves of h.  The last voter applies none, so the bound
+    is loose by at least a factor (2k-1)/(2k-2)."""
     return (2 * k - 1) * math.comb(n + 2 * k - 3, 2 * k - 2)
 
 
@@ -126,11 +128,15 @@ def _impartial_probability(n: int, k: int, max_winner_checks: int) -> ExactProba
     n!.  The numerators are divided by their gcd g, which at n = 800 cuts the
     per-voter denominator n!/g from 1977 digits to 345.  The state is the
     histogram of the rivals by their votes over 0, starting with all n-1 in
-    class 0; its mass is an integer over (n!/g)^voters.  Each state's moves
-    (:func:`_histogram_moves`) are built once and reused by every voter that
-    reaches it.  After the last voter the total mass, times n, is the
-    answer, made a ``Fraction`` once.  For n <= 2 some alternative always
-    wins and no move is made.
+    class 0; its mass is an integer over (n!/g)^voters.  Voters 0..2k-3
+    move it (:func:`_histogram_moves`).  A state's moves are built once
+    and kept only while a later moving voter will reach it again, which it
+    does, by the move that ranks no rival above 0.  The last voter makes no
+    move: 0 wins when it ranks 0 above the j rivals of class k-1, which a
+    uniform ranking does with chance 1/(j+1), so each final state adds its
+    mass times (n!/g)/(j+1), which is sum_r C(n-1-j, r) scaled[r] and so an
+    integer.  The total, times n, is the answer, made a ``Fraction`` once.
+    For n <= 2 some alternative always wins and no move is made.
 
     Raises :class:`CapExceededError` (``max_winner_checks``) before any
     move when :func:`impartial_move_bound` exceeds the cap.
@@ -146,17 +152,23 @@ def _impartial_probability(n: int, k: int, max_winner_checks: int) -> ExactProba
     scaled = [x // g for x in numerators]
     start = ((0, rivals),)
     mass, moves_of, interned, moves = {start: 1}, {}, {start: start}, 0
-    for _ in range(2 * k - 1):
+    for voter in range(2 * k - 2):
+        revisited = voter < 2 * k - 3
         after: dict = {}
         for state, weight in mass.items():
             moves_here = moves_of.get(state)
             if moves_here is None:
-                moves_here = moves_of[state] = _histogram_moves(state, k, scaled, interned)
+                moves_here = _histogram_moves(state, k, scaled, interned)
+                if revisited:
+                    moves_of[state] = moves_here
             moves += len(moves_here)
             for target, step in moves_here:
                 after[target] = after.get(target, 0) + weight * step
         mass = after
-    won = Fraction(sum(mass.values()), (math.factorial(n) // g) ** (2 * k - 1))
+    per_voter = math.factorial(n) // g
+    total = sum(weight * (per_voter // (dict(state).get(k - 1, 0) + 1))
+                for state, weight in mass.items())
+    won = Fraction(total, per_voter ** (2 * k - 1))
     return ExactProbability(n * won, "dp", (won,) * n, moves=moves)
 
 

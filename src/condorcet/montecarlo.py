@@ -39,10 +39,13 @@ comparison it made was a tie, or which it calls a winner while a rival
 holds a key equal to its champion's; an unflagged profile's verdict is the
 one it would give on the 64-bit keys, whatever their low bits.  The
 flagged profiles, about 3% at n = 800, k = 2 on 16-bit keys and 0.7% at
-n = 200, k = 2, are held by the chunk (see :class:`_TiedProfiles`), given
-their low bits from its generator and judged again on the 64-bit keys, so
-p_hat is the 64-bit estimator's and its bias bound, (2k - 2) C(n, 2) /
-2^64, does not depend on the first pass's key width.
+n = 200, k = 2, are held by the chunk (see :class:`_TiedProfiles`) and
+judged again on a ladder of wider keys, each rung doubling the width with
+low bits from the chunk's generator: 16-bit keys go to 32 bits, and only
+the profiles that tie again go on to 64 bits, where 32-bit keys go at
+once.  The last rung is always 64 bits, so p_hat is the 64-bit
+estimator's and its bias bound, (2k - 2) C(n, 2) / 2^64, does not depend
+on the first pass's key width.
 
 The same holds for the cyclic culture under a rotation of the labels: the
 profiles with voter 0 on rotation r map onto those with voter 0 on
@@ -69,7 +72,7 @@ import math
 import secrets
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,8 +95,9 @@ _BLOCK_KEYS = 1 << 18
 # chunk, after a first one, grew from 1.6 to 1.8 and 2.1 MiB.
 _NARROW_BLOCK_KEYS = 3 << 17
 # Keys of tied profiles judged again on uint64 keys in one kernel call,
-# 192 KiB.  A call costs about 0.2 ms however few profiles it judges, so
-# tied profiles gather over blocks first.  At n = 800, k = 2, in process on
+# 192 KiB; a call on uint32 keys judges twice as many keys, the same bytes.
+# A call costs about 0.2 ms however few profiles it judges, so tied
+# profiles gather over blocks first.  At n = 800, k = 2, in process on
 # 2 vCPUs, pieces of 128 KiB took 11% longer than pieces of 256 KiB, and
 # 256 KiB pieces added 0.3 MB to a forked child's peak RSS, where 192 KiB
 # pieces kept it at the 32-bit path's.
@@ -132,7 +136,8 @@ class Estimate:
     ``blocks`` counts the blocks the chunks were sampled in, one per chunk
     on the cyclic table path, and
     ``rejudged_profiles`` the profiles in whose 16- or 32-bit keys the
-    kernel met a tie, so it judged them again on 64-bit keys.
+    kernel met a tie, so it judged them again on wider keys, at least
+    once.
     """
 
     p_hat: float
@@ -390,59 +395,82 @@ def _winner_mask(pos: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return winner, tied
 
 
-class _TiedProfiles:
-    """The profiles of one impartial chunk whose 16- or 32-bit keys tied,
-    held as (voters, n, profiles) keys until they are judged on 64-bit keys.
+def _widen(keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``keys``, a (voters, n, profiles) array of 16- or 32-bit impartial
+    keys, as keys of twice the width that extend them in the low bits:
+    every key shifted up by its width, and each drawn voter's key given as
+    many fresh low bits, drawn from ``rng`` as keys of the old width (see
+    :func:`_random_keys`).  Voter 0's keys, the distinct identity keys of
+    the sampler, are only shifted."""
+    voters, n, rows = keys.shape
+    wide = np.left_shift(keys, 8 * keys.dtype.itemsize, dtype=f"u{2 * keys.dtype.itemsize}")
+    wide[1:] |= _random_keys((rows, voters - 1, n), rng, keys.dtype).transpose(1, 2, 0)
+    return wide
 
-    A held profile's drawn voters' keys are the high bits of uint64 keys.
-    Once ``_REJUDGE_KEYS`` keys' worth of profiles is held, or the chunk's
-    last block has been judged, the held profiles get their low 48 or 32
-    bits from the chunk's generator in the order they were held, one piece
-    of that size at a time, laid out alternative-major as (2k - 2, n,
-    profiles).  Voter 0's keys, the distinct identity keys of the sampler,
-    are only shifted.  The kernel then judges each piece on the 64-bit keys,
-    whatever those tie, so the estimator is the 64-bit keys' one.  Which
-    profiles tie follows from the chunk's own draws, so the order of the
-    generator calls, and p_hat, depend on (seed, version) alone.
+
+class _TiedProfiles:
+    """The profiles of one impartial chunk whose keys tied, held as (voters,
+    n, profiles) keys by width until they are judged on wider keys.
+
+    A held profile's drawn voters' keys are the high bits of uint64 keys,
+    and each rung of a ladder doubles their width (see :func:`_widen`): a
+    profile flagged on 16-bit keys is judged again on 32-bit keys, and only
+    one that ties again on those goes on to 64-bit keys, as does one
+    flagged on 32-bit keys.  Once a piece's worth of profiles is held at a
+    width, 192 KiB of the widened keys (``_REJUDGE_KEYS`` 64-bit keys, or
+    twice as many 32-bit ones), or the chunk's last block has been judged,
+    the held profiles get their low bits from the chunk's generator in the
+    order they were held, one piece at a time, 16-bit profiles before
+    32-bit ones, and the kernel judges each piece.  The 64-bit keys' rung
+    takes the verdicts whatever those tie, so the estimator is the 64-bit
+    keys' one.  Which profiles tie follows from the chunk's own draws, so
+    the order of the generator calls, and p_hat, depend on (seed, version)
+    alone.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.held: List[np.ndarray] = []
+        self.held: Dict[int, List[np.ndarray]] = {16: [], 32: []}
 
     def judge(self, keys: np.ndarray, k: int, last: bool) -> Tuple[int, int]:
         """Hold ``keys`` and judge every whole piece held, or everything held
-        when ``last``: the wins among the profiles judged, and their number."""
-        if keys.shape[2]:
-            self.held.append(keys)
+        when ``last``: the wins among the profiles whose verdicts are taken,
+        and the number of ``keys``' width that were judged again."""
         voters, n = keys.shape[:2]
-        rows = max(1, _REJUDGE_KEYS // (voters * n))
-        count = sum(held.shape[2] for held in self.held)
-        cut = count if last else count - count % rows
-        if cut == 0:
-            return 0, 0
-        held = np.concatenate(self.held, axis=2)
-        self.held = [held[:, :, cut:]]
-        width = 8 * held.dtype.itemsize
-        wins = 0
-        for lo in range(0, cut, rows):
-            wide = np.left_shift(held[:, :, lo:min(lo + rows, cut)], 64 - width, dtype=np.uint64)
-            low = _random_keys((wide.shape[2], voters - 1, n), self.rng, np.uint64)
-            low >>= np.uint64(width)
-            wide[1:] |= low.transpose(1, 2, 0)
-            wins += int(np.count_nonzero(_winner_mask(wide.transpose(2, 0, 1), k)[0]))
-        return wins, cut
+        first = 8 * keys.dtype.itemsize
+        if keys.shape[2]:
+            self.held[first].append(keys)
+        wins = judged = 0
+        for width in (16, 32):
+            rows = max(1, _REJUDGE_KEYS * 32 // width // (voters * n))
+            count = sum(held.shape[2] for held in self.held[width])
+            cut = count if last else count - count % rows
+            if cut == 0:
+                continue
+            held = np.concatenate(self.held[width], axis=2)
+            self.held[width] = [held[:, :, cut:]]
+            if width == first:
+                judged = cut
+            for lo in range(0, cut, rows):
+                wide = _widen(held[:, :, lo:min(lo + rows, cut)], self.rng)
+                winner, tied = _winner_mask(wide.transpose(2, 0, 1), k)
+                if width == 16 and tied.any():
+                    self.held[32].append(wide[:, :, tied])
+                    winner &= ~tied
+                wins += int(np.count_nonzero(winner))
+        return wins, judged
 
 
 def _count_winners_vectorized(
     pos: np.ndarray, k: int, tied: Optional[_TiedProfiles] = None, last: bool = True
 ) -> Tuple[int, int]:
     """Wins counted in this call, and the number of profiles it judged again
-    on 64-bit keys.
+    on wider keys.
 
     The profiles in which :func:`_winner_mask` flags a tie on impartial 16-
     or 32-bit keys go to the chunk's ``tied``; their wins are counted when
-    it judges them on 64-bit keys, in this call or a later block's.
+    it takes their verdicts on wider keys, in this call or a later
+    block's.
     ``last`` marks the chunk's last block, after which nothing stays held.
     Without ``tied`` the verdicts are taken as they are, which is exact for
     rank tensors, which never tie, and for 64-bit keys; narrow keys that tie
@@ -544,7 +572,7 @@ def estimate_condorcet_probability(
     ) -> Tuple[int, int]:
         """Wins among ``size`` profiles drawn with ``tables`` (see
         :func:`_sample_positions`), and the number of profiles judged again
-        on 64-bit keys (see :func:`_count_winners_vectorized`)."""
+        on wider keys (see :func:`_count_winners_vectorized`)."""
         if table is None:
             keys = _sample_positions(culture, k, size, rng, tables)
             return _count_winners_vectorized(keys, k, tied, last)

@@ -79,38 +79,86 @@ def oracle_winners(pos, k):
     ]
 
 
-def widen(pos, rng):
-    """The 64-bit keys that extend a tensor of 16- or 32-bit impartial keys
-    in the low bits: voter 0's keys shifted, and the drawn voters' keys
-    given low bits from ``rng``, one generator word per key, laid out
-    alternative-major as (2k - 2, n, profiles)."""
-    bits = 8 * pos.dtype.itemsize
+def widen(pos, rng, bits=64, keep=None):
+    """The ``bits``-bit keys that extend a tensor of 16- or 32-bit impartial
+    keys in the low bits, made as the re-judge ladder makes them, one rung
+    at a time, each doubling the width: voter 0's keys shifted, and the
+    drawn voters' keys given as many low bits as they had, drawn from
+    ``rng`` as keys of their width, 64 / width per generator word, laid out
+    alternative-major as (2k - 2, n, profiles).  ``keep`` masks the low
+    bits drawn as 16-bit keys, as a sampler patched the same way would."""
     rows, voters, n = pos.shape
-    keys = pos.transpose(1, 2, 0).astype(np.uint64) << np.uint64(64 - bits)
-    low = rng.bit_generator.random_raw((voters - 1) * n * rows).reshape(voters - 1, n, rows)
-    keys[1:] |= low >> np.uint64(bits)
+    keys = pos.transpose(1, 2, 0)
+    while 8 * keys.dtype.itemsize < bits:
+        width, count = 8 * keys.dtype.itemsize, (voters - 1) * n * rows
+        words = rng.bit_generator.random_raw(-(-count * width // 64)).astype("<u8")
+        low = words.view(f"<u{width // 8}")[:count].reshape(voters - 1, n, rows)
+        if keep is not None and width == 16:
+            low = low & keep
+        wider = np.dtype(f"u{width // 4}")
+        keys = keys.astype(wider) << wider.type(width)
+        keys[1:] |= low
     return keys.transpose(2, 0, 1)
 
 
-def rejudge_piece(n, k):
-    """Tied profiles judged again per draw of low bits."""
-    return max(1, montecarlo._REJUDGE_KEYS // ((2 * k - 1) * n))
+def rejudge_piece(n, k, bits):
+    """Tied profiles widened to ``bits``-bit keys per draw of low bits:
+    192 KiB of them."""
+    return max(1, montecarlo._REJUDGE_KEYS * 64 // bits // ((2 * k - 1) * n))
+
+
+class Ladder:
+    """The re-judge of one impartial chunk, replayed with the all-pairs
+    oracle.  The profiles the kernel flags are held by key width and
+    widened one rung at a time (see :func:`widen`), in
+    :func:`rejudge_piece` pieces, 16-bit pieces before 32-bit ones, each
+    piece's low bits drawn from the chunk's generator ``rng`` in the order
+    its profiles were held.  A profile widened to 32 bits that the kernel
+    flags again is held for the 64-bit rung; every other one is judged by
+    the oracle on its keys extended to 64 bits by low bits from ``spare``,
+    on which its verdict does not depend.  It counts the wins, the profiles
+    held from a first pass (``rejudged``) and the profiles each rung
+    widened (``rungs``, by the width they reach)."""
+
+    def __init__(self, rng, spare, n, k, keep=None):
+        self.rng, self.spare, self.n, self.k, self.keep = rng, spare, n, k, keep
+        self.held = {16: [], 32: []}
+        self.wins = self.rejudged = 0
+        self.rungs = {32: 0, 64: 0}
+
+    def hold(self, profiles):
+        self.held[8 * profiles.dtype.itemsize].extend(profiles)
+        self.rejudged += len(profiles)
+
+    def flush(self, last):
+        for width in (16, 32):
+            piece, held = rejudge_piece(self.n, self.k, 2 * width), self.held[width]
+            while len(held) >= piece or (held and last):
+                group, held = np.stack(held[:piece]), held[piece:]
+                wide = widen(group, self.rng, 2 * width, self.keep)
+                self.rungs[2 * width] += len(group)
+                if width == 16:
+                    tied = _winner_mask(wide, self.k)[1]
+                    self.wins += sum(oracle_winners(widen(wide[~tied], self.spare), self.k))
+                    self.held[32].extend(wide[tied])
+                else:
+                    self.wins += sum(oracle_winners(wide, self.k))
+            self.held[width] = held
 
 
 def oracle_on_64_bit_keys(pos, k, rng):
-    """The oracle's verdicts on the 64-bit keys that a chunk with generator
+    """The oracle's win count on the 64-bit keys that a chunk with generator
     ``rng`` gives the impartial key tensor ``pos`` when it is the chunk's
-    only block: each profile the kernel flags as tied takes its low bits
-    from ``rng``, in order, :func:`rejudge_piece` profiles per draw; every
-    other profile takes them from a generator of its own, as its verdict
-    does not depend on them."""
+    only block: the profiles the kernel flags climb the ladder (see
+    :class:`Ladder`); every other profile takes its low bits from a
+    generator of its own, as its verdict does not depend on them."""
     rows, voters, n = pos.shape
-    full = widen(pos, np.random.default_rng(mix64(rows, n, 71)))
-    tied = np.flatnonzero(_winner_mask(pos, k)[1])
-    piece = rejudge_piece(n, k)
-    for lo in range(0, len(tied), piece):
-        full[tied[lo:lo + piece]] = widen(pos[tied[lo:lo + piece]], rng)
-    return oracle_winners(full, k)
+    spare = np.random.default_rng(mix64(rows, n, 71))
+    tied = _winner_mask(pos, k)[1]
+    ladder = Ladder(rng, spare, n, k)
+    ladder.hold(pos[tied])
+    ladder.flush(last=True)
+    return sum(oracle_winners(widen(pos[~tied], spare), k)) + ladder.wins
 
 
 def test_naive_and_vectorized_kernels_agree():
@@ -126,7 +174,7 @@ def test_naive_and_vectorized_kernels_agree():
         rng = np.random.default_rng(mix64(3, culture.n, k))
         pos = _sample_positions(culture, k, 2_048, rng)
         if culture.kind == "impartial":
-            slow = sum(oracle_on_64_bit_keys(pos, k, np.random.default_rng(8)))
+            slow = oracle_on_64_bit_keys(pos, k, np.random.default_rng(8))
             tied = _TiedProfiles(np.random.default_rng(8))
             fast = _count_winners_vectorized(pos, k, tied)
             assert fast == (slow, np.count_nonzero(_winner_mask(pos, k)[1]))
@@ -143,31 +191,32 @@ EXPLICIT_5 = culture_from_entries(
 )
 
 
-def replay_impartial(n, k, samples, seed, keep=None):
+def replay_impartial(n, k, samples, seed, keep=None, keep_low=None):
     """Win count and number of profiles judged again of an impartial run,
-    replayed with the all-pairs oracle, and the blocks it draws.
+    replayed with the all-pairs oracle, the blocks it draws, and the
+    profiles each rung of the re-judge ladder widened.
 
     The replay makes the production path's generator calls in its order,
     chunk by chunk: each block's drawn voters' keys, (2k - 2, n, rows) of
-    :func:`_key_dtype`, 8 / itemsize per generator word, and, whenever
-    :func:`rejudge_piece` tied profiles are held or the chunk's last block
-    is drawn, the low bits of each such piece of tied profiles in turn, in
-    the order they tied.  A tied profile is one the kernel flags; each is
-    judged by the oracle on its 64-bit keys, and every other profile on
-    its keys extended by low bits from another generator, on which its
-    verdict does not depend.  ``keep`` masks the drawn voters' keys, as a
-    sampler patched the same way would."""
+    :func:`_key_dtype`, 8 / itemsize per generator word, and after each
+    block the low bits of every whole piece of tied profiles, or of all
+    of them after the chunk's last block (see :class:`Ladder`).  A tied
+    profile is one the kernel flags; each profile whose keys never tie is
+    judged by the oracle on its keys extended by low bits from another
+    generator, on which its verdict does not depend.  ``keep`` masks the
+    drawn voters' keys and ``keep_low`` the low bits drawn as 16-bit keys,
+    as a sampler patched the same way would."""
     voters = 2 * k - 1
     dtype = np.dtype(_key_dtype(n, k))
     keys = montecarlo._NARROW_BLOCK_KEYS if dtype == np.uint16 else montecarlo._BLOCK_KEYS
     rows = max(1, keys // (voters * n))
-    piece = rejudge_piece(n, k)
     wins = rejudged = 0
+    rungs = {32: 0, 64: 0}
     blocks = []
     for index, size in _chunk_layout(samples, montecarlo.CHUNK_SAMPLES):
         rng = np.random.default_rng(mix64(seed, n, k, index, STREAM_VERSION))
         spare = np.random.default_rng(mix64(seed, index, 71))
-        held = []
+        ladder = Ladder(rng, spare, n, k, keep_low)
         for lo in range(0, size, rows):
             shape = (voters - 1, n, min(rows, size - lo))
             words = rng.bit_generator.random_raw(-(-math.prod(shape) * dtype.itemsize // 8))
@@ -180,12 +229,13 @@ def replay_impartial(n, k, samples, seed, keep=None):
             blocks.append(block)
             tied = _winner_mask(block, k)[1]
             wins += sum(oracle_winners(widen(block[~tied], spare), k))
-            held.extend(block[tied])
-            while len(held) >= piece or (held and lo + rows >= size):
-                group, held = np.stack(held[:piece]), held[piece:]
-                wins += sum(oracle_winners(widen(group, rng), k))
-                rejudged += len(group)
-    return wins, rejudged, blocks
+            ladder.hold(block[tied])
+            ladder.flush(last=lo + rows >= size)
+        wins += ladder.wins
+        rejudged += ladder.rejudged
+        for bits in rungs:
+            rungs[bits] += ladder.rungs[bits]
+    return wins, rejudged, blocks, rungs
 
 
 def record_blocks(monkeypatch):
@@ -248,7 +298,7 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
     assert [(bool(m[0]), bool(t[0])) for m, t in alone] == list(zip(mask.tolist(), tied.tolist()))
     assert mask[~tied].tolist() == expected[~tied].tolist()
     if impartial:
-        wins, rejudged, blocks = replay_impartial(culture.n, k, profiles, 17)
+        wins, rejudged, blocks, _ = replay_impartial(culture.n, k, profiles, 17)
         assert len(blocks) == len(drawn) and all((b == d).all() for b, d in zip(blocks, drawn))
         assert est.p_hat == wins / profiles
         assert est.rejudged_profiles == rejudged == np.count_nonzero(tied)
@@ -530,8 +580,19 @@ def test_workers_give_bit_identical_estimates(monkeypatch, culture, k, table):
     assert all(run == runs[0] for run in runs[1:])
     assert runs[0].winner_table == table and runs[0].blocks >= 4
     if culture.kind == "impartial":
-        wins, rejudged, blocks = replay_impartial(culture.n, k, 1_000, 13)
+        wins, rejudged, blocks, _ = replay_impartial(culture.n, k, 1_000, 13)
         assert runs[0].p_hat == wins / 1_000 and runs[0].blocks == len(blocks) == 24
+
+
+def shrink_chunks(monkeypatch, n, k):
+    """Chunks of 256 profiles, blocks of at most 45, and re-judge pieces of
+    at most 8 profiles on 32-bit keys and 4 on 64-bit keys, so pieces
+    straddle blocks and end short at a chunk's end."""
+    monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 256)
+    monkeypatch.setattr(montecarlo, "_NARROW_BLOCK_KEYS", 45 * (2 * k - 1) * n)
+    monkeypatch.setattr(montecarlo, "_REJUDGE_KEYS", 4 * (2 * k - 1) * n)
+    assert _key_dtype(n, k) is np.uint16
+    assert (rejudge_piece(n, k, 32), rejudge_piece(n, k, 64)) == (8, 4)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -539,40 +600,71 @@ def test_tied_profiles_are_judged_on_64_bit_keys(monkeypatch, workers):
     """A sampler keeping 4 bits of each drawn voter's 16-bit keys makes
     about two profiles in three tie; voter 0's identity ranking is left whole,
     so it never ties.  p_hat equals the replay's (see
-    :func:`replay_impartial`), which judges each profile with the oracle and
-    each tied one on the 64-bit keys its own low bits give, for one worker
-    and for two.  Three chunks of blocks of at most 45 profiles, the last
-    block of each chunk short, and pieces of at most 4 tied profiles, so
-    pieces straddle blocks and end short at a chunk's end."""
-    n, k, samples, rows, chunk = 7, 2, 600, 45, 256
-    monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", chunk)
-    monkeypatch.setattr(montecarlo, "_NARROW_BLOCK_KEYS", rows * (2 * k - 1) * n)
-    monkeypatch.setattr(montecarlo, "_REJUDGE_KEYS", 4 * (2 * k - 1) * n)
+    :func:`replay_impartial`), which judges each profile with the oracle on
+    the 64-bit keys its own low bits give, for one worker and for two.
+    Three chunks of blocks of at most 45 profiles, the last block of each
+    chunk short (see :func:`shrink_chunks`)."""
+    n, k, samples = 7, 2, 600
+    shrink_chunks(monkeypatch, n, k)
     real = montecarlo._sample_positions
     keep = np.array([2 ** 16 - 1] + [0xF] * (2 * k - 2), dtype=np.uint16)[:, None]
     monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & keep)
-    assert _key_dtype(n, k) is np.uint16 and rejudge_piece(n, k) == 4
     est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=41, workers=workers)
-    wins, rejudged, blocks = replay_impartial(n, k, samples, 41, keep=np.uint16(0xF))
+    wins, rejudged, blocks, rungs = replay_impartial(n, k, samples, 41, keep=np.uint16(0xF))
     assert [len(block) for block in blocks] == ([45] * 5 + [31]) * 2 + [45, 43]
     assert est.blocks == len(blocks)
-    # some chunk ends on a short piece (170 of its profiles tie)
-    assert samples // 4 < rejudged < 3 * samples // 4 and rejudged % 4 != 0
+    # some chunk ends on a short piece of the 32-bit rung
+    assert samples // 4 < rejudged < 3 * samples // 4 and rejudged % 8 != 0
+    assert rungs[32] == rejudged
     assert est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
 
 
-# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 7,
+@pytest.mark.parametrize("workers", [1, 3])
+def test_tied_profiles_climb_the_ladder_to_64_bit_keys(monkeypatch, workers):
+    """Keeping 2 bits of every key drawn as uint16, the drawn voters' keys
+    and the 16-bit low draws alike, makes most profiles tie on their first
+    pass and many of those tie again on their 32-bit keys, so both rungs
+    run: 16 to 32 bits and 32 to 64 bits.  The kernel judges on 32-bit keys
+    exactly the profiles judged again, and on 64-bit keys exactly those the
+    replay (see :func:`replay_impartial`) sends on, in pieces that straddle
+    blocks and end short (see :func:`shrink_chunks`); p_hat is the replay's,
+    every verdict of which is the oracle's on 64-bit keys."""
+    n, k, samples = 7, 2, 600
+    shrink_chunks(monkeypatch, n, k)
+    real_keys, real_mask = montecarlo._random_keys, montecarlo._winner_mask
+
+    def masked(shape, rng, dtype):
+        keys = real_keys(shape, rng, dtype)
+        return keys & np.uint16(0x3) if np.dtype(dtype) == np.uint16 else keys
+
+    judged = []
+    monkeypatch.setattr(montecarlo, "_random_keys", masked)
+    monkeypatch.setattr(montecarlo, "_winner_mask",
+                        lambda pos, k: judged.append((pos.dtype.itemsize, len(pos)))
+                        or real_mask(pos, k))
+    est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=43, workers=workers)
+    wins, rejudged, blocks, rungs = replay_impartial(
+        n, k, samples, 43, keep=np.uint16(0x3), keep_low=np.uint16(0x3))
+    widths = {size: sum(rows for s, rows in judged if s == size) for size in (2, 4, 8)}
+    assert widths == {2: samples, 4: rungs[32], 8: rungs[64]}
+    assert rejudged == rungs[32] > samples // 2
+    assert samples // 20 < rungs[64] < rungs[32] and rungs[64] % 4 != 0
+    assert (est.rejudged_profiles, est.blocks) == (rejudged, len(blocks))
+    assert est.p_hat == wins / samples
+
+
+# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 8,
 # where impartial keys of (2k - 2)(n - 1) <= 2048 are drawn as uint16, only
-# the profiles that tie are judged again, and a cyclic voter 0 holds
-# rotation 0.  A change to the draw order, the key width or the block sizes
+# the profiles that tie are judged again, on 32-bit keys before 64-bit
+# ones, and a cyclic voter 0 holds rotation 0.  A change to the draw order, the key width or the block sizes
 # moves them; such a change must bump STREAM_VERSION and re-pin them here.
 STREAM_PINS = [
-    (impartial_culture(200), 2, 4_096, 1, 749, 30),
-    (impartial_culture(50), 5, 20_000, 1, 4_146, 146),
-    (impartial_culture(50), 5, 20_000, 2, 4_146, 146),
-    (cyclic_culture(40), 3, 20_000, 1, 112, 0),
-    (EXPLICIT_5, 3, 1_000, 1, 768, 0),
+    (impartial_culture(200), 2, 4_096, 1, 757, 36),
+    (impartial_culture(50), 5, 20_000, 1, 4_126, 154),
+    (impartial_culture(50), 5, 20_000, 2, 4_126, 154),
+    (cyclic_culture(40), 3, 20_000, 1, 129, 0),
+    (EXPLICIT_5, 3, 1_000, 1, 783, 0),
 ]
 
 
@@ -584,7 +676,7 @@ STREAM_PINS = [
 def test_stream_is_pinned(culture, k, samples, workers, wins, rejudged):
     """Every pinned run is on the key path, with no winner table; the
     impartial runs judge some profiles again, the rank tensors none."""
-    assert STREAM_VERSION == 7
+    assert STREAM_VERSION == 8
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
     assert est.winner_table == 0 and est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
@@ -688,7 +780,7 @@ def test_kernel_counts_more_than_255_votes():
     assert _count_winners_vectorized(pos, k) == (4, False)
     assert estimate_condorcet_probability(unanimous, k, 4, seed=1).p_hat == 1.0
     pos = _sample_positions(impartial_culture(3), k, 12, np.random.default_rng(1))
-    slow = sum(oracle_on_64_bit_keys(pos, k, np.random.default_rng(2)))
+    slow = oracle_on_64_bit_keys(pos, k, np.random.default_rng(2))
     assert _count_winners_vectorized(pos, k, _TiedProfiles(np.random.default_rng(2)))[0] == slow
 
 
@@ -697,7 +789,7 @@ def test_kernel_temporaries_stay_small():
     block on 16-bit keys, so its traced peak stays below 3 MiB: a block's
     keys take 768 KiB and the kernel's temporaries about as much again
     (2.2 MiB measured), and its tied profiles, about 3% here, are judged
-    again 10 at a time on 64-bit keys, 192 KiB of them.  The chunk's uint64
+    again 20 at a time on 32-bit keys, 192 KiB of them.  The chunk's uint64
     keys drawn whole would take 315 MB."""
     n, k = 800, 2
     tracemalloc.start()
@@ -788,6 +880,22 @@ def test_confidence_interval_covers_the_exact_value_at_two_hundred_alternatives(
         est = estimate_condorcet_probability(impartial_culture(200), 2, 2000, seed=mix64(2026, rep))
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 180
+
+
+def test_confidence_interval_covers_the_exact_value_at_eight_hundred_alternatives():
+    """The Wilson 95% interval of short impartial (800, 2) runs, where about
+    3% of profiles tie on their 16-bit keys and are judged again, covers
+    the exact value.  At N = 2000 the interval covers it with probability
+    0.94731 (summed over Bin(2000, p)), so the hits over 200 seeds are
+    Bin(200, 0.94731), and fewer than 179 has probability 9.5e-4."""
+    exact = IMPARTIAL_K2[800]
+    hits = rejudged = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(impartial_culture(800), 2, 2000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+        rejudged += est.rejudged_profiles
+    assert hits >= 179
+    assert 0.02 * 200 * 2000 < rejudged < 0.04 * 200 * 2000
 
 
 def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():

@@ -127,11 +127,16 @@ def _cmd_exact(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         max_support=args.max_support,
     )
     rational, decimal = _fraction_fields(result.value)
+    if culture.kind in NAMED_KINDS:
+        # a named kind is symmetric, so every alternative has the same share
+        shares = {"per_alternative_each": str(result.per_alternative[0])}
+    else:
+        shares = {"per_alternative": [str(p) for p in result.per_alternative]}
     return {
         "value": rational,
         "value_float": decimal,
         "method": result.method,
-        "per_alternative": [str(p) for p in result.per_alternative],
+        **shares,
         "n": culture.n,
         "k": k,
         "multisets": (
@@ -221,8 +226,6 @@ def _log10(value: Fraction) -> float:
 def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     k = _resolve_k(args)
     n = args.n
-    if n is None:
-        raise ValueError("--n is required")
     if args.mode == "large-n":
         exact = min_condorcet_probability(n, k)
         leading = min_prob_large_n_leading_exact(n, k)

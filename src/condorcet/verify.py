@@ -1,15 +1,16 @@
 """Executable checkers for the package's analytic claims.
 
-Each check sweeps a grid or a seeded random cloud through one family of
-inequalities and returns a :class:`CheckReport` counting violations beyond
-tolerance, together with the worst witness seen.  The tolerances separate
-rounding noise from genuine violations: 1e-12 for algebraic identities,
-1e-6 for derivative checks.  The float checks evaluate each grid or cloud
-as arrays, one call per k; their reports count trials and violations and
-pick the worst witness exactly as a point-by-point sweep would.  The exact
-checks (tail symmetry, the scaled tail) compare integer tail numerators and
-build no rational, and the minimizer suite proves the paper's minimum with
-integer Bernstein coefficients, with no tolerance.
+Each check proves its claim in integers, or sweeps a grid or a seeded
+random cloud through one family of inequalities, and returns a
+:class:`CheckReport` counting violations beyond tolerance, together with
+the worst witness seen.  The majority tail's symmetry, derivative and
+convexity and the paper's minimum are proved from integer power-basis and
+Bernstein coefficients, with no tolerance; the float tail and derivative
+are held to a stated ulp bound of their exact values.  The sampled checks
+evaluate each grid or cloud as arrays, one call per k, with tolerance
+1e-12 for the sandwich and 1e-6 for the truncated integral; their reports
+count trials and violations and pick the worst witness exactly as a
+point-by-point sweep would.
 
 A report with zero violations is reproducible from (name, seed, trials):
 every random draw goes through mix64 with a per-check tag and
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,23 +38,22 @@ from .special import (
 TOL_ALGEBRA = 1e-12
 TOL_DERIVATIVE = 1e-6
 
-# Per-check stream tags so suites stay independent under one master seed.
+# Stream tag of the sandwich cloud, the one check that draws inputs.
 _TAG_SANDWICH = 101
-_TAG_CONVEXITY = 102
 # Version word of every verify stream, apart from the Monte Carlo
 # STREAM_VERSION: it changes only when a verify draw changes, so a change to
 # profile sampling re-draws no verify cloud.  4 was the package's stream
 # version when the two were split.
 VERIFY_STREAM_VERSION = 4
 
-# Fixed grids of the checks.  The majority-tail checks run k = 1..6; the
-# sandwich's near-equality claim is tried at these n.
+# Fixed grids of the checks.  The majority-tail checks run k = 1..6, and the
+# float tail and derivative on x = i / _TAIL_Q, a power of two so that every
+# grid point and 1 - x are exact floats, to _ULP_BOUND eps of the exact
+# value; the sandwich's near-equality claim is tried at these n.
 _TAIL_K_MAX = 6
+_TAIL_Q = 256
+_ULP_BOUND = 64
 _SANDWICH_N = (3, 10, 100, 1000)
-_SYMMETRY_POINTS = 201
-_DERIVATIVE_STEP = 1e-6
-_CONVEXITY_POINTS = 401
-_CONVEXITY_PAIRS = 2000
 
 
 @dataclass(frozen=True)
@@ -208,90 +207,83 @@ def check_tail_sandwich(k: int, trials: int = 10_000, seed: int = 0) -> CheckRep
     return tracker.report()
 
 
-def check_tail_symmetry() -> CheckReport:
-    """majority_tail(x) + majority_tail(1-x) = 1 on the grid x = i/q,
-    q = ``_SYMMETRY_POINTS`` - 1: exactly, and within 1e-12 in floating
-    point.
+def _record_identity(tracker: _Tracker, k: int, gaps: Sequence[int], inequality: str) -> None:
+    """One trial for k of a polynomial identity whose integer coefficient
+    gaps must all be 0: the margin is minus the largest |gap|."""
+    index = max(range(len(gaps)), key=lambda j: abs(gaps[j]))
+    tracker.record_array(
+        [float(-abs(gaps[index]))], lambda *_: {"k": k, "coefficient": index}, inequality
+    )
 
-    The exact half compares N(i) + N(q-i) with q^(2k-1) in integers, N the
-    tail numerator at x = i/q (:func:`~condorcet.special._tail_numerator`);
-    its drift, |N(i) + N(q-i) - q^(2k-1)| / q^(2k-1), is rounded once by
-    int true division, as ``float`` of the exact rational would be.
-    """
-    tracker = _Tracker("tail_symmetry", TOL_ALGEBRA)
-    q = _SYMMETRY_POINTS - 1
-    grid = np.arange(q + 1) / q
+
+def _record_float(tracker: _Tracker, k: int, function: Callable, numerator, scale: int) -> None:
+    """``function(k, x)`` on x = i / ``_TAIL_Q`` against its exact value
+    ``numerator`` / ``scale`` (an object array of Python ints over an int,
+    rounded once by true division): margin ``_ULP_BOUND`` eps |exact| minus
+    the error."""
+    exact = (numerator / scale).astype(float)
+    error = np.abs(function(k, np.arange(_TAIL_Q + 1) / _TAIL_Q) - exact)
+    tracker.record_array(
+        _ULP_BOUND * np.finfo(float).eps * np.abs(exact) - error,
+        lambda row, _: {"k": k, "x": row / _TAIL_Q},
+        f"{function.__name__} within {_ULP_BOUND} eps of exact",
+    )
+
+
+def check_tail_symmetry() -> CheckReport:
+    """T(x) + T(1-x) = 1, T = majority_tail(k, .), proved: every integer
+    coefficient of T(x) + T(1-x) - 1 is 0.  The float tail is checked
+    against :func:`~condorcet.special._tail_numerator` (k, i, q) / q^(2k-1)."""
+    tracker = _Tracker("tail_symmetry", 0.0)
+    i = np.arange(_TAIL_Q + 1, dtype=object)
     for k in range(1, _TAIL_K_MAX + 1):
-        scale = q ** (2 * k - 1)
-        exact_drift = [
-            abs(_tail_numerator(k, i, q) + _tail_numerator(k, q - i, q) - scale) / scale
-            for i in range(q + 1)
-        ]
-        float_drift = np.abs(majority_tail(k, grid) + majority_tail(k, 1.0 - grid) - 1.0)
-        tracker.record_array(
-            -np.column_stack([exact_drift, float_drift]),
-            lambda row, column, k=k: {
-                "k": k,
-                "x": str(Fraction(row, q)) if column == 0 else float(grid[row]),
-            },
-            ("exact symmetry", "float symmetry"),
-        )
+        tail, reflected = _substituted_tail(k, 0, 1, 1), _substituted_tail(k, 1, -1, 1)
+        gaps = [a + b for a, b in zip(tail, reflected)]
+        gaps[0] -= 1
+        _record_identity(tracker, k, gaps, "proved: T(x) + T(1-x) - 1 == 0 identically")
+        numerator = _tail_numerator(k, i, _TAIL_Q)
+        _record_float(tracker, k, majority_tail, numerator, _TAIL_Q ** (2 * k - 1))
     return tracker.report()
 
 
-def _central_difference(k: int, x: np.ndarray, h: float) -> np.ndarray:
-    """Central difference of the majority tail, evaluated on the stable side.
-
-    For x above 1/2 the tail sits just under 1 and the difference of two
-    such values drowns in rounding; the symmetry tail(x) = 1 - tail(1-x)
-    makes the difference exactly equal to the reflected one near 0, where
-    both values are small and fully resolved.
-    """
-    x = np.where(x > 0.5, 1.0 - x, x)
-    return (majority_tail(k, x + h) - majority_tail(k, x - h)) / (2.0 * h)
+def _derivative_power(k: int) -> List[int]:
+    """Integer coefficients in x of k C(2k-1, k) (x(1-x))^(k-1), the closed
+    form :func:`~condorcet.special.majority_tail_derivative` evaluates."""
+    factor = k * math.comb(2 * k - 1, k)
+    return [0] * (k - 1) + [(-1) ** i * math.comb(k - 1, i) * factor for i in range(k)]
 
 
 def check_tail_derivative() -> CheckReport:
-    """Closed-form derivative against central finite differences of step
-    ``_DERIVATIVE_STEP``, relative."""
-    tracker = _Tracker("tail_derivative", TOL_DERIVATIVE)
-    grid = np.arange(0.01, 0.99 + 1e-12, 0.005)
+    """T' = k C(2k-1, k) (x(1-x))^(k-1), proved: the coefficients j t_j of T'
+    equal :func:`_derivative_power`.  The float derivative is checked
+    against k C(2k-1, k) (i(q-i))^(k-1) / q^(2k-2)."""
+    tracker = _Tracker("tail_derivative", 0.0)
+    i = np.arange(_TAIL_Q + 1, dtype=object)
     for k in range(1, _TAIL_K_MAX + 1):
-        closed = majority_tail_derivative(k, grid)
-        difference = _central_difference(k, grid, _DERIVATIVE_STEP)
-        rel = np.abs(difference - closed) / np.abs(closed)
-        tracker.record_array(
-            -rel,
-            lambda row, _, k=k: {"k": k, "x": float(grid[row])},
-            "derivative vs central difference",
-        )
+        slope = [j * t for j, t in enumerate(_substituted_tail(k, 0, 1, 1))][1:]
+        gaps = [a - b for a, b in zip(slope, _derivative_power(k))]
+        _record_identity(tracker, k, gaps, "proved: T' == k C(2k-1, k) (x(1-x))^(k-1) identically")
+        numerator = k * math.comb(2 * k - 1, k) * (i * (_TAIL_Q - i)) ** (k - 1)
+        _record_float(tracker, k, majority_tail_derivative, numerator, _TAIL_Q ** (2 * k - 2))
     return tracker.report()
 
 
-def check_tail_convexity(seed: int = 0) -> CheckReport:
-    """Convexity of the majority tail on [0, 1/2]: non-decreasing derivative
-    along a grid of ``_CONVEXITY_POINTS`` and midpoint convexity for
-    ``_CONVEXITY_PAIRS`` sampled grid pairs per k."""
-    tracker = _Tracker("tail_convexity", TOL_ALGEBRA)
-    rng = np.random.default_rng(mix64(seed, _TAG_CONVEXITY, VERIFY_STREAM_VERSION))
-    points, pairs = _CONVEXITY_POINTS, _CONVEXITY_PAIRS
-    grid = np.linspace(0.0, 0.5, points)
+def check_tail_convexity() -> CheckReport:
+    """T'' >= 0 on [0, 1/2], proved.  The coefficients of 2^(2k-1) T(u/2)
+    (:func:`_substituted_tail` (k, 0, 1, 2)) differentiated twice in u are
+    those of 2^(2k-3) T''(u/2), and its integer Bernstein coefficients on
+    u in [0, 1] are all >= 0.  The margin, the least over its scale, is a
+    lower bound on T'' on [0, 1/2]: 0, since T''(1/2) = 0."""
+    tracker = _Tracker("tail_convexity", 0.0)
     for k in range(1, _TAIL_K_MAX + 1):
-        derivs = majority_tail_derivative(k, grid)
+        second = [j * (j - 1) * c for j, c in enumerate(_substituted_tail(k, 0, 1, 2))][2:] or [0]
+        coefficients = _bernstein_coefficients(second)
+        index = coefficients.index(min(coefficients))
+        scale = math.factorial(len(second) - 1) * 2.0 ** (2 * k - 3)
         tracker.record_array(
-            derivs[1:] - derivs[:-1],
-            lambda row, _, k=k: {"k": k, "x": float(grid[row])},
-            "derivative non-decreasing on [0, 1/2]",
-        )
-        a = grid[rng.integers(0, points, pairs)]
-        b = grid[rng.integers(0, points, pairs)]
-        margins = 0.5 * (majority_tail(k, a) + majority_tail(k, b)) - majority_tail(
-            k, 0.5 * (a + b)
-        )
-        tracker.record_array(
-            margins,
-            lambda row, _, k=k: {"k": k, "a": float(a[row]), "b": float(b[row])},
-            "midpoint convexity",
+            [coefficients[index] / scale],
+            lambda *_: {"k": k, "coefficient": index},
+            "proved: Bernstein coefficient of T'' on [0, 1/2] >= 0",
         )
     return tracker.report()
 
@@ -420,7 +412,7 @@ def _suite_derivative(seed: int) -> List[CheckReport]:
 
 
 def _suite_convexity(seed: int) -> List[CheckReport]:
-    return [check_tail_convexity(seed=seed)]
+    return [check_tail_convexity()]
 
 
 def _suite_scaled_tail(seed: int) -> List[CheckReport]:
@@ -440,10 +432,11 @@ def _suite_minimizer(seed: int) -> List[CheckReport]:
     T = majority_tail(k, .), for n = 1..8 and k = 1..4: the paper's minimum,
     which the cyclic culture attains.
 
-    At most one x_j exceeds 1/2, and T is convex on [0, 1/2], since
-    T'' = k(k-1) C(2k-1, k) (x(1-x))^(k-2) (1-2x).  So Jensen gives the
-    claim when every x_j <= 1/2, and otherwise sum_j T(x_j) >= g(x_1), the
-    function of :func:`_uniform_minimum_certificate`.
+    At most one x_j exceeds 1/2, and T is convex on [0, 1/2], which the
+    ``tail_convexity`` suite proves for k <= 6 (:func:`check_tail_convexity`).
+    So Jensen gives the claim when every x_j <= 1/2, and otherwise
+    sum_j T(x_j) >= g(x_1), the function of
+    :func:`_uniform_minimum_certificate`.
 
     Two reports.  ``uniform_minimum_proved`` covers the cells with n >= 3
     and k >= 2; its margin is the least Bernstein coefficient, and a

@@ -196,7 +196,7 @@ def test_criterion_09_inequality_suites_all_clean():
     for k in (1, 2, 3, 4):
         reports.append(check_tail_sandwich(k, trials=10_000, seed=417))
     reports.append(check_tail_symmetry())
-    reports.append(check_tail_convexity(seed=417))
+    reports.append(check_tail_convexity())
     reports.append(check_scaled_tail_bound())
     reports.append(check_tail_derivative())
     failing = {r.name: r.worst_witness for r in reports if not r.passed}

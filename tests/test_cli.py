@@ -59,7 +59,9 @@ def test_exact_json(capsys):
     record = json.loads(out)
     assert record["command"] == "exact"
     assert record["results"]["value"] == "17/18"
-    assert record["results"]["per_alternative"] == ["17/54"] * 3
+    # the impartial culture is symmetric: the share of each alternative once
+    assert record["results"]["per_alternative_each"] == "17/54"
+    assert "per_alternative" not in record["results"]
     assert record["results"]["method"] == "dp"
     assert record["results"]["moves"] == 9
     # the programme enumerates no multiset and judges none
@@ -613,6 +615,26 @@ def test_exact_reports_winner_checks(capsys, tmp_path, culture, n, k, multisets)
     assert 0 < checks < walks * multisets
     assert results["method"] == "enumeration"
     assert results["moves"] is None and csv_fields["moves"] == human["moves"] == "None"
+
+
+@pytest.mark.parametrize("culture", ["impartial", "cyclic"])
+def test_exact_writes_a_named_kind_share_once(capsys, tmp_path, culture):
+    """A named kind's record carries the one share every alternative has, in
+    every format; a culture file keeps one share per alternative.  With one
+    voter each of four alternatives wins with probability 1/4."""
+    share = "1/4"
+    argv = ["exact", "--culture", culture, "--n", "4", "--k", "1"]
+    results, csv_fields, human = three_formats(capsys, argv)
+    assert results["per_alternative_each"] == csv_fields["per_alternative_each"] == share
+    assert human["per_alternative_each"] == share
+    assert "per_alternative" not in results
+    built = impartial_culture(4) if culture == "impartial" else cyclic_culture(4)
+    save_culture(built.expand(), tmp_path / "expanded.json")
+    argv = ["exact", "--culture", str(tmp_path / "expanded.json"), "--k", "1"]
+    results, csv_fields, human = three_formats(capsys, argv)
+    assert results["per_alternative"] == [share] * 4
+    assert csv_fields["per_alternative"] == ";".join([share] * 4)
+    assert human["per_alternative"] == ", ".join([share] * 4)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (6, 2), (3, 9)])

@@ -898,6 +898,21 @@ def test_confidence_interval_covers_the_exact_value_at_eight_hundred_alternative
     assert 0.02 * 200 * 2000 < rejudged < 0.04 * 200 * 2000
 
 
+def test_confidence_interval_covers_the_exact_value_at_k_three():
+    """The Wilson 95% interval of short impartial (100, 3) runs, on 16-bit
+    keys over (2k-2)(n-1) = 396 pairs with under 1% of profiles judged
+    again, covers the exact value 0.16976104402511766, which
+    ``exact._impartial_probability(100, 3)`` gives.  At N = 2000 the
+    interval covers it with probability 0.95072, so the hits over 200 seeds
+    are Bin(200, 0.95072), and fewer than 180 has probability 9.7e-4."""
+    exact = 0.16976104402511766
+    hits = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(impartial_culture(100), 3, 2000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+    assert hits >= 180
+
+
 def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():
     """The Wilson 95% interval of short cyclic (10, 2) runs, judged by
     lookup in the 100-entry table, covers the closed-form minimum 0.28 in at

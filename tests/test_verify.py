@@ -26,6 +26,8 @@ from condorcet.verify import (
     _Tracker,
     _uniform_minimum_certificate,
     check_scaled_tail_bound,
+    check_tail_convexity,
+    check_tail_derivative,
     check_tail_sandwich,
     check_tail_symmetry,
     check_taylor_bounds,
@@ -65,9 +67,10 @@ def test_suite_trial_counts_are_pinned():
         "tail_sandwich_k2": 3 * (10_000 + 25) + 530,
         "tail_sandwich_k3": 3 * (10_000 + 25) + 463,
         "tail_sandwich_k4": 3 * (10_000 + 25) + 428,
-        "tail_symmetry": 6 * 2 * 201,  # k = 1..6, exact and float, 201 points
-        "tail_derivative": 6 * 197,  # k = 1..6 on 0.01, 0.015, ..., 0.99
-        "tail_convexity": 6 * (400 + 2000),  # 400 grid steps, 2000 pairs
+        # k = 1..6: one proof each, and the float check on x = i/256
+        "tail_symmetry": 6 * (1 + 257),
+        "tail_derivative": 6 * (1 + 257),
+        "tail_convexity": 6,  # one proof for each k = 1..6
         "scaled_tail_bound": 10 * 1000,
         "truncated_integral_l1_m2": 1,
         "truncated_integral_l2_m3": 2,
@@ -106,28 +109,119 @@ def test_taylor_array_matches_math_exp_loop():
     assert repr(check_taylor_bounds()) == repr(loop.report())
 
 
-def test_tail_symmetry_drift_matches_fraction_loop():
-    """The integer drift of the exact half equals the old Fraction loop,
-    sum of the two exact tails minus 1 rounded once, witness text included."""
-    points = verify._SYMMETRY_POINTS
-    exact_grid = [Fraction(i, points - 1) for i in range(points)]
-    grid = np.arange(points) / (points - 1)
-    loop = _Tracker("tail_symmetry", TOL_ALGEBRA)
+@pytest.mark.parametrize("name", ["tail_symmetry", "tail_derivative"])
+def test_tail_float_checks_match_fraction_loop(name):
+    """Each report is a loop's over Fractions: a proof row with margin 0 at
+    coefficient 0 for each k, then the float function against the exact
+    rational, rounded once, on x = i/256."""
+    q = verify._TAIL_Q
+    eps = np.finfo(float).eps
+    loop = _Tracker(name, 0.0)
     for k in range(1, verify._TAIL_K_MAX + 1):
-        exact_drift = [
-            abs(float(majority_tail_exact(k, x) + majority_tail_exact(k, 1 - x) - 1))
-            for x in exact_grid
-        ]
-        float_drift = np.abs(majority_tail(k, grid) + majority_tail(k, 1.0 - grid) - 1.0)
+        if name == "tail_symmetry":
+            function, inequality = majority_tail, "proved: T(x) + T(1-x) - 1 == 0 identically"
+            exact = [majority_tail_exact(k, Fraction(i, q)) for i in range(q + 1)]
+        else:
+            function = majority_tail_derivative
+            inequality = "proved: T' == k C(2k-1, k) (x(1-x))^(k-1) identically"
+            factor = k * math.comb(2 * k - 1, k)
+            exact = [factor * (Fraction(i, q) * (1 - Fraction(i, q))) ** (k - 1)
+                     for i in range(q + 1)]
+        loop.record_array([0.0], lambda *_, k=k: {"k": k, "coefficient": 0}, inequality)
+        margins = []
+        for i, e in enumerate(exact):
+            rounded = float(e)
+            value = float(function(k, i / q))
+            margins.append(64 * eps * abs(rounded) - abs(value - rounded))
         loop.record_array(
-            -np.column_stack([exact_drift, float_drift]),
-            lambda row, column, k=k: {
-                "k": k,
-                "x": str(exact_grid[row]) if column == 0 else float(grid[row]),
-            },
-            ("exact symmetry", "float symmetry"),
+            margins,
+            lambda row, _, k=k: {"k": k, "x": row / q},
+            f"{function.__name__} within 64 eps of exact",
         )
-    assert repr(check_tail_symmetry()) == repr(loop.report())
+    assert repr(SUITES[name](0)) == repr([loop.report()])
+
+
+def test_tail_symmetry_proof_catches_a_perturbed_tail_coefficient(monkeypatch):
+    """One more unit on the top coefficient of T breaks T(x) + T(1-x) = 1
+    at every k, and the float rows, which read the tail numerator, stay
+    clean."""
+    substituted = verify._substituted_tail
+
+    def perturbed(k, p0, p1, q):
+        coefficients = substituted(k, p0, p1, q)
+        if (p0, p1, q) == (0, 1, 1):
+            coefficients[-1] += 1
+        return coefficients
+
+    monkeypatch.setattr(verify, "_substituted_tail", perturbed)
+    report = check_tail_symmetry()
+    assert (report.trials, report.violations) == (6 * 258, 6)
+    # k = 1: T(x) reads 2x and T(1-x) still 1 - x, so the gap is x
+    assert report.worst_witness["input"] == {"k": 1, "coefficient": 1}
+    assert report.worst_witness["margin"] == -1.0
+
+
+def test_tail_derivative_proof_catches_a_wrong_coefficient(monkeypatch):
+    closed_form = verify._derivative_power
+
+    def wrong(k):
+        coefficients = closed_form(k)
+        coefficients[k - 1] += 1  # k C(2k-1, k) + 1
+        return coefficients
+
+    monkeypatch.setattr(verify, "_derivative_power", wrong)
+    report = check_tail_derivative()
+    assert (report.trials, report.violations) == (6 * 258, 6)
+    assert report.worst_witness["input"] == {"k": 1, "coefficient": 0}
+    assert report.worst_witness["margin"] == -1.0
+
+
+def test_tail_convexity_proof_catches_a_concave_perturbation(monkeypatch):
+    """Taking u^2 off 2^(2k-1) T(u/2) takes 2 off T''(u/2) times 2^(2k-3),
+    so the least Bernstein coefficient, 0 at u = 1, turns negative for
+    every k >= 2."""
+    substituted = verify._substituted_tail
+
+    def concave(k, p0, p1, q):
+        coefficients = substituted(k, p0, p1, q)
+        if k >= 2:
+            coefficients[2] -= 1
+        return coefficients
+
+    monkeypatch.setattr(verify, "_substituted_tail", concave)
+    report = check_tail_convexity()
+    assert (report.trials, report.violations) == (6, 5)
+    # k = 2: 2 T''(u/2) = 12 - 12u, with Bernstein coefficients [12, 0],
+    # reads 10 - 12u, [10, -2], over the scale 1! * 2
+    assert report.worst_witness["input"] == {"k": 2, "coefficient": 1}
+    assert report.worst_witness["margin"] == -1.0
+
+
+@pytest.mark.parametrize("name, attribute", [
+    ("tail_symmetry", "majority_tail"),
+    ("tail_derivative", "majority_tail_derivative"),
+])
+def test_tail_float_checks_catch_a_value_off_by_1e_12(monkeypatch, name, attribute):
+    """1e-12 is above 64 eps |exact| wherever |exact| < 70, so every grid
+    point fails, worst where the exact value is 0; the proof rows stay
+    clean."""
+    function = getattr(verify, attribute)
+    monkeypatch.setattr(verify, attribute, lambda k, x: function(k, x) + 1e-12)
+    report, = SUITES[name](0)
+    assert (report.trials, report.violations) == (6 * 258, 6 * 257)
+    assert report.worst_witness["input"]["x"] == 0.0
+    assert report.worst_witness["margin"] == -1e-12
+
+
+@pytest.mark.parametrize("suite", ["tail_symmetry", "tail_derivative", "tail_convexity"])
+def test_tail_suite_json_is_seed_free(capsys, suite):
+    rows = []
+    for seed in ("0", "20240817"):
+        assert cli.run(["verify", "--suite", suite, "--seed", seed, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["results"]["violations_total"] == 0
+        rows.append(record["results"])
+    assert rows[0] == rows[1]
 
 
 def test_sandwich_report_is_seed_reproducible():

@@ -300,7 +300,8 @@ def _exact_args(sub: argparse.ArgumentParser) -> None:
         "--max-winner-checks", type=int, default=MAX_WINNER_CHECKS,
         help="cap on the work of one exact run, checked before any: the multiset "
         "count C(S+2k-2, 2k-1) over a support of S rankings, or for the impartial "
-        "culture the move bound (2k-1) C(n+2k-3, 2k-2) of its dynamic programme",
+        "culture the exact move count of its dynamic programme, "
+        "sum_{t<2k-2} C(n-2+e, e-1) with e = min(2t+2, 2k-1)",
     )
     sub.add_argument(
         "--max-support", type=int, default=MAX_EXPLICIT_SUPPORT,
@@ -421,23 +422,21 @@ def _render_json(record: RunRecord) -> str:
 
 
 def _csv_rows(record: RunRecord) -> List[List[str]]:
+    """The CSV rows of a record.  A sweep or verify table ends with padded
+    rows naming the stream version or the violation total, and then the
+    seed, as the human output does, so that the CSV alone reruns it."""
     results = record.results
     if "cells" in results:
-        rows = [_CELL_COLUMNS]
-        for cell in results["cells"]:
-            rows.append([str(cell[field]) for field in _CELL_COLUMNS])
-        padding = [""] * (len(_CELL_COLUMNS) - 2)
-        rows.append(["stream_version", str(results["stream_version"])] + padding)
-        return rows
-    if "reports" in results:
-        rows = [_REPORT_COLUMNS]
-        for report in results["reports"]:
-            cells = {**report, "worst_input": json.dumps(report["worst_input"])}
-            rows.append([str(cells[field]) for field in _REPORT_COLUMNS])
-        padding = [""] * (len(_REPORT_COLUMNS) - 2)
-        rows.append(["violations_total", str(results["violations_total"])] + padding)
-        return rows
-    return [[key, _flat_text(value, ";")] for key, value in results.items()]
+        columns, footer, cells = _CELL_COLUMNS, "stream_version", results["cells"]
+    elif "reports" in results:
+        columns, footer = _REPORT_COLUMNS, "violations_total"
+        cells = [{**report, "worst_input": json.dumps(report["worst_input"])}
+                 for report in results["reports"]]
+    else:
+        return [[key, _flat_text(value, ";")] for key, value in results.items()]
+    padding = [""] * (len(columns) - 2)
+    return [columns, *([str(cell[field]) for field in columns] for cell in cells),
+            [footer, str(results[footer])] + padding, ["seed", str(record.seed)] + padding]
 
 
 def _render_csv(record: RunRecord) -> str:

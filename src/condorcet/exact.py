@@ -8,7 +8,8 @@ times the chance that alternative 0 wins, and the programme follows, voter
 by voter, the histogram of the n-1 rivals by how many voters so far rank
 each one above 0; a rival that reaches k such votes beats 0, so the
 histogram has classes 0..k-1 and a move sends a chosen set of rivals up one
-class.  Its cost is polynomial in n for fixed k (:func:`impartial_move_bound`).
+class.  A histogram is one int with a base-n digit per class.  The
+programme's cost is polynomial in n for fixed k (:func:`impartial_move_count`).
 
 Enumeration runs on integers only.  Each alternative's winner mass comes
 from its own walk over multiplicity vectors, the multinomial weight built
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .special import _tail_numerator, majority_tail_exact
 
 # Caps the multiset count, checked before any walk (each walk judges at most
 # that many multisets, and pruning usually far fewer), and the impartial
-# programme's move bound, checked before any move.
+# programme's move count, checked before any move.
 MAX_WINNER_CHECKS = 10 ** 8
 
 
@@ -57,7 +57,7 @@ class ExactProbability:
     judged, summed over its walks, at most the multiset count times the
     number of alternatives walked; ``moves`` counts the weighted histogram
     moves the programme applied, summed over its voters but the last, which
-    makes none, at most :func:`impartial_move_bound`.
+    makes none: :func:`impartial_move_count` for n >= 3, 0 for n <= 2.
     """
 
     value: Fraction
@@ -80,42 +80,38 @@ def multiset_count(support: int, k: int) -> int:
     return math.comb(support + voters - 1, voters)
 
 
-def impartial_move_bound(n: int, k: int) -> int:
-    """A bound on the moves the impartial programme applies: (2k-1)
-    C(n+2k-3, 2k-2), each of the 2k-1 voters counted as applying at most
-    the sum over all histograms h of the n-1 rivals of prod_{c<k-1}
-    (h_c + 1), the moves of h.  The last voter applies none, so the bound
-    is loose by at least a factor (2k-1)/(2k-2)."""
-    return (2 * k - 1) * math.comb(n + 2 * k - 3, 2 * k - 2)
+def impartial_move_count(n: int, k: int) -> int:
+    """The moves the impartial programme applies for n >= 3.  Voter t < 2k-2
+    moves each histogram h over classes 0..min(t, k-1) in prod_{c<k-1}
+    (h_c + 1) ways, which sum to the coefficient of x^(n-1) in (1-x)^(-e),
+    e = min(2t+2, 2k-1): C(n-2+e, e-1)."""
+    exponents = (min(2 * t + 2, 2 * k - 1) for t in range(2 * k - 2))
+    return sum(math.comb(n - 2 + e, e - 1) for e in exponents)
 
 
 def _histogram_moves(
-    state: Tuple[Tuple[int, int], ...], k: int, scaled: Sequence[int], interned: dict
-) -> List[Tuple[Tuple[Tuple[int, int], ...], int]]:
-    """Every move of one voter from the rival histogram ``state``, a sorted
-    tuple of (class, count) pairs with counts > 0, as (target, weight) pairs.
+    state: int, n: int, k: int, scaled: Sequence[int], interned: dict
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Every move of one voter from the rival histogram ``state``, whose
+    base-n digit c counts the h_c rivals of class c, as a tuple of targets
+    and a tuple of their weights.
 
-    The voter ranks i_c rivals of each class c < k-1 above alternative 0, and
-    they move up to class c+1; a rival of class k-1 above 0 would give it k
-    votes, so that class takes none.  The weight is prod C(h_c, i_c) times
-    ``scaled[r]``, r = sum i_c, the voter's chance of ranking exactly one
-    given r-set of rivals above 0 over a common denominator.  Targets are
-    looked up in ``interned`` so that each histogram is one tuple.
+    The voter ranks i_c rivals of each class c < k-1 above alternative 0,
+    which moves them up a class and adds i_c (n-1) n^c to the state; a
+    rival of class k-1 above 0 would get k votes, so that class takes none.
+    The weight is prod C(h_c, i_c) times ``scaled[r]``, r = sum i_c, the
+    voter's scaled chance of ranking one given r-set of rivals above 0.
+    Targets are looked up in ``interned``, so each histogram is one object.
     """
-    moves = []
-    for choice in product(*(range(h + 1) if c < k - 1 else (0,) for c, h in state)):
-        counts: dict = {}
-        weight, r = 1, 0
-        for (c, h), i in zip(state, choice):
-            if h > i:
-                counts[c] = counts.get(c, 0) + h - i
-            if i:
-                counts[c + 1] = counts.get(c + 1, 0) + i
-                weight *= math.comb(h, i)
-                r += i
-        target = tuple(sorted(counts.items()))
-        moves.append((interned.setdefault(target, target), weight * scaled[r]))
-    return moves
+    moves, rest = [(state, 1, 0)], state
+    for c in range(k - 1):
+        rest, h = divmod(rest, n)
+        if h:
+            step, row = (n - 1) * n ** c, [math.comb(h, i) for i in range(h + 1)]
+            moves = [(t + i * step, w * row[i], r + i)
+                     for t, w, r in moves for i in range(h + 1)]
+    return (tuple(interned.setdefault(t, t) for t, _, _ in moves),
+            tuple(w * scaled[r] for _, w, r in moves))
 
 
 def _impartial_probability(n: int, k: int, max_winner_checks: int) -> ExactProbability:
@@ -127,47 +123,48 @@ def _impartial_probability(n: int, k: int, max_winner_checks: int) -> ExactProba
     so it ranks one given r-set of rivals above 0 with chance r! (n-1-r)! /
     n!.  The numerators are divided by their gcd g, which at n = 800 cuts the
     per-voter denominator n!/g from 1977 digits to 345.  The state is the
-    histogram of the rivals by their votes over 0, starting with all n-1 in
-    class 0; its mass is an integer over (n!/g)^voters.  Voters 0..2k-3
-    move it (:func:`_histogram_moves`).  A state's moves are built once
-    and kept only while a later moving voter will reach it again, which it
+    histogram of the rivals by their votes over 0, an int whose base-n digit
+    c counts the rivals of class c, at most n-1; it starts with all n-1 in
+    class 0, and its mass is an integer over (n!/g)^voters.  Voters 0..2k-3
+    move it (:func:`_histogram_moves`).  A state's moves are built once and
+    kept only while a later moving voter will reach it again, which it
     does, by the move that ranks no rival above 0.  The last voter makes no
-    move: 0 wins when it ranks 0 above the j rivals of class k-1, which a
-    uniform ranking does with chance 1/(j+1), so each final state adds its
-    mass times (n!/g)/(j+1), which is sum_r C(n-1-j, r) scaled[r] and so an
-    integer.  The total, times n, is the answer, made a ``Fraction`` once.
-    For n <= 2 some alternative always wins and no move is made.
+    move: 0 wins when it ranks 0 above the j rivals of class k-1, the
+    state's top digit, which a uniform ranking does with chance 1/(j+1), so
+    each final state adds its mass times (n!/g)/(j+1), which is sum_r
+    C(n-1-j, r) scaled[r] and so an integer.  The total, times n, is the
+    answer, made a ``Fraction`` once.  For n <= 2 some alternative always
+    wins and no move is made.
 
     Raises :class:`CapExceededError` (``max_winner_checks``) before any
-    move when :func:`impartial_move_bound` exceeds the cap.
+    move when :func:`impartial_move_count` exceeds the cap.
     """
     if n <= 2:
         return ExactProbability(Fraction(1), "dp", (Fraction(1, n),) * n, moves=0)
-    bound = impartial_move_bound(n, k)
-    if bound > max_winner_checks:
-        raise CapExceededError("max_winner_checks", bound, max_winner_checks)
+    needed = impartial_move_count(n, k)
+    if needed > max_winner_checks:
+        raise CapExceededError("max_winner_checks", needed, max_winner_checks)
     rivals = n - 1
     numerators = [math.factorial(r) * math.factorial(rivals - r) for r in range(n)]
     g = math.gcd(*numerators)
     scaled = [x // g for x in numerators]
-    start = ((0, rivals),)
-    mass, moves_of, interned, moves = {start: 1}, {}, {start: start}, 0
+    mass, moves_of, interned, moves = {rivals: 1}, {}, {rivals: rivals}, 0
     for voter in range(2 * k - 2):
         revisited = voter < 2 * k - 3
         after: dict = {}
         for state, weight in mass.items():
             moves_here = moves_of.get(state)
             if moves_here is None:
-                moves_here = _histogram_moves(state, k, scaled, interned)
+                moves_here = _histogram_moves(state, n, k, scaled, interned)
                 if revisited:
                     moves_of[state] = moves_here
-            moves += len(moves_here)
-            for target, step in moves_here:
+            targets, steps = moves_here
+            moves += len(targets)
+            for target, step in zip(targets, steps):
                 after[target] = after.get(target, 0) + weight * step
         mass = after
-    per_voter = math.factorial(n) // g
-    total = sum(weight * (per_voter // (dict(state).get(k - 1, 0) + 1))
-                for state, weight in mass.items())
+    per_voter, top = math.factorial(n) // g, n ** (k - 1)
+    total = sum(weight * (per_voter // (state // top + 1)) for state, weight in mass.items())
     won = Fraction(total, per_voter ** (2 * k - 1))
     return ExactProbability(n * won, "dp", (won,) * n, moves=moves)
 
@@ -275,7 +272,7 @@ def condorcet_probability(
     The impartial culture runs the dynamic programme over rival histograms
     (:func:`_impartial_probability`); ``max_support`` does not apply to it,
     since it builds no support, and ``max_winner_checks`` caps its move
-    bound.  Every other culture is enumerated as follows.
+    count.  Every other culture is enumerated as follows.
 
     Enumerates unordered voter multisets over the culture's support, read
     as its position table (:meth:`Culture.support_positions`), with

@@ -36,7 +36,7 @@ from .special import (
 )
 
 TOL_ALGEBRA = 1e-12
-TOL_DERIVATIVE = 1e-6
+TOL_TRUNCATED_INTEGRAL = 1e-6
 
 # Stream tag of the sandwich cloud, the one check that draws inputs.
 _TAG_SANDWICH = 101
@@ -330,7 +330,7 @@ def check_truncated_integral_bounds(
         raise ValueError("order must be below the dimension")
     if m > 5:
         raise ValueError("dimension above 5 is out of supported range")
-    tracker = _Tracker(f"truncated_integral_l{ell}_m{m}", TOL_DERIVATIVE)
+    tracker = _Tracker(f"truncated_integral_l{ell}_m{m}", TOL_TRUNCATED_INTEGRAL)
     value = truncated_box_integral(ell, m, a, cells=cells, degree=degree)
     cap = float(math.factorial(m) ** 2)
     tracker.record_array(

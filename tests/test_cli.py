@@ -195,10 +195,11 @@ def test_sweep_csv_contract(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "k", "p_hat", "std_error", "ci_low", "ci_high", "seed"]
-    assert [r[0] for r in rows[1:-1]] == ["3", "5"]
-    for row in rows[1:-1]:
+    assert [r[0] for r in rows[1:-2]] == ["3", "5"]
+    for row in rows[1:-2]:
         assert 0.0 <= float(row[2]) <= 1.0
-    assert rows[-1] == ["stream_version", str(STREAM_VERSION)] + [""] * 5
+    assert rows[-2] == ["stream_version", str(STREAM_VERSION)] + [""] * 5
+    assert rows[-1] == ["seed", "12"] + [""] * 5
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
@@ -217,9 +218,9 @@ def test_sweep_names_its_stream_version(capsys, fmt):
         version = results["stream_version"]
     elif fmt == "csv":
         rows = list(csv.reader(io.StringIO(out)))
-        assert [r[0] for r in rows[1:-1]] == ["5", "7"]
-        assert rows[-1][0] == "stream_version" and not any(rows[-1][2:])
-        version = int(rows[-1][1])
+        assert [r[0] for r in rows[1:-2]] == ["5", "7"]
+        assert rows[-2][0] == "stream_version" and not any(rows[-2][2:])
+        version = int(rows[-2][1])
     else:
         version = int(parse_human(out)["stream_version"])
     assert version == STREAM_VERSION
@@ -452,11 +453,27 @@ def test_verify_reports_worst_input(capsys):
     by_column = dict(zip(header, csv_row))
     assert json.loads(by_column["worst_input"]) == row["worst_input"]
     assert by_column["worst_inequality"] == row["worst_inequality"]
-    assert len(table[-1]) == len(header)  # violations_total padded to the width
+    # violations_total and the seed, padded to the width
+    assert table[-2:] == [["violations_total", "0"] + [""] * 4, ["seed", "3"] + [""] * 4]
     line = parse_human(human)[row["name"]]
     inequality, worst_input = line.split("worst_inequality=", 1)[1].split(" worst_input=")
     assert json.loads(worst_input) == row["worst_input"]
     assert json.loads(inequality) == row["worst_inequality"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "tail_sandwich"],
+    ["sweep", "--family", "impartial", "--n-values", "4,6", "--voters", "3",
+     "--samples", "512"],
+], ids=["verify", "sweep"])
+def test_table_csv_seed_reruns_the_table(capsys, argv):
+    """A table run without --seed draws one; its CSV names it in a last,
+    padded row, and a rerun with that seed writes the same rows."""
+    _, drawn = run_capture(capsys, argv + ["--format", "csv"])
+    rows = list(csv.reader(io.StringIO(drawn)))
+    assert rows[-1][0] == "seed" and not any(rows[-1][2:])
+    _, rerun = run_capture(capsys, argv + ["--seed", rows[-1][1], "--format", "csv"])
+    assert list(csv.reader(io.StringIO(rerun))) == rows
 
 
 def test_verify_violations_exit_two(capsys, monkeypatch):
@@ -664,7 +681,7 @@ def test_exact_impartial_at_two_hundred_alternatives(capsys):
     code = cli.run(["exact", "--culture", "impartial", "--n", "800", "--k", "2",
                     "--max-winner-checks", "1000"])
     assert code == 3
-    assert "needed 961200, cap 1000" in capsys.readouterr().err
+    assert "needed 321200, cap 1000" in capsys.readouterr().err
 
 
 def parse_outcome(parser, argv):

@@ -73,6 +73,11 @@ def test_pinned_impartial_rationals():
         # too slow to rerun with the other cells of the walk comparison
         (5, 3): Fraction(32019, 40000),
         (3, 9): Fraction(15974593747, 17414258688),
+        # no oracle reaches these cells; they pin the programme's own values
+        (7, 3): Fraction(608721061, 864360000),
+        (12, 3): Fraction(72037694217551, 130166688960000),
+        (6, 4): Fraction(42520181, 58320000),
+        (10, 5): Fraction(5199740492614861326737, 9293221266064146432000),
     }
     for (n, k), value in pinned.items():
         result = condorcet_probability(impartial_culture(n), k)
@@ -156,26 +161,35 @@ def test_impartial_programme_is_one_where_a_winner_is_certain():
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (6, 2), (3, 9), (7, 3)])
 def test_impartial_moves_stay_within_the_bound(n, k):
+    """The move count the cap checks is exact, not only a bound."""
     result = condorcet_probability(impartial_culture(n), k)
-    assert 0 < result.moves <= exact.impartial_move_bound(n, k)
+    assert result.moves == exact.impartial_move_count(n, k) > 0
+
+
+def test_impartial_move_count_at_pinned_cells():
+    # at k = 2 voter 0 makes n moves and voter 1 makes n + (n-1) + ... + 1
+    assert exact.impartial_move_count(200, 2) == 200 + 200 * 201 // 2 == 20300
+    assert exact.impartial_move_count(100, 3) == 9014350
+    assert exact.impartial_move_count(24, 4) == 1525964
+    assert exact.impartial_move_count(3, 1) == 0
 
 
 def test_impartial_move_cap_refuses_before_any_move(monkeypatch):
-    bound = exact.impartial_move_bound(4, 2)
-    assert bound == 3 * math.comb(5, 2) == 30
-    assert condorcet_probability(impartial_culture(4), 2, max_winner_checks=bound).moves == 4 + 10
+    needed = exact.impartial_move_count(4, 2)
+    assert needed == 4 + math.comb(5, 2) == 14
+    assert condorcet_probability(impartial_culture(4), 2, max_winner_checks=needed).moves == needed
 
     def refuse(*args):
         raise AssertionError("built a move of a programme the cap refuses")
 
     monkeypatch.setattr(exact, "_histogram_moves", refuse)
     with pytest.raises(CapExceededError) as exc:
-        condorcet_probability(impartial_culture(4), 2, max_winner_checks=bound - 1)
+        condorcet_probability(impartial_culture(4), 2, max_winner_checks=needed - 1)
     assert (exc.value.cap_name, exc.value.needed, exc.value.cap) == (
-        "max_winner_checks", bound, bound - 1)
+        "max_winner_checks", needed, needed - 1)
     with pytest.raises(CapExceededError) as exc:
         condorcet_probability(impartial_culture(800), 2, max_winner_checks=1000)
-    assert exc.value.needed == 3 * math.comb(801, 2)
+    assert exc.value.needed == 800 + math.comb(801, 2)
 
 
 def _ordered_tuple_oracle(culture, k):

@@ -480,3 +480,16 @@ def min_prob_large_k_rate(n: int) -> float:
     if n < 3:
         raise ValueError("the large-k rate needs n >= 3")
     return math.log(n * n / (4.0 * (n - 1)))
+
+
+def min_prob_large_k_bounds(n: int, k: int) -> Tuple[Fraction, Fraction]:
+    """Exact bracket of the minimum winner probability n P(Bin(2k-1, 1/n) >= k)
+    for n >= 3: its first tail term L = n C(2k-1, k) n^(-k) (1-1/n)^(k-1)
+    below, and L (n-1)/(n-2) above, since each later term is at most
+    (k-1)/((k+1)(n-1)) < 1/(n-1) times the one before."""
+    if n < 3:
+        raise ValueError("the large-k bounds need n >= 3")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    lower = Fraction(n * math.comb(2 * k - 1, k) * (n - 1) ** (k - 1), n ** (2 * k - 1))
+    return lower, lower * Fraction(n - 1, n - 2)

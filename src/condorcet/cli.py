@@ -28,6 +28,7 @@ from .asymptotic import (
     SUPPORTED_K,
     estimate_leading_constant,
     impartial_leading_term,
+    min_prob_large_k_bounds,
     min_prob_large_k_rate,
     min_prob_large_n_leading_exact,
 )
@@ -245,6 +246,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         # -log P from the exact integers: P itself underflows a float at large k
         exact = min_condorcet_probability(n, k)
         empirical = (math.log(exact.denominator) - math.log(exact.numerator)) / k
+        lower, upper = min_prob_large_k_bounds(n, k)
         return {
             "mode": "large-k",
             "n": n,
@@ -252,6 +254,8 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
             "decay_rate": rate,
             "empirical_rate": empirical,
             "relative_deviation": abs(empirical - rate) / rate,
+            "log10_lower_bound": _log10(lower),
+            "log10_upper_bound": _log10(upper),
         }, None
     constant, constant_error = args.constant, None
     if constant is None:

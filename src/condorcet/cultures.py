@@ -40,7 +40,10 @@ from .model import Culture
 # each rung doubling their width with fresh low bits drawn as keys of the
 # old width: 16-bit keys go to 32 bits, and only the profiles that tie
 # again go on to 64 bits; 32-bit keys go to 64 bits at once.
-STREAM_VERSION = 8
+# Version 9: on the winner-table path each chunk draws its win count as one
+# Binomial(size, q) variate, q being the table's winner probability, instead
+# of one table index per profile.
+STREAM_VERSION = 9
 
 _MASK64 = (1 << 64) - 1
 

@@ -2,15 +2,16 @@
 
 The sample space is split into fixed-size chunks; chunk i is generated by a
 fresh PCG64 generator seeded with mix64(seed, n, k, i, STREAM_VERSION).
-A chunk is sampled and judged one block of profiles at a time (see
-:func:`_block_rows`), so its working set stays in cache and no chunk-sized
-tensor is ever built.  :func:`_sample_positions` is the package's one
-profile sampler: it draws a block as a tensor of ranking keys, never as
-Ranking objects, laid out alternative-major as a C-order (voters, n,
-profiles) array and handed over as its (profiles, voters, n) view.  With w
-workers, worker j runs chunks j, j + w, j + 2w, ... in turn, one task per
-worker; the merge is an integer sum of per-chunk winner counts, so p_hat
-depends on (seed, version) alone and is identical for any worker count.
+On the key path a chunk is sampled and judged one block of profiles at a
+time (see :func:`_block_rows`), so its working set stays in cache and no
+chunk-sized tensor is ever built.  :func:`_sample_positions` is the
+package's one profile sampler: it draws a block as a tensor of ranking
+keys, never as Ranking objects, laid out alternative-major as a C-order
+(voters, n, profiles) array and handed over as its (profiles, voters, n)
+view.  With w workers, worker j runs key-path chunks j, j + w, j + 2w, ...
+in turn, one task per worker; the merge is an integer sum of per-chunk
+winner counts, so p_hat depends on (seed, version) alone and is identical
+for any worker count.
 
 The winner kernel, :func:`_count_winners_vectorized`, is a knockout
 tournament run on a key tensor: ceil(log2 n) rounds of paired majority
@@ -59,11 +60,14 @@ culture and of n^(2k-2) for the cyclic one.  When there are at most
 min(samples, ``_BLOCK_KEYS``) tuples (cyclic: n <= 512 at k = 2), the
 kernel judges every tuple once, before the chunks run, into a winner table
 of at most 256 KiB, never judging more profiles than the run would.  A
-cyclic chunk then draws one uniform table index per profile in a single
-call, one block per chunk, and counts the entries they index; an explicit
-culture's block draws its support indices with :func:`_sample_support`,
-the calls :func:`_sample_positions` makes on the same blocks.  Either way
-p_hat is the one the kernel would give on those profiles' rank tensors.
+profile drawn i.i.d. from the culture then has a winner with probability q,
+the probability of the table's winning entries (see :func:`_table_share`),
+so a chunk's win count, a sum of i.i.d. Bernoulli(q) lookups, is
+Binomial(size, q): each chunk draws it as one variate from its own
+generator and counts as one block.  These chunks run inline whatever the
+worker count, as each takes microseconds.  p_hat has the distribution the
+kernel's verdicts on drawn rank tensors would give it, up to the float
+rounding of q.
 """
 
 from __future__ import annotations
@@ -130,11 +134,13 @@ class Estimate:
     which is 0 when p_hat is 0 or 1.  The interval is therefore the Wilson
     score interval, not p_hat +/- 1.96 std_error: it keeps a width of order
     1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
-    ``winner_table`` is the number of entries of the winner table the
-    profiles were judged by (n^(2k-2) for the cyclic culture, S^(2k-1) for
-    an explicit one), 0 when the knockout kernel judged each one.
+    ``winner_table`` is the number of entries of the winner table whose
+    winner probability the win counts were drawn with (n^(2k-2) for the
+    cyclic culture, S^(2k-1) for an explicit one), 0 when the knockout
+    kernel judged each profile.
     ``blocks`` counts the blocks the chunks were sampled in, one per chunk
-    on the cyclic table path, and
+    on the table path, where each chunk draws its win count as one
+    binomial variate, and
     ``rejudged_profiles`` the profiles in whose 16- or 32-bit keys the
     kernel met a tie, so it judged them again on wider keys, at least
     once.
@@ -501,7 +507,8 @@ def _table_entries(culture: Culture, k: int) -> int:
     voter 0 on rotation r onto those with it on rotation 0 and keeps
     whether a winner exists, so the winner probability is the mean over
     the tuples of voters 1..2k-2 alone, which are the table's first
-    n^(2k-2) flat indices."""
+    n^(2k-2) flat indices.  The table path draws no entry: it reads only
+    the table's winner probability (see :func:`_table_share`)."""
     if culture.kind == "cyclic":
         return culture.n ** (2 * k - 2)
     return culture.support_size ** (2 * k - 1)
@@ -524,6 +531,23 @@ def _winner_table(
     ])
 
 
+def _table_share(culture: Culture, k: int, table: np.ndarray) -> float:
+    """q, the probability that a drawn profile's winner-table entry is a
+    win.  The cyclic culture's entries are equally likely, so q is the
+    share of winning entries, min_condorcet_probability(n, k), rounded
+    once.  An explicit culture's q is the dot product of the table with its
+    entries' probabilities, each the product of its voters' support
+    weights, laid out in the table's digit order (at most ``_BLOCK_KEYS``
+    float64, 2 MiB); it is held to 1 against rounding."""
+    if culture.kind == "cyclic":
+        return np.count_nonzero(table) / len(table)
+    weights = np.array([float(w) for _, w in culture.entries])
+    probability = np.ones(1)
+    for _ in range(2 * k - 1):
+        probability = np.multiply.outer(probability, weights).ravel()
+    return min(1.0, float(probability @ table))
+
+
 def _chunk_layout(samples: int, chunk: int) -> List[Tuple[int, int]]:
     return [(i, min(chunk, samples - lo)) for i, lo in enumerate(range(0, samples, chunk))]
 
@@ -539,8 +563,10 @@ def estimate_condorcet_probability(
 
     The indicator mean; deterministic for a fixed (seed, version)
     regardless of ``workers``.  It is unbiased for the cyclic and explicit
-    cultures; for the impartial culture, whose sampler draws i.i.d. keys,
-    |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64 (see :func:`_sample_positions`).
+    cultures (on the winner-table path up to the float rounding of q, see
+    :func:`_table_share`); for the impartial culture, whose sampler draws
+    i.i.d. keys, |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64 (see
+    :func:`_sample_positions`).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -557,39 +583,25 @@ def estimate_condorcet_probability(
         tables = culture.support_positions(), _cumulative_weights(culture)
         entries = _table_entries(culture, k)
         if entries <= min(samples, _BLOCK_KEYS):
-            weights = _digit_weights(culture, k)
-            table = _winner_table(tables[0], weights, k, block_rows, entries)
-            if culture.kind == "cyclic":
-                # One draw of CHUNK_SAMPLES int64 indices, 128 KiB, per chunk.
-                block_rows = CHUNK_SAMPLES
+            table = _winner_table(tables[0], _digit_weights(culture, k), k, block_rows, entries)
 
-    def run_block(
-        size: int,
-        rng: np.random.Generator,
-        tables: tuple,
-        tied: Optional[_TiedProfiles],
-        last: bool,
-    ) -> Tuple[int, int]:
-        """Wins among ``size`` profiles drawn with ``tables`` (see
-        :func:`_sample_positions`), and the number of profiles judged again
-        on wider keys (see :func:`_count_winners_vectorized`)."""
-        if table is None:
-            keys = _sample_positions(culture, k, size, rng, tables)
-            return _count_winners_vectorized(keys, k, tied, last)
-        if culture.kind == "cyclic":
-            flat = rng.integers(0, len(table), size)
-        else:
-            flat = _sample_support(culture, k, size, rng, tables[1]) @ weights
-        return int(np.count_nonzero(table[flat])), 0
+    def generator(index: int) -> np.random.Generator:
+        return np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
 
     def run_chunk(task: Tuple[int, int], block: Optional[np.ndarray]) -> Tuple[int, int, int]:
+        """A key-path chunk's wins, blocks and profiles judged again on wider
+        keys (see :func:`_count_winners_vectorized`), its blocks drawn with
+        ``tables`` (see :func:`_sample_positions`)."""
         index, size = task
-        rng = np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
+        rng = generator(index)
         chunk_tables, tied = tables, None
         if block is not None:
             chunk_tables, tied = (_identity_voter(block), None), _TiedProfiles(rng)
         judged = [
-            run_block(min(block_rows, size - lo), rng, chunk_tables, tied, lo + block_rows >= size)
+            _count_winners_vectorized(
+                _sample_positions(culture, k, min(block_rows, size - lo), rng, chunk_tables),
+                k, tied, lo + block_rows >= size,
+            )
             for lo in range(0, size, block_rows)
         ]
         return sum(wins for wins, _ in judged), len(judged), sum(again for _, again in judged)
@@ -604,12 +616,19 @@ def estimate_condorcet_probability(
         return [run_chunk(task, block) for task in share]
 
     tasks = _chunk_layout(samples, CHUNK_SAMPLES)
-    shares = [tasks[w::workers] for w in range(min(workers, len(tasks)))]
-    if len(shares) == 1:
-        counts = run_share(shares[0])
+    if table is not None:
+        # A chunk's wins are a sum of i.i.d. Bernoulli(q) lookups, drawn as
+        # one Binomial(size, q) variate, one block per chunk and inline:
+        # a thread pool for microsecond draws only costs time.
+        q = _table_share(culture, k, table)
+        counts = [(int(generator(index).binomial(size, q)), 1, 0) for index, size in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            counts = [c for done in pool.map(run_share, shares) for c in done]
+        shares = [tasks[w::workers] for w in range(min(workers, len(tasks)))]
+        if len(shares) == 1:
+            counts = run_share(shares[0])
+        else:
+            with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+                counts = [c for done in pool.map(run_share, shares) for c in done]
     wins, blocks, rejudged = (sum(column) for column in zip(*counts))
 
     p_hat = wins / samples

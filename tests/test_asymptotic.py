@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from condorcet.asymptotic import (
     _tensor_quad,
     estimate_leading_constant,
     impartial_leading_term,
+    min_prob_large_k_bounds,
     min_prob_large_k_rate,
     min_prob_large_n_leading,
     min_prob_large_n_leading_exact,
@@ -429,3 +431,19 @@ def test_large_k_rate():
     assert min_prob_large_k_rate(4) == pytest.approx(math.log(16.0 / 12.0))
     with pytest.raises(ValueError):
         min_prob_large_k_rate(2)
+
+
+def test_large_k_bounds_bracket_the_minimum():
+    """L = n C(2k-1, k) n^(-k) (1-1/n)^(k-1) <= min_prob(n, k) <= L (n-1)/(n-2),
+    in exact rationals, for 3 <= n <= 12 and 1 <= k <= 60; at k = 1 the
+    minimum is L = 1."""
+    for n in range(3, 13):
+        for k in range(1, 61):
+            lower, upper = min_prob_large_k_bounds(n, k)
+            assert lower == Fraction(n * math.comb(2 * k - 1, k), n ** k) * (1 - Fraction(1, n)) ** (k - 1)
+            assert upper == lower * Fraction(n - 1, n - 2)
+            assert lower <= min_condorcet_probability(n, k) <= upper
+        assert min_prob_large_k_bounds(n, 1)[0] == min_condorcet_probability(n, 1) == 1
+    for n, k in ((2, 5), (3, 0)):
+        with pytest.raises(ValueError):
+            min_prob_large_k_bounds(n, k)

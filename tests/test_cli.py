@@ -293,6 +293,11 @@ def test_asymptote_large_k(capsys):
     assert code == 0
     fields = parse_human(out)
     assert float(fields["decay_rate"]) == pytest.approx(math.log(9.0 / 8.0))
+    # L <= P(3, 40) <= 2L, from the exact integers
+    log10_min = math.log10(cli.min_condorcet_probability(3, 40))
+    lower, upper = float(fields["log10_lower_bound"]), float(fields["log10_upper_bound"])
+    assert lower <= log10_min <= upper
+    assert upper - lower == pytest.approx(math.log10(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["large-n", "large-k"])
@@ -307,6 +312,9 @@ def test_asymptote_at_large_k(capsys, mode):
     if mode == "large-k":
         assert results["empirical_rate"] == pytest.approx(1.02385, abs=1e-5)
         assert results["decay_rate"] == pytest.approx(1.02165, abs=1e-5)
+        # log10 of the exact bracket; log10 of the minimum is -444.65037
+        assert results["log10_lower_bound"] == pytest.approx(-444.70140, abs=1e-5)
+        assert results["log10_upper_bound"] == pytest.approx(-444.65025, abs=1e-5)
     else:
         assert results["relative_deviation"] == pytest.approx(1.0)
 
@@ -348,7 +356,7 @@ def test_simulate_reports_winner_table(capsys, culture, n, entries):
     culture has no finite support to tabulate.  4096 profiles make one
     block of cyclic (10, 2), one draw per chunk, and two of impartial
     (50, 2), at most 3 * 2^17 // (3 n) profiles each;
-    rank tensors never tie, and 5 impartial profiles tie on their 16-bit
+    rank tensors never tie, and 12 impartial profiles tie on their 16-bit
     keys and are judged again.  Every format also names the stream version
     the seed's p_hat belongs to."""
     argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
@@ -356,22 +364,22 @@ def test_simulate_reports_winner_table(capsys, culture, n, entries):
     results, csv_fields, human = three_formats(capsys, argv)
     assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
     assert int(human["winner_table"]) == entries
-    blocks, rejudged = {"cyclic": (1, 0), "impartial": (2, 5)}[culture]
+    blocks, rejudged = {"cyclic": (1, 0), "impartial": (2, 12)}[culture]
     for field, value in (("blocks", blocks), ("rejudged_profiles", rejudged),
                          ("stream_version", STREAM_VERSION)):
         assert results[field] == int(csv_fields[field]) == int(human[field]) == value
 
 
 def test_simulate_reports_rejudged_profiles(capsys, monkeypatch):
-    """A sampler keeping 4 bits of each impartial key makes all but one of
-    4096 profiles tie at seed 3, so 4095 are judged again, and every format
-    says so."""
+    """A sampler keeping 4 bits of each impartial key makes all 4096
+    profiles tie at seed 3, so all are judged again, and every format says
+    so."""
     real = montecarlo._sample_positions
     monkeypatch.setattr(montecarlo, "_sample_positions", lambda *args: real(*args) & 0xF)
     argv = ["simulate", "--culture", "impartial", "--n", "50", "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
-    for field, value in (("blocks", 2), ("rejudged_profiles", 4095)):
+    for field, value in (("blocks", 2), ("rejudged_profiles", 4096)):
         assert results[field] == int(csv_fields[field]) == int(human[field]) == value
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from condorcet.montecarlo import (
     _sample_positions,
     _sample_support,
     _table_entries,
+    _table_share,
     _winner_mask,
     _winner_table,
     estimate_condorcet_probability,
@@ -349,33 +351,41 @@ def test_cyclic_table_mean_is_the_closed_form_minimum(n, k):
     assert Fraction(int(np.count_nonzero(table)), entries) == min_condorcet_probability(n, k)
 
 
+def table_q(culture, k):
+    """The winner probability q of the culture's winner table, built as the
+    estimate builds it (see :func:`montecarlo._table_share`)."""
+    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k,
+                          _block_rows(culture, k), _table_entries(culture, k))
+    return _table_share(culture, k, table)
+
+
 def replay_draws(culture, k, samples, seed, table):
-    """Win count of the run's own draws, each profile judged by the knockout
-    kernel on its rank tensor, and the number of blocks drawn.  The chunk
-    generators are those of :func:`estimate_condorcet_probability`.  On the
-    cyclic ``table`` path a chunk draws one flat index per profile, uniform
-    on the n^(2k-2) tuples of voters 1..2k-2, decoded here into rotations;
-    otherwise it draws blocks of _BLOCK_KEYS // ((2k - 1) n) profiles, the
-    cyclic voters 1..2k-2 uniform on the rotations, the explicit voters
-    with their weights.  A cyclic voter 0 holds rotation 0."""
+    """Win count of the run's own draws and the number of blocks drawn.  The
+    chunk generators are those of :func:`estimate_condorcet_probability`.
+    On the ``table`` path each chunk draws its win count as one
+    Binomial(size, q) variate, q the table's winner probability (see
+    :func:`table_q`), and counts one block.  Otherwise it draws blocks of
+    _BLOCK_KEYS // ((2k - 1) n) profiles, the cyclic voters 1..2k-2
+    uniform on the rotations with voter 0 on rotation 0, the explicit
+    voters with their weights, each profile judged by the knockout kernel
+    on its rank tensor."""
     n, voters = culture.n, 2 * k - 1
     ranks = np.array([ranking.positions for ranking, _ in culture.expand().entries])
     rows = max(1, _BLOCK_KEYS // (voters * n))
-    if table and culture.kind == "cyclic":
-        rows = CHUNK_SAMPLES
+    q = table_q(culture, k) if table else None
     wins = blocks = 0
     for index, size in _chunk_layout(samples, CHUNK_SAMPLES):
         rng = np.random.default_rng(mix64(seed, n, k, index, STREAM_VERSION))
+        if table:
+            wins += int(rng.binomial(size, q))
+            blocks += 1
+            continue
         for lo in range(0, size, rows):
             count = min(rows, size - lo)
             if culture.kind != "cyclic":
                 idx = _sample_support(culture, k, count, rng)
             else:
-                if table:
-                    flat = rng.integers(0, n ** (voters - 1), count)
-                    drawn = flat[:, None] // n ** np.arange(voters - 2, -1, -1) % n
-                else:
-                    drawn = rng.integers(0, n, (count, voters - 1), dtype=np.int32)
+                drawn = rng.integers(0, n, (count, voters - 1), dtype=np.int32)
                 idx = np.concatenate([np.zeros((count, 1), dtype=drawn.dtype), drawn], axis=1)
             wins += _count_winners_vectorized(ranks[idx], k)[0]
             blocks += 1
@@ -393,20 +403,36 @@ def replay_draws(culture, k, samples, seed, table):
 )
 def test_table_path_equals_key_path(culture, k, samples, workers):
     """A culture whose table has at most min(samples, _BLOCK_KEYS) entries is
-    judged by lookup.  Replayed with each drawn profile judged by the
-    kernel, its draws give p_hat bit for bit; a cyclic chunk is one block."""
+    judged by its table.  A key-path chunk's wins are a sum of i.i.d.
+    Bernoulli(q) verdicts, so the table path draws them as one
+    Binomial(size, q) variate per chunk, from the chunk's own generator:
+    the replay (see :func:`replay_draws`) gives p_hat bit for bit, whatever
+    the workers, and each chunk is one block."""
     est = estimate_condorcet_probability(culture, k, samples, seed=23, workers=workers)
     assert est.winner_table == _table_entries(culture, k)
     wins, blocks = replay_draws(culture, k, samples, 23, table=True)
     assert est.p_hat == wins / samples and est.blocks == blocks
-    if culture.kind == "cyclic":
-        assert est.blocks == 2
+    assert est.blocks == len(_chunk_layout(samples, CHUNK_SAMPLES))
+
+
+def test_table_share_is_the_exact_winner_probability():
+    """q is the culture's exact winner probability, rounded: the cyclic q is
+    the closed-form minimum rounded once (see
+    :func:`test_cyclic_table_mean_is_the_closed_form_minimum`), an explicit
+    q is within 1e-12 relative of the exact enumeration, and a point mass's
+    q is 1."""
+    for k in (2, 3):
+        exact = float(condorcet_probability(EXPLICIT_5, k).value)
+        assert table_q(EXPLICIT_5, k) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert table_q(cyclic_culture(10), 2) == float(min_condorcet_probability(10, 2))
+    assert table_q(culture_from_entries(4, [((3, 0, 1, 2), "1")]), 2) == 1.0
 
 
 def test_table_needs_no_more_entries_than_samples(monkeypatch):
     """Cyclic (5, 2) has 25 tuples of voters 1 and 2: 25 samples build the
     table, 24 stay on the key path and sample rank tensors.  Both give the
-    p_hat of their own draws, replayed."""
+    p_hat of their own draws, replayed: 24 rank tensors judged by the
+    kernel, and one Binomial(25, q) variate (see :func:`replay_draws`)."""
     drawn = record_blocks(monkeypatch)
     culture = cyclic_culture(5)
     on_keys = estimate_condorcet_probability(culture, 2, 24, seed=4)
@@ -643,9 +669,9 @@ def test_tied_profiles_climb_the_ladder_to_64_bit_keys(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_winner_mask",
                         lambda pos, k: judged.append((pos.dtype.itemsize, len(pos)))
                         or real_mask(pos, k))
-    est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=43, workers=workers)
+    est = estimate_condorcet_probability(impartial_culture(n), k, samples, seed=44, workers=workers)
     wins, rejudged, blocks, rungs = replay_impartial(
-        n, k, samples, 43, keep=np.uint16(0x3), keep_low=np.uint16(0x3))
+        n, k, samples, 44, keep=np.uint16(0x3), keep_low=np.uint16(0x3))
     widths = {size: sum(rows for s, rows in judged if s == size) for size in (2, 4, 8)}
     assert widths == {2: samples, 4: rungs[32], 8: rungs[64]}
     assert rejudged == rungs[32] > samples // 2
@@ -654,12 +680,41 @@ def test_tied_profiles_climb_the_ladder_to_64_bit_keys(monkeypatch, workers):
     assert est.p_hat == wins / samples
 
 
-# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 8,
+# Win counts and profiles judged again at seed 2026 on STREAM_VERSION 9,
 # where impartial keys of (2k - 2)(n - 1) <= 2048 are drawn as uint16, only
 # the profiles that tie are judged again, on 32-bit keys before 64-bit
-# ones, and a cyclic voter 0 holds rotation 0.  A change to the draw order, the key width or the block sizes
-# moves them; such a change must bump STREAM_VERSION and re-pin them here.
+# ones, a cyclic voter 0 holds rotation 0, and a winner-table chunk draws
+# its wins as one binomial variate.  A change to the draw order, the key
+# width or the block sizes moves them; such a change must bump
+# STREAM_VERSION and re-pin them here.  The last two runs are on the
+# winner-table path, with 100 and 64 entries.
 STREAM_PINS = [
+    (impartial_culture(200), 2, 4_096, 1, 0, 746, 40),
+    (impartial_culture(50), 5, 20_000, 1, 0, 4_167, 137),
+    (impartial_culture(50), 5, 20_000, 2, 0, 4_167, 137),
+    (cyclic_culture(40), 3, 20_000, 1, 0, 120, 0),
+    (EXPLICIT_5, 3, 1_000, 1, 0, 812, 0),
+    (cyclic_culture(10), 2, 1 << 19, 2, 100, 146_556, 0),
+    (EXPLICIT_5, 2, 5_000, 1, 64, 4_388, 0),
+]
+STREAM_PIN_IDS = ["impartial200_k2", "impartial50_k5_w1", "impartial50_k5_w2", "cyclic40_k3",
+                  "explicit_k3", "cyclic10_k2_table", "explicit_k2_table"]
+
+
+@pytest.mark.parametrize(
+    "culture, k, samples, workers, table, wins, rejudged", STREAM_PINS, ids=STREAM_PIN_IDS
+)
+def test_stream_is_pinned(culture, k, samples, workers, table, wins, rejudged):
+    """The impartial runs judge some profiles again, the rank tensors and
+    the tables none."""
+    assert STREAM_VERSION == 9
+    est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
+    assert est.winner_table == table and est.rejudged_profiles == rejudged
+    assert est.p_hat == wins / samples
+
+
+# The key-path runs of STREAM_PINS as STREAM_VERSION 8 gave them.
+VERSION_8_PINS = [
     (impartial_culture(200), 2, 4_096, 1, 757, 36),
     (impartial_culture(50), 5, 20_000, 1, 4_126, 154),
     (impartial_culture(50), 5, 20_000, 2, 4_126, 154),
@@ -669,17 +724,24 @@ STREAM_PINS = [
 
 
 @pytest.mark.parametrize(
-    "culture, k, samples, workers, wins, rejudged", STREAM_PINS,
-    ids=["impartial200_k2", "impartial50_k5_w1", "impartial50_k5_w2", "cyclic40_k3",
-         "explicit_k3"],
+    "culture, k, samples, workers, wins, rejudged", VERSION_8_PINS, ids=STREAM_PIN_IDS[:5]
 )
-def test_stream_is_pinned(culture, k, samples, workers, wins, rejudged):
-    """Every pinned run is on the key path, with no winner table; the
-    impartial runs judge some profiles again, the rank tensors none."""
-    assert STREAM_VERSION == 8
+def test_key_path_keeps_the_version_8_stream(monkeypatch, culture, k, samples, workers, wins,
+                                             rejudged):
+    """Version 9 changed only the winner-table path: with the version word
+    of the chunk seeds set back to 8, every key-path run gives version 8's
+    wins and profiles judged again."""
+    monkeypatch.setattr(montecarlo, "STREAM_VERSION", 8)
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
     assert est.winner_table == 0 and est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
+
+
+def test_readme_names_the_stream_version():
+    """The README's reproducibility section describes the current stream
+    version, so a bump cannot leave it describing the last one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"Version {STREAM_VERSION} (this one)" in " ".join(readme.split())
 
 
 @pytest.mark.parametrize(
@@ -913,10 +975,35 @@ def test_confidence_interval_covers_the_exact_value_at_k_three():
     assert hits >= 180
 
 
+@pytest.mark.parametrize(
+    "n, k, exact",
+    [(200, 3, 0.110888239729064), (200, 4, 0.0877679915556), (50, 5, 0.206036084331284)],
+    ids=["n200_k3", "n200_k4", "n50_k5"],
+)
+def test_confidence_interval_covers_the_quadrature_values(n, k, exact):
+    """The Wilson 95% interval of short impartial runs at k = 3, 4 and 5, on
+    16-bit keys over (2k-2)(n-1) = 796, 1194 and 392 compared pairs, covers
+    P_n = n * integral over [0, 1]^(2k-1) of T(t)^(n-1), T being the chance
+    that k of the 2k - 1 voters prefer an alternative to a fixed rival.  The
+    values are a graded Gauss-Legendre rule's over the orbits of the
+    symmetric axes, with the last axis in closed form; passes of 32/48,
+    24/32 and 16/20 nodes per axis agree to 1.3e-14, 1.3e-14 and 1.0e-14
+    relative.  At N = 2000 the interval covers them with probability
+    0.94993, 0.95194 and 0.95036, so the hits over 200 seeds are binomial,
+    and fewer than 180 has probability 1.2e-3, 7.1e-4 and 1.1e-3."""
+    assert _key_dtype(n, k) is np.uint16
+    hits = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(impartial_culture(n), k, 2000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+    assert hits >= 180
+
+
 def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():
-    """The Wilson 95% interval of short cyclic (10, 2) runs, judged by
-    lookup in the 100-entry table, covers the closed-form minimum 0.28 in at
-    least 90% of 200 seeds."""
+    """The Wilson 95% interval of short cyclic (10, 2) runs, on the
+    100-entry winner table, covers the closed-form minimum 0.28.  At
+    N = 2000 the interval covers it with probability 0.95087, so fewer than
+    180 hits over 200 seeds has probability 9.3e-4."""
     exact = float(min_condorcet_probability(10, 2))
     hits = 0
     for rep in range(200):
@@ -924,6 +1011,21 @@ def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():
         assert est.winner_table == 100
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 180
+
+
+def test_confidence_interval_covers_the_exact_value_on_the_explicit_table():
+    """The Wilson 95% interval of short EXPLICIT_5, k = 2 runs, on the
+    64-entry winner table, covers the exact value 7/8 that enumeration
+    gives.  At N = 2000 the interval covers it with probability 0.94612, so
+    fewer than 179 hits over 200 seeds has probability 1.3e-3."""
+    exact = condorcet_probability(EXPLICIT_5, 2).value
+    assert exact == Fraction(7, 8)
+    hits = 0
+    for rep in range(200):
+        est = estimate_condorcet_probability(EXPLICIT_5, 2, 2000, seed=mix64(2026, rep))
+        assert est.winner_table == 64
+        hits += est.ci_low <= exact <= est.ci_high
+    assert hits >= 179
 
 
 def test_input_validation():
@@ -946,8 +1048,9 @@ def test_input_validation():
 def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     """An explicit culture on the key path reads its rank table and its
     cumulative weights in every block (three per chunk here), but builds
-    each once per estimate; the winner-table path (cyclic (10, 2), one
-    block per chunk) builds its winner table from the same rank table."""
+    each once per estimate; the winner-table path (cyclic (10, 2)) builds
+    its winner table from the same rank table and draws one binomial
+    variate, one block, per chunk."""
     built = []
     real_positions, real_weights = Culture.support_positions, montecarlo._cumulative_weights
     monkeypatch.setattr(Culture, "support_positions",

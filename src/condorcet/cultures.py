@@ -40,9 +40,12 @@ from .model import Culture
 # each rung doubling their width with fresh low bits drawn as keys of the
 # old width: 16-bit keys go to 32 bits, and only the profiles that tie
 # again go on to 64 bits; 32-bit keys go to 64 bits at once.
-# Version 9: on the winner-table path each chunk draws its win count as one
-# Binomial(size, q) variate, q being the table's winner probability, instead
-# of one table index per profile.
+# Version 9: a culture with at most min(samples, 2^18) distinct profiles
+# draws each chunk's win count as one Binomial(size, q) variate instead of
+# one table index per profile; q is exact.condorcet_probability rounded
+# once.  Version 9 first took q as a float dot product over a winner
+# table; the exact q moved no seeded draw of the tests, so the version
+# stayed.
 STREAM_VERSION = 9
 
 _MASK64 = (1 << 64) - 1

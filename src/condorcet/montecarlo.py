@@ -51,23 +51,20 @@ on the first pass's key width.
 The same holds for the cyclic culture under a rotation of the labels: the
 profiles with voter 0 on rotation r map onto those with voter 0 on
 rotation 0, so voter 0 holds rotation 0 and voters 1 to 2k - 2 are drawn
-uniformly from the n rotations, one of n^(2k-2) tuples (see
-:func:`_table_entries`).
+uniformly from the n rotations, one of n^(2k-2) tuples.
 
 A culture with finite support of S rankings (cyclic or explicit) gives a
 profile as a tuple of support indices: one of S^(2k-1) for an explicit
 culture and of n^(2k-2) for the cyclic one.  When there are at most
-min(samples, ``_BLOCK_KEYS``) tuples (cyclic: n <= 512 at k = 2), the
-kernel judges every tuple once, before the chunks run, into a winner table
-of at most 256 KiB, never judging more profiles than the run would.  A
-profile drawn i.i.d. from the culture then has a winner with probability q,
-the probability of the table's winning entries (see :func:`_table_share`),
-so a chunk's win count, a sum of i.i.d. Bernoulli(q) lookups, is
-Binomial(size, q): each chunk draws it as one variate from its own
-generator and counts as one block.  These chunks run inline whatever the
-worker count, as each takes microseconds.  p_hat has the distribution the
-kernel's verdicts on drawn rank tensors would give it, up to the float
-rounding of q.
+min(samples, ``_BLOCK_KEYS``) tuples (cyclic: n <= 512 at k = 2, n <= 22
+at k = 3), a drawn profile has a winner with probability q, the culture's
+exact winner probability from :func:`condorcet.exact.condorcet_probability`
+rounded once to a float, so a chunk's win count, a sum of i.i.d.
+Bernoulli(q) verdicts, is Binomial(size, q): each chunk draws it as one
+variate from its own generator and counts as one block.  These chunks run
+inline whatever the worker count, as each takes microseconds.  p_hat has
+the distribution the kernel's verdicts on drawn rank tensors would give it,
+up to the one rounding of q.
 """
 
 from __future__ import annotations
@@ -82,6 +79,7 @@ import numpy as np
 
 from .model import NAMED_KINDS, Culture
 from .cultures import STREAM_VERSION, mix64
+from .exact import condorcet_probability
 
 CHUNK_SAMPLES = 1 << 14
 # Keys per sampled block, 1 MiB of uint32 impartial keys: small enough for
@@ -134,13 +132,13 @@ class Estimate:
     which is 0 when p_hat is 0 or 1.  The interval is therefore the Wilson
     score interval, not p_hat +/- 1.96 std_error: it keeps a width of order
     1/N at p_hat = 0 or 1 and lies inside [0, 1] by construction.
-    ``winner_table`` is the number of entries of the winner table whose
-    winner probability the win counts were drawn with (n^(2k-2) for the
-    cyclic culture, S^(2k-1) for an explicit one), 0 when the knockout
-    kernel judged each profile.
+    ``winner_checks`` is the number of voter multisets the exact walk
+    judged to get q, the winner probability the win counts were drawn with
+    (see :func:`condorcet.exact.condorcet_probability`); it is 0 at k = 1,
+    where q = 1 needs no walk, and when the knockout kernel judged each
+    sampled profile.
     ``blocks`` counts the blocks the chunks were sampled in, one per chunk
-    on the table path, where each chunk draws its win count as one
-    binomial variate, and
+    when each draws its win count as one binomial variate, and
     ``rejudged_profiles`` the profiles in whose 16- or 32-bit keys the
     kernel met a tie, so it judged them again on wider keys, at least
     once.
@@ -152,7 +150,7 @@ class Estimate:
     ci_low: float
     ci_high: float
     seed: int
-    winner_table: int
+    winner_checks: int
     blocks: int
     rejudged_profiles: int
 
@@ -183,7 +181,9 @@ def _sample_support(
     out[b, v] is the ranking of voter v of profile b, drawn with its weight
     by inverting ``cum``, which :func:`_cumulative_weights` builds if it is
     not given.  A cyclic profile's voter 0 holds rotation 0 and voters 1 to
-    2k - 2 are uniform on the n rotations (see :func:`_table_entries`)."""
+    2k - 2 are uniform on the n rotations, which keeps the winner
+    probability, as rotating the labels maps the profiles with voter 0 on
+    rotation r onto those with it on rotation 0."""
     voters = 2 * k - 1
     if culture.kind == "cyclic":
         drawn = rng.integers(0, culture.n, size=(size, voters - 1), dtype=np.int32)
@@ -493,63 +493,14 @@ def _count_winners_vectorized(
     return int(np.count_nonzero(winner)) + wins, judged
 
 
-def _digit_weights(culture: Culture, k: int) -> np.ndarray:
-    """S^(m-1-v) for voter v of m = 2k - 1: a support tuple (i_0, ..., i_m-1)
-    has flat index sum_v i_v S^(m-1-v) in the winner table."""
-    size = culture.support_size
-    return size ** np.arange(2 * k - 2, -1, -1, dtype=np.int64)
-
-
-def _table_entries(culture: Culture, k: int) -> int:
-    """Entries of a finite-support culture's winner table: one per support
-    tuple, S^(2k-1), but n^(2k-2) for the cyclic culture, whose voter 0
-    holds rotation 0.  Rotating the labels maps the cyclic profiles with
-    voter 0 on rotation r onto those with it on rotation 0 and keeps
-    whether a winner exists, so the winner probability is the mean over
-    the tuples of voters 1..2k-2 alone, which are the table's first
-    n^(2k-2) flat indices.  The table path draws no entry: it reads only
-    the table's winner probability (see :func:`_table_share`)."""
-    if culture.kind == "cyclic":
-        return culture.n ** (2 * k - 2)
-    return culture.support_size ** (2 * k - 1)
-
-
-def _winner_table(
-    ranks: np.ndarray, weights: np.ndarray, k: int, block_rows: int, entries: int
-) -> np.ndarray:
-    """Winner indicator of the support tuples of flat index 0..entries-1:
-    the knockout kernel judges ``ranks[tuple]``, ``block_rows`` tuples at a
-    time, where ``ranks`` is the culture's support position table and
-    ``weights`` its :func:`_digit_weights`.  The digits are formed
-    arithmetically, as np.indices allows at most 64 dimensions and a
-    profile may have more voters."""
-    size = len(ranks)
-    flat = np.arange(entries)
-    return np.concatenate([
-        _winner_mask(_gather_ranks(ranks, flat[lo:lo + block_rows, None] // weights % size), k)[0]
-        for lo in range(0, entries, block_rows)
-    ])
-
-
-def _table_share(culture: Culture, k: int, table: np.ndarray) -> float:
-    """q, the probability that a drawn profile's winner-table entry is a
-    win.  The cyclic culture's entries are equally likely, so q is the
-    share of winning entries, min_condorcet_probability(n, k), rounded
-    once.  An explicit culture's q is the dot product of the table with its
-    entries' probabilities, each the product of its voters' support
-    weights, laid out in the table's digit order (at most ``_BLOCK_KEYS``
-    float64, 2 MiB); it is held to 1 against rounding."""
-    if culture.kind == "cyclic":
-        return np.count_nonzero(table) / len(table)
-    weights = np.array([float(w) for _, w in culture.entries])
-    probability = np.ones(1)
-    for _ in range(2 * k - 1):
-        probability = np.multiply.outer(probability, weights).ravel()
-    return min(1.0, float(probability @ table))
-
-
 def _chunk_layout(samples: int, chunk: int) -> List[Tuple[int, int]]:
     return [(i, min(chunk, samples - lo)) for i, lo in enumerate(range(0, samples, chunk))]
+
+
+def _check_counts(samples: int, k: int, workers: int) -> None:
+    for name, value in (("samples", samples), ("k", k), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def estimate_condorcet_probability(
@@ -563,27 +514,34 @@ def estimate_condorcet_probability(
 
     The indicator mean; deterministic for a fixed (seed, version)
     regardless of ``workers``.  It is unbiased for the cyclic and explicit
-    cultures (on the winner-table path up to the float rounding of q, see
-    :func:`_table_share`); for the impartial culture, whose sampler draws
-    i.i.d. keys, |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64 (see
-    :func:`_sample_positions`).
+    cultures, up to the one rounding of q where each chunk draws its wins
+    from q, the exact winner probability; for the impartial culture, whose
+    sampler draws i.i.d. keys, |E[p_hat] - P| <= (2k - 2) C(n, 2) / 2^64
+    (see :func:`_sample_positions`).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_counts(samples, k, workers)
     if seed is None:
         seed = secrets.randbits(63)
 
+    # The distinct profiles are S^(2k-1) support tuples, or n^(2k-2) for the
+    # cyclic culture with voter 0 on rotation 0.  When there are at most
+    # min(samples, _BLOCK_KEYS) of them, each chunk draws its wins from q,
+    # the exact winner probability, and the key path's tables go unbuilt.
+    # At k = 1 the one voter's first choice always wins, so q = 1 needs no
+    # walk, where the cyclic walk would pack an n x n table at any n (0.41 s
+    # and 371 MB at n = 8000, in process on 2 vCPUs).
     block_rows = _block_rows(culture, k)
-    tables = table = None
+    tables = q = None
+    checks = 0
     if culture.kind != "impartial":
-        tables = culture.support_positions(), _cumulative_weights(culture)
-        entries = _table_entries(culture, k)
-        if entries <= min(samples, _BLOCK_KEYS):
-            table = _winner_table(tables[0], _digit_weights(culture, k), k, block_rows, entries)
+        cyclic = culture.kind == "cyclic"
+        if culture.support_size ** (2 * k - 1 - cyclic) > min(samples, _BLOCK_KEYS):
+            tables = culture.support_positions(), _cumulative_weights(culture)
+        elif k == 1:
+            q = 1.0
+        else:
+            exact = condorcet_probability(culture, k)
+            q, checks = float(exact.value), exact.winner_checks
 
     def generator(index: int) -> np.random.Generator:
         return np.random.default_rng(mix64(seed, culture.n, k, index, STREAM_VERSION))
@@ -616,11 +574,10 @@ def estimate_condorcet_probability(
         return [run_chunk(task, block) for task in share]
 
     tasks = _chunk_layout(samples, CHUNK_SAMPLES)
-    if table is not None:
-        # A chunk's wins are a sum of i.i.d. Bernoulli(q) lookups, drawn as
+    if q is not None:
+        # A chunk's wins are a sum of i.i.d. Bernoulli(q) verdicts, drawn as
         # one Binomial(size, q) variate, one block per chunk and inline:
         # a thread pool for microsecond draws only costs time.
-        q = _table_share(culture, k, table)
         counts = [(int(generator(index).binomial(size, q)), 1, 0) for index, size in tasks]
     else:
         shares = [tasks[w::workers] for w in range(min(workers, len(tasks)))]
@@ -634,10 +591,7 @@ def estimate_condorcet_probability(
     p_hat = wins / samples
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     ci_low, ci_high = _wilson_interval(p_hat, samples)
-    winner_table = 0 if table is None else len(table)
-    return Estimate(
-        p_hat, samples, std_error, ci_low, ci_high, seed, winner_table, blocks, rejudged
-    )
+    return Estimate(p_hat, samples, std_error, ci_low, ci_high, seed, checks, blocks, rejudged)
 
 
 def _wilson_interval(p_hat: float, samples: int) -> Tuple[float, float]:
@@ -674,8 +628,7 @@ def sweep(
     """
     if family not in NAMED_KINDS:
         raise ValueError(f"unknown culture family {family!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_counts(samples, k, workers)
     if seed is None:
         seed = secrets.randbits(63)
     results = []

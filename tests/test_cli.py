@@ -116,14 +116,15 @@ def test_simulate_and_sweep_identical_across_workers(capsys):
 
 
 def test_simulate_cyclic_minimiser_identical_across_workers(capsys):
-    """2^19 cyclic (10, 2) profiles, 32 chunks judged by lookup in the
-    100-entry table, give one record at 1, 2 and 3 workers."""
+    """2^19 cyclic (10, 2) profiles, 32 chunks whose wins are drawn from the
+    exact q after 10 winner checks, give one record at 1, 2 and 3
+    workers."""
     argv = ["simulate", "--culture", "cyclic", "--n", "10", "--k", "2",
             "--samples", "524288", "--seed", "7", "--format", "json"]
     records = [json.loads(run_capture(capsys, argv + ["--workers", w])[1])["results"]
                for w in ("1", "2", "3")]
     assert records[0] == records[1] == records[2]
-    assert records[0]["winner_table"] == 100 and records[0]["blocks"] == 32
+    assert records[0]["winner_checks"] == 10 and records[0]["blocks"] == 32
     assert abs(records[0]["p_hat"] - 0.28) < 5 * math.sqrt(0.28 * 0.72 / 524288)
 
 
@@ -136,6 +137,16 @@ def test_workers_below_one_exit_one(capsys, workers):
     for argv in commands:
         code, out = run_capture(capsys, argv + ["--samples", "4096", "--workers", workers])
         assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("n_values", ["", "5,7"])
+@pytest.mark.parametrize("option, value", [("--samples", "0"), ("--samples", "-2"), ("--k", "0")])
+def test_sweep_counts_below_one_exit_one(capsys, n_values, option, value):
+    """A sweep checks its sample count and k before any cell, so an empty
+    --n-values list exits 1 too, as it does on --workers 0."""
+    argv = ["sweep", "--family", "cyclic", "--n-values", n_values, "--k", "2", "--samples", "4096"]
+    code, out = run_capture(capsys, argv + [option, value])
+    assert code == 1 and out == ""
 
 
 def test_exact_cyclic_matches_minprob_at_two_hundred(capsys):
@@ -348,12 +359,12 @@ def test_asymptote_large_n_log10_fields(capsys, n, k, exact, leading):
 
 
 @pytest.mark.parametrize(
-    "culture, n, entries", [("cyclic", 10, 100), ("impartial", 50, 0)]
+    "culture, n, checks", [("cyclic", 10, 10), ("impartial", 50, 0)]
 )
-def test_simulate_reports_winner_table(capsys, culture, n, entries):
-    """Cyclic (10, 2) judges its profiles by lookup in a table of 10^2
-    entries, one per pair of rotations of voters 1 and 2; the impartial
-    culture has no finite support to tabulate.  4096 profiles make one
+def test_simulate_reports_winner_checks(capsys, culture, n, checks):
+    """Cyclic (10, 2) has 10^2 tuples of rotations of voters 1 and 2, so it
+    draws its wins from the exact q, whose walk judges 10 multisets; the
+    impartial culture samples every profile.  4096 profiles make one
     block of cyclic (10, 2), one draw per chunk, and two of impartial
     (50, 2), at most 3 * 2^17 // (3 n) profiles each;
     rank tensors never tie, and 12 impartial profiles tie on their 16-bit
@@ -362,8 +373,8 @@ def test_simulate_reports_winner_table(capsys, culture, n, entries):
     argv = ["simulate", "--culture", culture, "--n", str(n), "--k", "2",
             "--samples", "4096", "--seed", "3"]
     results, csv_fields, human = three_formats(capsys, argv)
-    assert results["winner_table"] == int(csv_fields["winner_table"]) == entries
-    assert int(human["winner_table"]) == entries
+    assert results["winner_checks"] == int(csv_fields["winner_checks"]) == checks
+    assert int(human["winner_checks"]) == checks
     blocks, rejudged = {"cyclic": (1, 0), "impartial": (2, 12)}[culture]
     for field, value in (("blocks", blocks), ("rejudged_profiles", rejudged),
                          ("stream_version", STREAM_VERSION)):

@@ -21,14 +21,11 @@ from condorcet.montecarlo import (
     _block_rows,
     _chunk_layout,
     _count_winners_vectorized,
-    _digit_weights,
+    _gather_ranks,
     _key_dtype,
     _sample_positions,
     _sample_support,
-    _table_entries,
-    _table_share,
     _winner_mask,
-    _winner_table,
     estimate_condorcet_probability,
     sweep,
 )
@@ -312,6 +309,25 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
         assert 0 < sum(expected) < len(pos)  # both outcomes occur
 
 
+def winner_table(culture, k, block_rows):
+    """The support tuples of a finite-support culture's distinct profiles,
+    in ``itertools.product`` order, and the knockout kernel's verdict on
+    each, judged ``block_rows`` tuples at a time on the ranks the sampler
+    gathers (see :func:`montecarlo._gather_ranks`).  Voter v of tuple t
+    holds support ranking t[v]: every voter ranges over the support of an
+    explicit culture, and voters 1..2k-2 over the n rotations of the cyclic
+    one, with voter 0 on rotation 0."""
+    ranks = culture.support_positions()
+    cyclic = culture.kind == "cyclic"
+    drawn = itertools.product(range(len(ranks)), repeat=2 * k - 1 - cyclic)
+    tuples = np.array([(0,) * cyclic + t for t in drawn])
+    verdicts = [
+        _winner_mask(_gather_ranks(ranks, tuples[lo:lo + block_rows]), k)[0]
+        for lo in range(0, len(tuples), block_rows)
+    ]
+    return tuples, np.concatenate(verdicts)
+
+
 @pytest.mark.parametrize(
     "culture, k",
     [(cyclic_culture(5), 2), (cyclic_culture(4), 3), (EXPLICIT_5, 2), (EXPLICIT_5, 3)],
@@ -319,18 +335,13 @@ def test_kernel_matches_oracle_profile_by_profile(culture, k, profiles, monkeypa
 )
 @pytest.mark.parametrize("block_rows", [1, 7, 24, 4096])
 def test_winner_table_matches_oracle(culture, k, block_rows):
-    """Entry sum_v i_v S^(m-1-v) of an explicit culture's winner table is the
-    oracle's verdict on the profile whose voter v holds support ranking i_v.
-    The cyclic table has the n^(2k-2) entries sum_v i_v n^(2k-2-v) over
-    voters 1..2k-2, judged with voter 0 on rotation 0.  Either way the table
-    is the same whether it is built in many blocks or in one."""
+    """On every distinct profile of a finite-support culture (see
+    :func:`winner_table`) the kernel gives the oracle's verdict, whether the
+    profiles are judged in many blocks or in one."""
     support = [ranking for ranking, _ in culture.expand().entries]
-    cyclic = culture.kind == "cyclic"
-    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k, block_rows,
-                          _table_entries(culture, k))
-    drawn = 2 * k - 2 if cyclic else 2 * k - 1
-    tuples = [(0,) * cyclic + t for t in itertools.product(range(len(support)), repeat=drawn)]
-    assert table.dtype == bool and len(table) == len(tuples) == len(support) ** drawn
+    tuples, table = winner_table(culture, k, block_rows)
+    drawn = 2 * k - 2 if culture.kind == "cyclic" else 2 * k - 1
+    assert table.dtype == bool and len(table) == len(support) ** drawn
     expected = [
         find_condorcet_winner(Profile(tuple(support[i] for i in t), k)).exists for t in tuples
     ]
@@ -340,31 +351,21 @@ def test_winner_table_matches_oracle(culture, k, block_rows):
 
 @pytest.mark.parametrize("n, k", [(10, 2), (7, 3), (5, 4), (30, 2)])
 def test_cyclic_table_mean_is_the_closed_form_minimum(n, k):
-    """Fixing voter 0 on rotation 0 keeps the winner probability: the cyclic
-    table's wins over its n^(2k-2) entries are n P(Bin(2k-1, 1/n) >= k),
-    exactly."""
+    """Fixing voter 0 on rotation 0 keeps the winner probability, as the
+    cyclic key path assumes: the kernel's wins over the n^(2k-2) tuples of
+    voters 1..2k-2 are n P(Bin(2k-1, 1/n) >= k), exactly."""
     culture = cyclic_culture(n)
-    entries = _table_entries(culture, k)
-    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k,
-                          _block_rows(culture, k), entries)
-    assert entries == n ** (2 * k - 2) == len(table)
-    assert Fraction(int(np.count_nonzero(table)), entries) == min_condorcet_probability(n, k)
-
-
-def table_q(culture, k):
-    """The winner probability q of the culture's winner table, built as the
-    estimate builds it (see :func:`montecarlo._table_share`)."""
-    table = _winner_table(culture.support_positions(), _digit_weights(culture, k), k,
-                          _block_rows(culture, k), _table_entries(culture, k))
-    return _table_share(culture, k, table)
+    _, table = winner_table(culture, k, _block_rows(culture, k))
+    assert len(table) == n ** (2 * k - 2)
+    assert Fraction(int(np.count_nonzero(table)), len(table)) == min_condorcet_probability(n, k)
 
 
 def replay_draws(culture, k, samples, seed, table):
     """Win count of the run's own draws and the number of blocks drawn.  The
     chunk generators are those of :func:`estimate_condorcet_probability`.
     On the ``table`` path each chunk draws its win count as one
-    Binomial(size, q) variate, q the table's winner probability (see
-    :func:`table_q`), and counts one block.  Otherwise it draws blocks of
+    Binomial(size, q) variate, q the culture's exact winner probability
+    rounded once, and counts one block.  Otherwise it draws blocks of
     _BLOCK_KEYS // ((2k - 1) n) profiles, the cyclic voters 1..2k-2
     uniform on the rotations with voter 0 on rotation 0, the explicit
     voters with their weights, each profile judged by the knockout kernel
@@ -372,7 +373,7 @@ def replay_draws(culture, k, samples, seed, table):
     n, voters = culture.n, 2 * k - 1
     ranks = np.array([ranking.positions for ranking, _ in culture.expand().entries])
     rows = max(1, _BLOCK_KEYS // (voters * n))
-    q = table_q(culture, k) if table else None
+    q = float(condorcet_probability(culture, k).value) if table else None
     wins = blocks = 0
     for index, size in _chunk_layout(samples, CHUNK_SAMPLES):
         rng = np.random.default_rng(mix64(seed, n, k, index, STREAM_VERSION))
@@ -392,58 +393,104 @@ def replay_draws(culture, k, samples, seed, table):
     return wins, blocks
 
 
+# Three rankings at weight 1/3 each.  THIRDS_3 always has a Condorcet
+# winner at k = 2, yet the float dot product of its profiles' weights with
+# their verdicts gives 0.9999999999999993; THIRDS_5's exact 7/9 rounds to
+# 0.7777777777777778, and that dot product gives 0.7777777777777775.
+THIRDS_3 = culture_from_entries(3, [((0, 1, 2), "1/3"), ((1, 2, 0), "1/3"), ((2, 1, 0), "1/3")])
+THIRDS_5 = culture_from_entries(
+    5, [((0, 1, 2, 3, 4), "1/3"), ((1, 2, 3, 4, 0), "1/3"), ((2, 0, 4, 1, 3), "1/3")]
+)
+
+
 @pytest.mark.parametrize(
     "culture, k, samples, workers",
     [
         (cyclic_culture(10), 2, 1 << 15, 1),
         (cyclic_culture(10), 2, 1 << 15, 2),
         (EXPLICIT_5, 2, 5_000, 1),
+        (THIRDS_5, 2, 5_000, 1),
     ],
-    ids=["cyclic10_w1", "cyclic10_w2", "explicit_k2"],
+    ids=["cyclic10_w1", "cyclic10_w2", "explicit_k2", "thirds5_k2"],
 )
 def test_table_path_equals_key_path(culture, k, samples, workers):
-    """A culture whose table has at most min(samples, _BLOCK_KEYS) entries is
-    judged by its table.  A key-path chunk's wins are a sum of i.i.d.
-    Bernoulli(q) verdicts, so the table path draws them as one
-    Binomial(size, q) variate per chunk, from the chunk's own generator:
-    the replay (see :func:`replay_draws`) gives p_hat bit for bit, whatever
-    the workers, and each chunk is one block."""
+    """A culture with at most min(samples, _BLOCK_KEYS) distinct profiles
+    draws its wins from its exact winner probability q.  A key-path chunk's
+    wins are a sum of i.i.d. Bernoulli(q) verdicts, so such a run draws
+    them as one Binomial(size, q) variate per chunk, from the chunk's own
+    generator: the replay (see :func:`replay_draws`) gives p_hat bit for
+    bit, whatever the workers, and each chunk is one block.  The estimate
+    reports the multisets the exact walk judged."""
     est = estimate_condorcet_probability(culture, k, samples, seed=23, workers=workers)
-    assert est.winner_table == _table_entries(culture, k)
+    assert est.winner_checks == condorcet_probability(culture, k).winner_checks > 0
     wins, blocks = replay_draws(culture, k, samples, 23, table=True)
     assert est.p_hat == wins / samples and est.blocks == blocks
     assert est.blocks == len(_chunk_layout(samples, CHUNK_SAMPLES))
 
 
-def test_table_share_is_the_exact_winner_probability():
-    """q is the culture's exact winner probability, rounded: the cyclic q is
-    the closed-form minimum rounded once (see
-    :func:`test_cyclic_table_mean_is_the_closed_form_minimum`), an explicit
-    q is within 1e-12 relative of the exact enumeration, and a point mass's
-    q is 1."""
-    for k in (2, 3):
-        exact = float(condorcet_probability(EXPLICIT_5, k).value)
-        assert table_q(EXPLICIT_5, k) == pytest.approx(exact, rel=1e-12, abs=0)
-    assert table_q(cyclic_culture(10), 2) == float(min_condorcet_probability(10, 2))
-    assert table_q(culture_from_entries(4, [((3, 0, 1, 2), "1")]), 2) == 1.0
+def test_table_share_is_the_exact_winner_probability(monkeypatch):
+    """Every chunk draws its wins with q, the exact winner probability
+    rounded once, seen by recording the p of each binomial draw: 1.0 for
+    THIRDS_3 and a point mass, 7/9 rounded for THIRDS_5, the closed-form
+    minimum 0.28 for cyclic (10, 2).  So THIRDS_3 gives p_hat = 1 at every
+    seed."""
+    real, drawn = np.random.default_rng, []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def binomial(self, size, q):
+            drawn.append(q)
+            return self.rng.binomial(size, q)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    point_mass = culture_from_entries(4, [((3, 0, 1, 2), "1")])
+    cases = [(THIRDS_3, 2, 1.0), (point_mass, 2, 1.0), (THIRDS_5, 2, 0.7777777777777778),
+             (cyclic_culture(10), 2, 0.28), (EXPLICIT_5, 3, 907 / 1152)]
+    for culture, k, q in cases:
+        drawn.clear()
+        estimate_condorcet_probability(culture, k, 3 * CHUNK_SAMPLES, seed=37)
+        assert drawn == [q] * 3 and q == float(condorcet_probability(culture, k).value)
+    for seed in range(20):
+        assert estimate_condorcet_probability(THIRDS_3, 2, 2 * CHUNK_SAMPLES, seed=seed).p_hat == 1.0
 
 
 def test_table_needs_no_more_entries_than_samples(monkeypatch):
-    """Cyclic (5, 2) has 25 tuples of voters 1 and 2: 25 samples build the
-    table, 24 stay on the key path and sample rank tensors.  Both give the
-    p_hat of their own draws, replayed: 24 rank tensors judged by the
-    kernel, and one Binomial(25, q) variate (see :func:`replay_draws`)."""
+    """Cyclic (5, 2) has 25 tuples of voters 1 and 2: 25 samples draw their
+    wins from the exact q, 24 stay on the key path and sample rank tensors.
+    Both give the p_hat of their own draws, replayed: 24 rank tensors judged
+    by the kernel, and one Binomial(25, q) variate (see
+    :func:`replay_draws`)."""
     drawn = record_blocks(monkeypatch)
     culture = cyclic_culture(5)
     on_keys = estimate_condorcet_probability(culture, 2, 24, seed=4)
-    assert on_keys.winner_table == 0
+    assert on_keys.winner_checks == 0
     assert sum(len(block) for block in drawn) == 24
     assert (drawn[0][:, 0] == np.arange(5)).all()  # voter 0 on rotation 0
     assert on_keys.p_hat == replay_draws(culture, 2, 24, 4, table=False)[0] / 24
     drawn.clear()
     by_table = estimate_condorcet_probability(culture, 2, 25, seed=4)
-    assert by_table.winner_table == 25 and drawn == []
+    assert by_table.winner_checks == condorcet_probability(culture, 2).winner_checks == 5
+    assert drawn == []
     assert by_table.p_hat == replay_draws(culture, 2, 25, 4, table=True)[0] / 25
+
+
+def test_one_voter_needs_no_walk():
+    """At k = 1 every cyclic culture has one distinct profile, and the one
+    voter's first choice always wins, so each chunk draws from q = 1 with
+    no exact walk, whose n x n table would take 9 * 10^6 ranks at
+    n = 3000; the traced peak stays under 64 KiB, after a first call has
+    made numpy's lazy imports."""
+    estimate_condorcet_probability(cyclic_culture(3), 1, 1, seed=3)
+    tracemalloc.start()
+    try:
+        est = estimate_condorcet_probability(cyclic_culture(3000), 1, 2 * CHUNK_SAMPLES, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.p_hat, est.winner_checks, est.blocks) == (1.0, 0, 2)
+    assert peak < 1 << 16
 
 
 def assert_kernel_matches_oracle_on(pool, seed):
@@ -586,12 +633,12 @@ def test_at_most_votes_judge_tied_keys_soundly(k):
 
 
 @pytest.mark.parametrize(
-    "culture, k, table",
-    [(cyclic_culture(10), 2, 100), (cyclic_culture(9), 3, 0), (EXPLICIT_5, 2, 64),
+    "culture, k, checks",
+    [(cyclic_culture(10), 2, 10), (cyclic_culture(9), 3, 0), (EXPLICIT_5, 2, 27),
      (EXPLICIT_5, 3, 0), (impartial_culture(7), 2, 0)],
     ids=["cyclic_table", "cyclic_ranks", "explicit_table", "explicit_ranks", "impartial"],
 )
-def test_workers_give_bit_identical_estimates(monkeypatch, culture, k, table):
+def test_workers_give_bit_identical_estimates(monkeypatch, culture, k, checks):
     """Each worker runs a fixed share of the chunks, every chunk on its own
     generator, so p_hat, the blocks and the profiles judged again are the
     same for 1, 2, 3 and 5 workers.  1000 samples make four chunks of at
@@ -604,7 +651,7 @@ def test_workers_give_bit_identical_estimates(monkeypatch, culture, k, table):
     runs = [estimate_condorcet_probability(culture, k, 1_000, seed=13, workers=workers)
             for workers in (1, 2, 3, 5)]
     assert all(run == runs[0] for run in runs[1:])
-    assert runs[0].winner_table == table and runs[0].blocks >= 4
+    assert runs[0].winner_checks == checks and runs[0].blocks >= 4
     if culture.kind == "impartial":
         wins, rejudged, blocks, _ = replay_impartial(culture.n, k, 1_000, 13)
         assert runs[0].p_hat == wins / 1_000 and runs[0].blocks == len(blocks) == 24
@@ -683,33 +730,33 @@ def test_tied_profiles_climb_the_ladder_to_64_bit_keys(monkeypatch, workers):
 # Win counts and profiles judged again at seed 2026 on STREAM_VERSION 9,
 # where impartial keys of (2k - 2)(n - 1) <= 2048 are drawn as uint16, only
 # the profiles that tie are judged again, on 32-bit keys before 64-bit
-# ones, a cyclic voter 0 holds rotation 0, and a winner-table chunk draws
-# its wins as one binomial variate.  A change to the draw order, the key
-# width or the block sizes moves them; such a change must bump
-# STREAM_VERSION and re-pin them here.  The last two runs are on the
-# winner-table path, with 100 and 64 entries.
+# ones, a cyclic voter 0 holds rotation 0, and a culture with few distinct
+# profiles draws each chunk's wins as one binomial variate.  A change to the
+# draw order, the key width or the block sizes moves them; such a change
+# must bump STREAM_VERSION and re-pin them here.  The last two runs draw
+# binomial variates, after exact walks of 10 and 27 winner checks.
 STREAM_PINS = [
     (impartial_culture(200), 2, 4_096, 1, 0, 746, 40),
     (impartial_culture(50), 5, 20_000, 1, 0, 4_167, 137),
     (impartial_culture(50), 5, 20_000, 2, 0, 4_167, 137),
     (cyclic_culture(40), 3, 20_000, 1, 0, 120, 0),
     (EXPLICIT_5, 3, 1_000, 1, 0, 812, 0),
-    (cyclic_culture(10), 2, 1 << 19, 2, 100, 146_556, 0),
-    (EXPLICIT_5, 2, 5_000, 1, 64, 4_388, 0),
+    (cyclic_culture(10), 2, 1 << 19, 2, 10, 146_556, 0),
+    (EXPLICIT_5, 2, 5_000, 1, 27, 4_388, 0),
 ]
 STREAM_PIN_IDS = ["impartial200_k2", "impartial50_k5_w1", "impartial50_k5_w2", "cyclic40_k3",
                   "explicit_k3", "cyclic10_k2_table", "explicit_k2_table"]
 
 
 @pytest.mark.parametrize(
-    "culture, k, samples, workers, table, wins, rejudged", STREAM_PINS, ids=STREAM_PIN_IDS
+    "culture, k, samples, workers, checks, wins, rejudged", STREAM_PINS, ids=STREAM_PIN_IDS
 )
-def test_stream_is_pinned(culture, k, samples, workers, table, wins, rejudged):
+def test_stream_is_pinned(culture, k, samples, workers, checks, wins, rejudged):
     """The impartial runs judge some profiles again, the rank tensors and
-    the tables none."""
+    the binomial draws none."""
     assert STREAM_VERSION == 9
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
-    assert est.winner_table == table and est.rejudged_profiles == rejudged
+    assert est.winner_checks == checks and est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
 
 
@@ -733,7 +780,7 @@ def test_key_path_keeps_the_version_8_stream(monkeypatch, culture, k, samples, w
     wins and profiles judged again."""
     monkeypatch.setattr(montecarlo, "STREAM_VERSION", 8)
     est = estimate_condorcet_probability(culture, k, samples, seed=2026, workers=workers)
-    assert est.winner_table == 0 and est.rejudged_profiles == rejudged
+    assert est.winner_checks == 0 and est.rejudged_profiles == rejudged
     assert est.p_hat == wins / samples
 
 
@@ -975,6 +1022,26 @@ def test_confidence_interval_covers_the_exact_value_at_k_three():
     assert hits >= 180
 
 
+def test_confidence_interval_covers_the_quadrature_value_on_32_bit_keys():
+    """The Wilson 95% interval of short impartial (800, 3) runs, on 32-bit
+    keys over (2k-2)(n-1) = 3196 compared pairs, past the 3072 of the
+    16-bit side, covers P_n = 0.0461459354534 (the quadrature of
+    :func:`test_confidence_interval_covers_the_quadrature_values`).  At
+    N = 1000 the interval covers it with probability 0.95046 (summed over
+    Bin(1000, p)), so the hits over 160 seeds are Bin(160, 0.95046), and
+    fewer than 143 has probability 1.0e-3.  Few profiles tie on 32-bit
+    keys."""
+    n, k, exact = 800, 3, 0.0461459354534
+    assert _key_dtype(n, k) is np.uint32
+    hits = rejudged = 0
+    for rep in range(160):
+        est = estimate_condorcet_probability(impartial_culture(n), k, 1000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+        rejudged += est.rejudged_profiles
+    assert hits >= 143
+    assert rejudged < 0.001 * 160 * 1000
+
+
 @pytest.mark.parametrize(
     "n, k, exact",
     [(200, 3, 0.110888239729064), (200, 4, 0.0877679915556), (50, 5, 0.206036084331284)],
@@ -1000,30 +1067,30 @@ def test_confidence_interval_covers_the_quadrature_values(n, k, exact):
 
 
 def test_confidence_interval_covers_the_closed_form_on_the_cyclic_table():
-    """The Wilson 95% interval of short cyclic (10, 2) runs, on the
-    100-entry winner table, covers the closed-form minimum 0.28.  At
+    """The Wilson 95% interval of short cyclic (10, 2) runs, whose chunks
+    draw their wins from the exact q, covers the closed-form minimum 0.28.  At
     N = 2000 the interval covers it with probability 0.95087, so fewer than
     180 hits over 200 seeds has probability 9.3e-4."""
     exact = float(min_condorcet_probability(10, 2))
     hits = 0
     for rep in range(200):
         est = estimate_condorcet_probability(cyclic_culture(10), 2, 2000, seed=mix64(2026, rep))
-        assert est.winner_table == 100
+        assert est.winner_checks == 10
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 180
 
 
 def test_confidence_interval_covers_the_exact_value_on_the_explicit_table():
-    """The Wilson 95% interval of short EXPLICIT_5, k = 2 runs, on the
-    64-entry winner table, covers the exact value 7/8 that enumeration
-    gives.  At N = 2000 the interval covers it with probability 0.94612, so
+    """The Wilson 95% interval of short EXPLICIT_5, k = 2 runs, whose
+    chunks draw their wins from the exact q, covers the exact value 7/8 that
+    enumeration gives.  At N = 2000 the interval covers it with probability 0.94612, so
     fewer than 179 hits over 200 seeds has probability 1.3e-3."""
     exact = condorcet_probability(EXPLICIT_5, 2).value
     assert exact == Fraction(7, 8)
     hits = 0
     for rep in range(200):
         est = estimate_condorcet_probability(EXPLICIT_5, 2, 2000, seed=mix64(2026, rep))
-        assert est.winner_table == 64
+        assert est.winner_checks == 27
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 179
 
@@ -1042,15 +1109,19 @@ def test_input_validation():
             sweep("cyclic", 2, [3], 100, seed=1, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             sweep("cyclic", 2, [], 100, seed=1, workers=workers)
+    for samples, k, name in ((0, 2, "samples"), (-1, 2, "samples"), (100, 0, "k")):
+        for n_values in ([3], []):
+            with pytest.raises(ValueError, match=name):
+                sweep("cyclic", k, n_values, samples, seed=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     """An explicit culture on the key path reads its rank table and its
     cumulative weights in every block (three per chunk here), but builds
-    each once per estimate; the winner-table path (cyclic (10, 2)) builds
-    its winner table from the same rank table and draws one binomial
-    variate, one block, per chunk."""
+    each once per estimate; cyclic (10, 2) builds neither, only the exact
+    walk's rank table, and draws one binomial variate, one block, per
+    chunk."""
     built = []
     real_positions, real_weights = Culture.support_positions, montecarlo._cumulative_weights
     monkeypatch.setattr(Culture, "support_positions",
@@ -1058,12 +1129,15 @@ def test_support_tables_are_built_once_per_estimate(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_cumulative_weights",
                         lambda culture: built.append("_cumulative_weights") or real_weights(culture))
     samples = 3 * CHUNK_SAMPLES
-    for culture, k, table, blocks in ((EXPLICIT_5, 5, 0, 9), (cyclic_culture(10), 2, 10 ** 2, 3)):
+    for culture, k, checks, blocks, tables in (
+        (EXPLICIT_5, 5, 0, 9, ["_cumulative_weights", "support_positions"]),
+        (cyclic_culture(10), 2, 10, 3, ["support_positions"]),
+    ):
         built.clear()
         est = estimate_condorcet_probability(culture, k, samples, seed=29, workers=workers)
-        assert est.winner_table == table
-        assert sorted(built) == ["_cumulative_weights", "support_positions"]
-        wins, replayed = replay_draws(culture, k, samples, 29, table > 0)
+        assert est.winner_checks == checks
+        assert sorted(built) == tables
+        wins, replayed = replay_draws(culture, k, samples, 29, checks > 0)
         assert est.p_hat == wins / samples and est.blocks == replayed == blocks
 
 

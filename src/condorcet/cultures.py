@@ -45,7 +45,8 @@ from .model import Culture
 # one table index per profile; q is exact.condorcet_probability rounded
 # once.  Version 9 first took q as a float dot product over a winner
 # table; the exact q moved no seeded draw of the tests, so the version
-# stayed.
+# stayed, though an explicit culture's p_hat from that first form can
+# rarely differ, where a draw hinged on the last ulps of q.
 STREAM_VERSION = 9
 
 _MASK64 = (1 << 64) - 1

@@ -21,10 +21,13 @@ voter multiset's tally against a is one int sum, and one mask test tells
 whether some rival has a majority over a: on a partial tally that cuts the
 branch, on a full one it decides the win.  Field a never gains a vote, so
 one mask and one bias serve every walk.  The cyclic kind is symmetric, so
-one walk serves every alternative.  Weights are integer numerators over
-the lcm D of the weight denominators; the winner mass accumulates as an
-integer over D^(2k-1) and becomes a ``Fraction`` once, at the end.  The
-walk over ``impartial_culture(n).expand()`` is the programme's test oracle.
+one walk serves every alternative; an explicit culture walks, and packs
+fields for, only the alternatives that no rival beats in every support
+ranking, since only they can win or decide who does.  Weights are
+integer numerators over the lcm D of the weight denominators; the winner
+mass accumulates as an integer over D^(2k-1) and becomes a ``Fraction``
+once, at the end.  The walk over ``impartial_culture(n).expand()`` is the
+programme's test oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class ExactProbability:
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
             raise ValueError(f"probability {self.value} outside [0, 1]")
-        if self.per_alternative is not None and sum(self.per_alternative) != self.value:
+        if self.per_alternative is not None and sum(
+            p for p in self.per_alternative if p
+        ) != self.value:
             raise ValueError("per-alternative decomposition does not sum to the total")
 
 
@@ -197,6 +202,29 @@ def _pack(positions: np.ndarray, k: int, a: int) -> List[int]:
     return _fields(positions < positions[:, a:a + 1], k.bit_length() + 1)
 
 
+def _undominated(positions: np.ndarray) -> List[int]:
+    """The columns of the (S, n) position table that no other column beats
+    in every row, ascending: the alternatives that no rival ranks above them
+    in every support ranking.
+
+    A dominator has a smaller position sum, so the column of least sum
+    among those left is undominated: it is kept, and it and every column it
+    dominates leave.  Whatever a column that left dominates, the column that
+    struck it dominates too.  Each kept column costs O(S m) for the m
+    columns left."""
+    order = np.argsort(positions.sum(axis=0, dtype=np.int64), kind="stable")
+    table, kept = positions[:, order], []
+    while len(order):
+        kept.append(int(order[0]))
+        head, order, table = table[:, 0], order[1:], table[:, 1:]
+        beaten = table[0] > head[0]
+        for row, place in zip(table[1:], head[1:]):
+            beaten &= row > place
+        if beaten.any():
+            order, table = order[~beaten], table[:, ~beaten]
+    return sorted(kept)
+
+
 def _multiset_winner(tally: int, against: int) -> bool:
     """Whether the walked alternative is the Condorcet winner of a voter
     multiset's packed full tally of its column, ``against`` being the defeat
@@ -285,14 +313,18 @@ def condorcet_probability(
     walk reaches costs one winner check; ``winner_checks`` counts them over
     all walks.  The cyclic kind is invariant under a relabelling that sends
     0 to any alternative, so only alternative 0 is walked and its mass is
-    every alternative's; explicit cultures walk every alternative.  A walk's
-    tally is a sum of packed ints of the walked alternative's column, one
-    per voter, built in time linear in their bits, and one defeat mask, the
-    same for every walk, both cuts a lost branch and judges a full tally
-    (:func:`_pack`).  Weights enter as integer numerators over D, the lcm of
+    every alternative's.  An explicit culture walks only its undominated
+    alternatives (:func:`_undominated`) and packs only their columns: a
+    rival that every support ranking puts above a beats a in every profile,
+    and a rival c dominated by d is above a only where d is too, so c beats
+    a only where d does.  A walk's tally is a sum of packed ints of the
+    walked alternative's column, one per voter, built in time linear in
+    their bits, and one defeat mask, the same for every walk, both cuts a
+    lost branch and judges a full tally (:func:`_pack`).  Weights enter as integer numerators over D, the lcm of
     their denominators, so the winner mass accumulates as integers over
     D^(2k-1) and is divided once at the end; the cyclic weights are 1 over
-    D = S.
+    D = S.  At k = 1 the one voter's first choice wins, so P = 1, split by
+    the top-choice marginals, with no table built and no walk.
 
     Raises :class:`SupportTooLargeError` when the support would exceed
     ``max_support`` and :class:`CapExceededError` when the multiset count
@@ -311,30 +343,38 @@ def condorcet_probability(
     if multisets > max_winner_checks:
         raise CapExceededError("max_winner_checks", multisets, max_winner_checks)
 
+    if k == 1:
+        return ExactProbability(
+            Fraction(1), "enumeration", culture.top_marginals(), winner_checks=0
+        )
+
     voters = 2 * k - 1
     symmetric = culture.kind == "cyclic"
+    positions = culture.support_positions()
     if symmetric:
         scale, nums = support, [1] * support
+        walked = [0]
     else:
         scale = math.lcm(*(w.denominator for _, w in culture.entries))
         nums = [w.numerator * (scale // w.denominator) for _, w in culture.entries]
-    positions = culture.support_positions()
+        walked = _undominated(positions)
+        positions = positions[:, walked]
     width = k.bit_length() + 1
-    ones = _fields(np.ones((1, culture.n), dtype=bool), width)[0]
+    ones = _fields(np.ones((1, positions.shape[1]), dtype=bool), width)[0]
     against, bias = ones << (width - 1), ones * ((1 << (width - 1)) - k)
-    mass, checks = [], 0
-    for a in range(1 if symmetric else culture.n):
+    mass, checks = [0] * culture.n, 0
+    for a, alternative in enumerate(walked):
         order = np.argsort(-positions[:, a], kind="stable")
-        won, made = _enumerate_range(
+        mass[alternative], made = _enumerate_range(
             _pack(positions[order], k, a), against, bias,
             [nums[i] for i in order], voters,
         )
-        mass.append(won)
         checks += made
     if symmetric:
-        mass *= culture.n
+        mass = [mass[0]] * culture.n
     total_den = scale ** voters
-    per_alt = tuple(Fraction(m, total_den) for m in mass)
+    zero = Fraction(0)
+    per_alt = tuple(Fraction(m, total_den) if m else zero for m in mass)
     return ExactProbability(
         Fraction(sum(mass), total_den), "enumeration", per_alt, winner_checks=checks
     )

@@ -527,9 +527,6 @@ def estimate_condorcet_probability(
     # cyclic culture with voter 0 on rotation 0.  When there are at most
     # min(samples, _BLOCK_KEYS) of them, each chunk draws its wins from q,
     # the exact winner probability, and the key path's tables go unbuilt.
-    # At k = 1 the one voter's first choice always wins, so q = 1 needs no
-    # walk, where the cyclic walk would pack an n x n table at any n (0.41 s
-    # and 371 MB at n = 8000, in process on 2 vCPUs).
     block_rows = _block_rows(culture, k)
     tables = q = None
     checks = 0
@@ -537,8 +534,6 @@ def estimate_condorcet_probability(
         cyclic = culture.kind == "cyclic"
         if culture.support_size ** (2 * k - 1 - cyclic) > min(samples, _BLOCK_KEYS):
             tables = culture.support_positions(), _cumulative_weights(culture)
-        elif k == 1:
-            q = 1.0
         else:
             exact = condorcet_probability(culture, k)
             q, checks = float(exact.value), exact.winner_checks

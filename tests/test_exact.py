@@ -228,6 +228,57 @@ def test_enumeration_matches_ordered_tuple_oracle(culture, k):
     assert result.value == sum(expected)
 
 
+def _all_pairs_undominated(positions):
+    """Columns that no other column beats in every row, by checking every
+    pair."""
+    n = positions.shape[1]
+    return [a for a in range(n)
+            if not any((positions[:, b] < positions[:, a]).all() for b in range(n))]
+
+
+def test_undominated_matches_all_pairs():
+    rng = np.random.default_rng(5)
+    tables = [np.array([np.arange(9), np.arange(9)[::-1]])]  # nothing dominated
+    for rows in range(1, 6):
+        for n in (1, 2, 5, 12, 30):
+            tables += [np.array([rng.permutation(n) for _ in range(rows)]) for _ in range(4)]
+    tables.append(np.repeat(tables[-1][:1], 3, axis=0))  # one ranking thrice
+    for positions in tables:
+        assert exact._undominated(positions) == _all_pairs_undominated(positions)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [2, 3])
+def test_dominated_alternatives_neither_win_nor_decide(seed, k):
+    """An explicit culture walks only its undominated alternatives, with
+    fields for them alone; every alternative still gets the winner mass the
+    ordered-tuple oracle gives it."""
+    culture = _random_explicit_culture(6, seed)
+    positions = culture.support_positions()
+    walked = exact._undominated(positions)
+    assert len(walked) < culture.n or seed == 3  # seed 3 dominates no one
+    result = condorcet_probability(culture, k)
+    expected = _ordered_tuple_oracle(culture, k)
+    assert list(result.per_alternative) == expected
+    assert all(expected[a] == 0 for a in set(range(culture.n)) - set(walked))
+    assert result.winner_checks <= len(walked) * multiset_count(culture.support_size, k)
+
+
+def test_one_voter_walks_nothing(monkeypatch):
+    """At k = 1 the one voter's first choice wins: P = 1, split by the top
+    marginals, with no position table built, even for a cyclic support of
+    10^5 rankings whose table would hold 10^10 ranks."""
+    def refuse(culture):
+        raise AssertionError("position table built")
+
+    monkeypatch.setattr(Culture, "support_positions", refuse)
+    explicit = culture_from_entries(3, [((2, 0, 1), "1/3"), ((0, 2, 1), "2/3")])
+    for culture in (cyclic_culture(10 ** 5), explicit):
+        result = condorcet_probability(culture, 1)
+        assert result.value == 1 and result.winner_checks == 0
+        assert result.per_alternative == culture.top_marginals()
+
+
 def test_winner_checks_count_the_checks_made(monkeypatch):
     calls = []
     check = exact._multiset_winner

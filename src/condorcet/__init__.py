@@ -59,7 +59,6 @@ from .verify import (
     check_tail_sandwich,
     check_tail_symmetry,
     check_taylor_bounds,
-    check_truncated_integral_bounds,
     run_suites,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "check_tail_sandwich",
     "check_tail_symmetry",
     "check_taylor_bounds",
-    "check_truncated_integral_bounds",
     "condorcet_probability",
     "culture_from_entries",
     "culture_from_json_obj",

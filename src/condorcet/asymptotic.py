@@ -26,6 +26,9 @@ axis as x = t^k, after which a Gauss-Legendre rule of N nodes per axis (and
 N nodes for J_k's inner integral) converges spectrally.  At k = 2 the
 simplex is one point and the rule one evaluation, pi^(3/2)/2.  The passes
 take N = 8, 12, 16, 24, 32, ... nodes, and there is no truncation part.
+A pass costs N^(2k-3) points, and ``MAX_QUADRATURE_POINTS`` alone decides
+which k reach a target: k = 5 meets the default 0.1 in two passes, while
+at k = 6 the second pass is over the cap, so no pass runs.
 
 The box path (``box=True``, which ``ck --full`` selects; k >= 2) is the
 naive oracle.  It integrates over a truncated box [0, a]^m and reports two
@@ -74,8 +77,6 @@ from numpy.polynomial.legendre import leggauss
 from .model import CapExceededError
 from .special import _symmetric_polynomials
 
-SUPPORTED_K = (1, 2, 3, 4)
-
 DEFAULT_DEGREE = 8
 # Power of the mesh grading: cell edges at a * (i / cells)^MESH_GRADING.
 MESH_GRADING = 4.0
@@ -93,8 +94,8 @@ ROUNDING_ULPS = 64
 # Integrand values per block of the orbit sum in _tensor_quad (and inner
 # rule terms per block of _simplex_quad), so a block's temporaries stay in
 # cache.  Blocks of 2^12 to 2^17 terms were timed (2 vCPUs, 2 MiB L2 per
-# core) on k = 2 box passes (2-D at 1e-4, 3-D at 0.01) and the
-# truncated_integral suite; 2^14 was the best or within 5% of it.
+# core) on k = 2 box passes (2-D at 1e-4, 3-D at 0.01) and on 2-D to 4-D
+# box integrals; 2^14 was the best or within 5% of it.
 _BLOCK_TERMS = 1 << 14
 
 # Nodes per axis of the first simplex pass; see _grow_simplex for the rest.
@@ -300,7 +301,8 @@ def _refine(
     Returns every pass in order; the last one carries the value and its
     reported error.  Raises when a pass's nodes^cost_exponent terms would
     exceed the point budget, naming the error the last pass within it
-    reached.  Raises at once when a pass's allowance alone exceeds the
+    reached; a lone pass reports no error, so none runs when the second
+    would not fit.  Raises at once when a pass's allowance alone exceeds the
     target, since no finer rule can then meet it; the allowance then scales
     with |value|, as a larger target would clear it, and the message names
     the rounding floor in ``target_error``'s units, rounded up.
@@ -313,8 +315,10 @@ def _refine(
     passes: List[Refinement] = []
     while True:
         cost = nodes ** cost_exponent
+        if not passes and cost <= MAX_QUADRATURE_POINTS:
+            cost = grow(nodes) ** cost_exponent
         if cost > MAX_QUADRATURE_POINTS:
-            if not passes or passes[-1].error is None:
+            if not passes:
                 reached = "no two passes fit within it, so no error was reached"
             else:
                 last = passes[-1]
@@ -417,10 +421,10 @@ def estimate_leading_constant(
     quadrature's target is below its rounding allowance, the estimator
     raises instead of under-reporting the error.
     """
-    if k not in SUPPORTED_K:
-        raise ValueError(f"k={k} outside supported range {SUPPORTED_K}")
-    if not target_error > 0:
-        raise ValueError("target_error must be positive")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not 0 < target_error < math.inf:
+        raise ValueError("target_error must be positive and finite")
     if k == 1:
         if box:
             raise ValueError("the box oracle needs k >= 2; C_1 = 1 exactly")
@@ -436,8 +440,8 @@ def estimate_leading_constant(
     a = 2 * m * (m - 1) * math.factorial(m - 1) ** 2 / target_error
 
     def box_pass(nodes: int) -> Tuple[float, int]:
-        rule = _axis_rule(a, nodes // DEFAULT_DEGREE, DEFAULT_DEGREE)
-        return _tensor_quad(k, m, *rule), math.comb(nodes + m - 1, m)
+        value = truncated_box_integral(k, m, a, nodes // DEFAULT_DEGREE)
+        return value, math.comb(nodes + m - 1, m)
 
     passes = _refine(
         box_pass, 16 * DEFAULT_DEGREE, lambda nodes: 2 * nodes, m, target_error,
@@ -453,8 +457,8 @@ def impartial_leading_term(n: int, k: int, constant: float) -> float:
     with an unquantified k-dependent factor."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if constant <= 0:
-        raise ValueError("constant must be positive")
+    if not 0 < constant < math.inf:
+        raise ValueError("constant must be positive and finite")
     return constant * float(n) ** (-(k - 1) / k)
 
 
@@ -468,9 +472,14 @@ def min_prob_large_n_leading_exact(n: int, k: int) -> Fraction:
 
 def min_prob_large_n_leading(n: int, k: int) -> float:
     """The leading large-n term as a float, rounded once from the rational:
-    C(2k-1, k) alone overflows a float from k = 516 on, while the term
-    itself underflows to 0.0 at large k."""
-    return float(min_prob_large_n_leading_exact(n, k))
+    C(2k-1, k) alone overflows a float from k = 516 on.  The term grows
+    about as n (4/n)^k, so at large k it underflows to 0.0 for n >= 5 and
+    overflows for n <= 3 (from k = 516, 1030 and 2482 at n = 1, 2 and 3),
+    which raises ValueError."""
+    try:
+        return float(min_prob_large_n_leading_exact(n, k))
+    except OverflowError:
+        raise ValueError(f"the leading term at n={n}, k={k} overflows a float") from None
 
 
 def min_prob_large_k_rate(n: int) -> float:

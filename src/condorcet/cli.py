@@ -25,11 +25,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .asymptotic import (
-    SUPPORTED_K,
     estimate_leading_constant,
     impartial_leading_term,
     min_prob_large_k_bounds,
     min_prob_large_k_rate,
+    min_prob_large_n_leading,
     min_prob_large_n_leading_exact,
 )
 from .cultures import STREAM_VERSION
@@ -228,6 +228,8 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
     k = _resolve_k(args)
     n = args.n
     if args.mode == "large-n":
+        # first, as it raises when the term overflows a float (n <= 3)
+        leading_term = min_prob_large_n_leading(n, k)
         exact = min_condorcet_probability(n, k)
         leading = min_prob_large_n_leading_exact(n, k)
         # log10 from the exact integers: at large k both values underflow a float
@@ -237,7 +239,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
             "k": k,
             "exact_min_prob": float(exact),
             "log10_exact_min_prob": _log10(exact),
-            "leading_term": float(leading),
+            "leading_term": leading_term,
             "log10_leading_term": _log10(leading),
             "relative_deviation": float(abs(exact - leading) / leading),
         }, None
@@ -259,10 +261,6 @@ def _cmd_asymptote(args: argparse.Namespace) -> Tuple[dict, Optional[int]]:
         }, None
     constant, constant_error = args.constant, None
     if constant is None:
-        if k not in SUPPORTED_K:
-            raise ValueError(
-                f"--constant is required with --mode impartial for k outside {SUPPORTED_K}"
-            )
         estimate = estimate_leading_constant(k, target_error=IMPARTIAL_CONSTANT_TARGET)
         constant, constant_error = estimate.value, estimate.total_error
     return {
@@ -356,7 +354,7 @@ def _asymptote_args(sub: argparse.ArgumentParser) -> None:
     _add_voter_args(sub)
     sub.add_argument(
         "--constant", type=float,
-        help=f"leading constant for --mode impartial (computed if omitted, k in {SUPPORTED_K})",
+        help="leading constant for --mode impartial (computed if omitted, within the point cap)",
     )
 
 

@@ -8,9 +8,8 @@ convexity and the paper's minimum are proved from integer power-basis and
 Bernstein coefficients, with no tolerance; the float tail and derivative
 are held to a stated ulp bound of their exact values.  The sampled checks
 evaluate each grid or cloud as arrays, one call per k, with tolerance
-1e-12 for the sandwich and 1e-6 for the truncated integral; their reports
-count trials and violations and pick the worst witness exactly as a
-point-by-point sweep would.
+1e-12 for the sandwich; their reports count trials and violations and
+pick the worst witness exactly as a point-by-point sweep would.
 
 A report with zero violations is reproducible from (name, seed, trials):
 every random draw goes through mix64 with a per-check tag and
@@ -25,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .asymptotic import orthant_tail_bound, truncated_box_integral
 from .cultures import mix64
 from .special import (
     _tail_numerator,
@@ -36,7 +34,6 @@ from .special import (
 )
 
 TOL_ALGEBRA = 1e-12
-TOL_TRUNCATED_INTEGRAL = 1e-6
 
 # Stream tag of the sandwich cloud, the one check that draws inputs.
 _TAG_SANDWICH = 101
@@ -313,40 +310,6 @@ def check_scaled_tail_bound(n_max: int = 1000, k_max: int = 10) -> CheckReport:
     return tracker.report()
 
 
-def check_truncated_integral_bounds(
-    ell: int,
-    m: int,
-    a: float,
-    cells: int = 48,
-    degree: int = 8,
-) -> CheckReport:
-    """Bounds on the orthant integral of exp(-sigma_ell) in m variables.
-
-    The truncated box value must stay below (m!)^2, and for ell >= 2 it must
-    sit within the rigorous tail bound of a better estimate computed on a
-    box four times larger.
-    """
-    if not ell < m:
-        raise ValueError("order must be below the dimension")
-    if m > 5:
-        raise ValueError("dimension above 5 is out of supported range")
-    tracker = _Tracker(f"truncated_integral_l{ell}_m{m}", TOL_TRUNCATED_INTEGRAL)
-    value = truncated_box_integral(ell, m, a, cells=cells, degree=degree)
-    cap = float(math.factorial(m) ** 2)
-    tracker.record_array(
-        [cap - value], lambda *_: {"ell": ell, "m": m, "a": a}, "value <= (m!)^2"
-    )
-    if ell >= 2:
-        fuller = truncated_box_integral(ell, m, 4.0 * a, cells=cells, degree=degree)
-        tail = orthant_tail_bound(ell, m, a)
-        tracker.record_array(
-            [value - (fuller - tail)],
-            lambda *_: {"ell": ell, "m": m, "a": a, "fuller": fuller},
-            "truncated >= full - tail bound",
-        )
-    return tracker.report()
-
-
 def _substituted_tail(k: int, p0: int, p1: int, q: int) -> List[int]:
     """Integer coefficients in u of q^(2k-1) * majority_tail(k, (p0 + p1 u) / q),
     through the tail's own integer coefficients t_j in majority_tail(k, x) =
@@ -419,14 +382,6 @@ def _suite_scaled_tail(seed: int) -> List[CheckReport]:
     return [check_scaled_tail_bound()]
 
 
-def _suite_truncated_integral(seed: int) -> List[CheckReport]:
-    return [
-        check_truncated_integral_bounds(1, 2, 30.0),
-        check_truncated_integral_bounds(2, 3, 40.0),
-        check_truncated_integral_bounds(2, 4, 10.0, cells=12, degree=6),
-    ]
-
-
 def _suite_minimizer(seed: int) -> List[CheckReport]:
     """Proves sum_j T(x_j) >= n T(1/n) on the probability simplex, with
     T = majority_tail(k, .), for n = 1..8 and k = 1..4: the paper's minimum,
@@ -484,7 +439,6 @@ SUITES: Dict[str, Callable[[int], List[CheckReport]]] = {
     "tail_derivative": _suite_derivative,
     "tail_convexity": _suite_convexity,
     "scaled_tail": _suite_scaled_tail,
-    "truncated_integral": _suite_truncated_integral,
     "minimizer": _suite_minimizer,
 }
 

@@ -296,10 +296,12 @@ def test_refinement_history_records_every_pass():
 
 
 def test_leading_constant_rejects_unsupported_k():
-    with pytest.raises(ValueError):
-        estimate_leading_constant(5)
-    with pytest.raises(ValueError):
-        estimate_leading_constant(2, target_error=0.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            estimate_leading_constant(k)
+    for target in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            estimate_leading_constant(2, target_error=target)
     with pytest.raises(ValueError):
         estimate_leading_constant(1, target_error=math.nan)
     # C_1 = 1 is exact, and the box oracle serves k >= 2 only
@@ -402,8 +404,9 @@ def test_impartial_leading_term():
     assert impartial_leading_term(7, 1, 5.0) == 5.0  # exponent 0 at k=1
     with pytest.raises(ValueError):
         impartial_leading_term(0, 2, 1.0)
-    with pytest.raises(ValueError):
-        impartial_leading_term(10, 2, 0.0)
+    for constant in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            impartial_leading_term(10, 2, constant)
 
 
 def test_large_n_leading_term_tracks_closed_form():
@@ -424,6 +427,11 @@ def test_large_n_leading_term_at_large_k():
     assert min_prob_large_n_leading(10, k) == pytest.approx(math.exp(log_term), rel=1e-9)
     assert min_prob_large_n_leading(10, 1000) == 0.0
     assert min_prob_large_n_leading_exact(10, 1000) > 0
+    # for n <= 3 the term grows with k and overflows a float instead
+    for n, k in ((1, 516), (2, 1030), (3, 2482)):
+        assert min_prob_large_n_leading(n, k - 1) < sys.float_info.max
+        with pytest.raises(ValueError, match="overflows a float"):
+            min_prob_large_n_leading(n, k)
 
 
 def test_large_k_rate():

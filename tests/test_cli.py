@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import condorcet.cli as cli
-from condorcet import montecarlo
+from condorcet import asymptotic, montecarlo
 from condorcet.cultures import STREAM_VERSION, cyclic_culture, impartial_culture
 from condorcet.exact import condorcet_probability
 from condorcet.model import culture_from_entries, save_culture
@@ -330,6 +330,16 @@ def test_asymptote_at_large_k(capsys, mode):
         assert results["relative_deviation"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n, k", [(1, 600), (2, 1100), (3, 3000)])
+def test_asymptote_large_n_overflow_exit_one(capsys, n, k):
+    """For n <= 3 the leading term C(2k-1, k)/n^(k-1) grows with k and
+    overflows a float: a one-line error, not a traceback."""
+    code = cli.run(["asymptote", "--mode", "large-n", "--n", str(n), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"condorcet: error: the leading term at n={n}, k={k} overflows a float\n"
+
+
 def three_formats(capsys, argv):
     """The results of one command as JSON, CSV and human output."""
     _, as_json = run_capture(capsys, argv + ["--format", "json"])
@@ -395,11 +405,12 @@ def test_simulate_reports_rejudged_profiles(capsys, monkeypatch):
 
 
 def test_asymptote_impartial_needs_constant(capsys):
-    # no constant is computed outside asymptotic.SUPPORTED_K
+    # at k = 6 no two simplex passes fit the point cap, so no constant is
+    # computed and an explicit one is needed
     code, _ = run_capture(
-        capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--k", "5"]
+        capsys, ["asymptote", "--mode", "impartial", "--n", "100", "--k", "6"]
     )
-    assert code == 1
+    assert code == 3
     code, out = run_capture(
         capsys,
         ["asymptote", "--mode", "impartial", "--n", "100", "--voters", "3",
@@ -457,6 +468,13 @@ def test_verify_suite_exit_zero(capsys):
     )
     assert code == 0
     assert parse_human(out)["violations_total"] == "0"
+
+
+def test_verify_truncated_integral_suite_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--suite", "truncated_integral"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'truncated_integral'" in capsys.readouterr().err
 
 
 def test_verify_reports_worst_input(capsys):
@@ -567,6 +585,75 @@ def test_ck_nan_target_exit_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("condorcet: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ck", "--k", "0"],
+        ["ck", "--k", "2", "--target-error", "inf"],
+        ["asymptote", "--mode", "impartial", "--n", "10", "--k", "2", "--constant", "nan"],
+        ["asymptote", "--mode", "impartial", "--n", "10", "--k", "2", "--constant", "inf"],
+    ],
+    ids=["ck_k0", "ck_target_inf", "constant_nan", "constant_inf"],
+)
+def test_out_of_range_constant_inputs_exit_one(capsys, argv):
+    """No non-finite number reaches the JSON record, since strict parsers
+    reject NaN and Infinity; a NaN target is the case above."""
+    code = cli.run(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("condorcet: error:")
+
+
+def test_ck_k5_within_its_error(capsys):
+    """The point cap, not a list of k, decides which C_k are computed: k = 5
+    meets the default target in two passes, within its reported error of
+    the value of the 24-node pass."""
+    code, out = run_capture(capsys, ["ck", "--k", "5", "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [step["nodes"] for step in results["refinements"]] == [8, 12]
+    assert abs(results["value"] - 6.933121594884031) <= results["total_error"] <= 0.1
+
+
+def test_ck_k6_exits_three_before_any_pass(capsys, monkeypatch):
+    """At k = 6 the first simplex pass, 8^9 points, fits the cap but the
+    second, 12^9, does not; a lone pass reports no error, so none runs."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(asymptotic, "_simplex_quad", no_pass)
+    code = cli.run(["ck", "--k", "6"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (
+        f"condorcet: cap 'max_quadrature_points' exceeded: needed {12 ** 9}, cap "
+        f"{asymptotic.MAX_QUADRATURE_POINTS}; for the target error 0.1 no two passes fit "
+        f"within it, so no error was reached\n"
+    )
+
+
+def test_ck_box_oracle_is_pinned(capsys):
+    """The box oracle's passes run through truncated_box_integral; its
+    value, errors and passes are pinned to the last bit."""
+    argv = ["ck", "--k", "2", "--full", "--target-error", "0.01", "--format", "json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    quadrature_error, tail = 0.0019371961409753496, 0.005000000000000002
+    assert json.loads(out)["results"] == {
+        "k": 2,
+        "value": 2.7835316351760646,
+        "quadrature_error": quadrature_error,
+        "truncation_bound": tail,
+        "truncation_a": 4800.0,
+        "total_error": quadrature_error + tail,
+        "refinements": [
+            {"nodes": 128, "evaluations": 357760, "value": 2.781594439035129, "error": None},
+            {"nodes": 256, "evaluations": 2829056, "value": 2.7835316351760646,
+             "error": quadrature_error},
+        ],
+    }
 
 
 def test_cap_exceeded_exit_three(capsys):

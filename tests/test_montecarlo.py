@@ -1042,6 +1042,25 @@ def test_confidence_interval_covers_the_quadrature_value_on_32_bit_keys():
     assert rejudged < 0.001 * 160 * 1000
 
 
+def test_confidence_interval_covers_the_quadrature_value_at_k_four_on_32_bit_keys():
+    """The Wilson 95% interval of short impartial (800, 4) runs, on 32-bit
+    keys over (2k-2)(n-1) = 4794 compared pairs, covers P_n =
+    0.0330695542400 (the quadrature of
+    :func:`test_confidence_interval_covers_the_quadrature_values`, whose
+    passes of 24/32 nodes per axis agree to 3.6e-13 relative).  At N = 1000 the interval covers it with probability 0.95867
+    (summed over Bin(1000, p)), so the hits over 110 seeds are
+    Bin(110, 0.95867), and fewer than 98 has probability 6.4e-4."""
+    n, k, exact = 800, 4, 0.0330695542400
+    assert _key_dtype(n, k) is np.uint32
+    hits = rejudged = 0
+    for rep in range(110):
+        est = estimate_condorcet_probability(impartial_culture(n), k, 1000, seed=mix64(2026, rep))
+        hits += est.ci_low <= exact <= est.ci_high
+        rejudged += est.rejudged_profiles
+    assert hits >= 98
+    assert rejudged < 0.001 * 110 * 1000
+
+
 @pytest.mark.parametrize(
     "n, k, exact",
     [(200, 3, 0.110888239729064), (200, 4, 0.0877679915556), (50, 5, 0.206036084331284)],

@@ -31,7 +31,6 @@ from condorcet.verify import (
     check_tail_sandwich,
     check_tail_symmetry,
     check_taylor_bounds,
-    check_truncated_integral_bounds,
     run_suites,
 )
 from descent import (
@@ -72,9 +71,6 @@ def test_suite_trial_counts_are_pinned():
         "tail_derivative": 6 * (1 + 257),
         "tail_convexity": 6,  # one proof for each k = 1..6
         "scaled_tail_bound": 10 * 1000,
-        "truncated_integral_l1_m2": 1,
-        "truncated_integral_l2_m3": 2,
-        "truncated_integral_l2_m4": 2,
         "uniform_minimum_proved": 18,  # n = 3..8, k = 2..4
         "uniform_minimum_identity": 14,  # n <= 2 or k = 1, of n = 1..8, k = 1..4
     }
@@ -83,6 +79,10 @@ def test_suite_trial_counts_are_pinned():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["frobnicate"])
+    # the box's own tail-bound self-check is gone; the simplex-in-box
+    # bracket of test_asymptotic.py covers the box value
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suites(["truncated_integral"])
 
 
 def test_taylor_worst_witness_reproduces():
@@ -384,13 +384,6 @@ def test_scaled_tail_margins_match_exact_tail():
         for n in {1, 2, 999, 1000, *(int(x) for x in rng.integers(1, 1001, 40))}:
             exact = 1 - n * majority_tail_exact(k, Fraction(1, n))
             assert margins[n - 1] == float(exact), (n, k)
-
-
-def test_truncated_integral_check_validates():
-    with pytest.raises(ValueError):
-        check_truncated_integral_bounds(3, 3, 10.0)
-    with pytest.raises(ValueError):
-        check_truncated_integral_bounds(2, 6, 10.0)
 
 
 def poly_mul(a, b):
